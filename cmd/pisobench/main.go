@@ -6,42 +6,26 @@
 // runs print byte-identical tables. With -short it skips the ablations;
 // -json writes a machine-readable benchmark report, and -metrics writes
 // the per-experiment observability artifact (JSONL, deterministic at
-// any -parallel level).
+// any -parallel level). -eventq flips every engine the run builds onto
+// the binary-heap fallback for differential testing.
 //
-// With -perf it instead measures the event core's throughput per
-// registry scenario (events/sec, ns/event, allocs/event, rep-to-rep CV)
-// and can gate against a committed baseline; -perf-trajectory appends
-// the run to the append-only perf history (BENCH_trajectory.jsonl) and
-// -perf-history renders that history as a trend report. -eventq flips
-// every engine the run builds onto the binary-heap fallback for
-// differential testing.
-//
-// With -simobs it turns the measurement discipline on the simulator
-// itself: every registry scenario runs under the self-observability
-// collector (internal/simobs) and prints its event census, calendar-
-// queue internals, sampled host-time attribution, and the parallelism-
-// feasibility report; -simobs-jsonl and -simobs-pprof write the machine
-// artifacts (the pprof one opens with `go tool pprof`).
+// The simulator's own speed is measured by the benchmark module, not
+// here: bash benchmark/run.sh, then bash benchmark/run.sh -compare.
 //
 // Usage:
 //
 //	pisobench [-short] [-markdown] [-only ID] [-parallel N] [-json PATH] [-metrics PATH] [-latency PATH] [-controller PATH] [-eventq calendar|heap]
-//	pisobench -perf [-perf-scenarios IDS] [-perf-reps N] [-perf-baseline PATH] [-perf-gate FRAC] [-perf-trajectory PATH] [-json PATH]
-//	pisobench -perf-history BENCH_trajectory.jsonl
-//	pisobench -simobs [-simobs-scenarios IDS] [-simobs-jsonl PATH] [-simobs-pprof PATH]
-//	pisobench -diff OLD.json NEW.json   (bench, perf, or trajectory files)
+//	pisobench -diff OLD.json NEW.json
 //	pisobench -soak [-soak-runs N] [-soak-seed S] [-soak-case K] [-soak-faults SPEC]
 //	pisobench -list
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"runtime"
 	"strings"
 	"time"
@@ -49,7 +33,6 @@ import (
 	"perfiso/internal/experiment"
 	"perfiso/internal/fault"
 	"perfiso/internal/sim"
-	"perfiso/internal/simobs"
 	"perfiso/internal/soak"
 	"perfiso/internal/stats"
 )
@@ -71,17 +54,6 @@ type config struct {
 	eventq      string
 	diff        bool
 	diffArgs    []string
-	perf        bool
-	perfReps    int
-	perfOnly    string
-	perfBase    string
-	perfGate    float64
-	perfTraj    string
-	perfHistory string
-	simobs      bool
-	simobsOnly  string
-	simobsJSONL string
-	simobsPprof string
 	soak        bool
 	soakRuns    int
 	soakSeed    uint64
@@ -102,19 +74,8 @@ func main() {
 	flag.StringVar(&cfg.profilePath, "profile", "", "write the per-experiment attribution artifact (JSONL: latency breakdowns, interference matrix, spans) to this path")
 	flag.StringVar(&cfg.latencyPath, "latency", "", "write the per-experiment tail-latency artifact (JSONL: percentiles, SLO attainment, window timelines) to this path")
 	flag.StringVar(&cfg.controlPath, "controller", "", "write the per-experiment controller artifact (JSONL: decision logs of every closed-loop run) to this path")
-	flag.BoolVar(&cfg.diff, "diff", false, "compare two pisobench JSON reports (bench or perf): pisobench -diff old.json new.json")
+	flag.BoolVar(&cfg.diff, "diff", false, "compare two pisobench JSON reports: pisobench -diff old.json new.json")
 	flag.StringVar(&cfg.eventq, "eventq", "", "event queue implementation: calendar (default) or heap")
-	flag.BoolVar(&cfg.perf, "perf", false, "run the perf baseline instead of printing tables (BENCH_perf.json via -json)")
-	flag.IntVar(&cfg.perfReps, "perf-reps", 3, "perf: repetitions per scenario; fastest rep is reported")
-	flag.StringVar(&cfg.perfOnly, "perf-scenarios", "", "perf: comma-separated scenario ids (default: full registry)")
-	flag.StringVar(&cfg.perfBase, "perf-baseline", "", "perf: prior BENCH_perf.json to annotate speedups against")
-	flag.Float64Var(&cfg.perfGate, "perf-gate", 0, "perf: fail if any scenario's ns/event regresses past baseline by this fraction (0.15 = 15%)")
-	flag.StringVar(&cfg.perfTraj, "perf-trajectory", "", "perf: append this run to the append-only trajectory JSONL at this path")
-	flag.StringVar(&cfg.perfHistory, "perf-history", "", "render the perf trajectory at this path as a trend report and exit")
-	flag.BoolVar(&cfg.simobs, "simobs", false, "run registry scenarios under the simulator self-observability collector and print the reports")
-	flag.StringVar(&cfg.simobsOnly, "simobs-scenarios", "", "simobs: comma-separated scenario ids (default: full registry)")
-	flag.StringVar(&cfg.simobsJSONL, "simobs-jsonl", "", "simobs: write the telemetry artifact (JSONL) to this path")
-	flag.StringVar(&cfg.simobsPprof, "simobs-pprof", "", "simobs: write the host-time attribution profile (gzipped pprof) to this path")
 	flag.BoolVar(&cfg.soak, "soak", false, "run the chaos-soak harness instead of the evaluation suite")
 	flag.IntVar(&cfg.soakRuns, "soak-runs", 16, "soak: number of generated cases to run")
 	flag.Uint64Var(&cfg.soakSeed, "soak-seed", 1, "soak: sweep seed; every case derives from it deterministically")
@@ -156,152 +117,8 @@ func runSoak(cfg config, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runPerf dispatches the -perf mode: measure the event core's
-// throughput on the selected registry scenarios, print the table,
-// optionally write BENCH_perf.json (-json) and enforce the regression
-// gate against a committed baseline (-perf-baseline, -perf-gate).
-func runPerf(cfg config, stdout, stderr io.Writer) int {
-	var ids []string
-	if cfg.perfOnly != "" {
-		ids = strings.Split(cfg.perfOnly, ",")
-	}
-	rep, err := experiment.RunPerf(ids, cfg.perfReps)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	rep.EventQueue = sim.DefaultQueue().String()
-
-	var failures []string
-	if cfg.perfBase != "" {
-		data, err := os.ReadFile(cfg.perfBase)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		var base experiment.PerfReport
-		if err := json.Unmarshal(data, &base); err != nil {
-			fmt.Fprintf(stderr, "parsing %s: %v\n", cfg.perfBase, err)
-			return 2
-		}
-		rep.Baseline = cfg.perfBase
-		failures = rep.Compare(base, cfg.perfGate)
-	}
-
-	fmt.Fprint(stdout, rep)
-	if cfg.jsonPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.jsonPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-	if cfg.perfTraj != "" {
-		pts := experiment.TrajectoryPoints(rep, gitCommit(), time.Now().Format("2006-01-02"))
-		if err := experiment.AppendTrajectory(cfg.perfTraj, pts); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-	for _, f := range failures {
-		fmt.Fprintf(stderr, "PERF REGRESSION %s\n", f)
-	}
-	if len(failures) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// gitCommit stamps trajectory points with the short hash of HEAD, or
-// "unknown" when the binary runs outside a git checkout.
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
-}
-
-// runPerfHistory dispatches -perf-history: read the append-only
-// trajectory JSONL and render the per-scenario trend report.
-func runPerfHistory(cfg config, stdout, stderr io.Writer) int {
-	data, err := os.ReadFile(cfg.perfHistory)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	pts, err := experiment.ReadTrajectory(data)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	fmt.Fprint(stdout, experiment.HistoryReport(pts))
-	return 0
-}
-
-// runSimObs dispatches -simobs: run the selected registry scenarios
-// sequentially under the self-observability collector, print each
-// scenario's telemetry report plus the cross-scenario feasibility
-// table, and write the machine artifacts when asked.
-func runSimObs(cfg config, stdout, stderr io.Writer) int {
-	var ids []string
-	if cfg.simobsOnly != "" {
-		ids = strings.Split(cfg.simobsOnly, ",")
-	}
-	results, err := experiment.RunSimObs(ids, simobs.Config{})
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	failed := 0
-	var reports []*simobs.Report
-	for _, r := range results {
-		if r.Err != nil {
-			failed++
-			fmt.Fprintf(stderr, "FAILED %s: %v\n", r.Spec.ID, r.Err)
-			continue
-		}
-		fmt.Fprintln(stdout, r.Report.String())
-		reports = append(reports, r.Report)
-	}
-	fmt.Fprintln(stdout, experiment.FeasibilityTable(results))
-	if cfg.simobsJSONL != "" {
-		var buf strings.Builder
-		for _, rep := range reports {
-			if err := rep.WriteJSONL(&buf); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-		}
-		if err := os.WriteFile(cfg.simobsJSONL, []byte(buf.String()), 0o644); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-	if cfg.simobsPprof != "" {
-		var buf bytes.Buffer
-		if err := simobs.WritePprofAll(&buf, reports); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.simobsPprof, buf.Bytes(), 0o644); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-	if failed > 0 {
-		return 1
-	}
-	return 0
-}
-
 // runDiff dispatches the -diff mode: compare two pisobench JSON
-// reports (evaluation or perf — the kind is sniffed from the files)
-// and print what moved. Report-only: any readable pair exits 0.
+// reports and print what moved. Report-only: any readable pair exits 0.
 func runDiff(cfg config, stdout, stderr io.Writer) int {
 	if len(cfg.diffArgs) != 2 {
 		fmt.Fprintln(stderr, "usage: pisobench -diff OLD.json NEW.json")
@@ -346,15 +163,6 @@ func run(cfg config, stdout, stderr io.Writer) int {
 
 	if cfg.soak {
 		return runSoak(cfg, stdout, stderr)
-	}
-	if cfg.perfHistory != "" {
-		return runPerfHistory(cfg, stdout, stderr)
-	}
-	if cfg.perf {
-		return runPerf(cfg, stdout, stderr)
-	}
-	if cfg.simobs {
-		return runSimObs(cfg, stdout, stderr)
 	}
 	if cfg.diff {
 		return runDiff(cfg, stdout, stderr)

@@ -8,84 +8,41 @@ import (
 	"perfiso/internal/stats"
 )
 
-// Diff compares two pisobench JSON reports and renders a textual
-// comparison. Evaluation reports (pisobench -json), perf baselines
-// (pisobench -perf -json), and perf trajectories (BENCH_trajectory.jsonl)
-// are all accepted; the kind is sniffed — "suite" field for reports,
-// per-line "type" for trajectories — and the two files must agree. The diff is
-// report-only — it never declares a regression, it shows what moved so
-// the reader can. Deterministic quantities (simulation events, table
-// cells, latency percentiles) only move when behavior changed;
-// wall-clock rates move run to run and are labelled as such.
+// Diff compares two pisobench evaluation reports (pisobench -json) and
+// renders a textual comparison. Both files must carry "suite":"pisobench".
+// The diff is report-only — it never declares a regression, it shows
+// what moved so the reader can. Deterministic quantities (simulation
+// events, table cells, latency percentiles) only move when behavior
+// changed; wall-clock rates move run to run and are labelled as such.
+// Simulator speed is measured and judged by the benchmark module
+// (bash benchmark/run.sh, then -compare), not here.
 func Diff(oldData, newData []byte, oldName, newName string) (string, error) {
-	// Trajectory files are JSONL, not single JSON objects: sniff them
-	// first (by their per-line "type" discriminator) and route to the
-	// trend comparison.
-	if IsTrajectory(oldData) || IsTrajectory(newData) {
-		if !IsTrajectory(oldData) {
-			return "", fmt.Errorf("cannot diff %s (pisobench report) against %s (trajectory)", oldName, newName)
-		}
-		if !IsTrajectory(newData) {
-			return "", fmt.Errorf("cannot diff %s (trajectory) against %s (pisobench report)", oldName, newName)
-		}
-		return DiffTrajectory(oldData, newData, oldName, newName)
-	}
-	oldSuite, err := sniffSuite(oldData, oldName)
+	ob, err := parseReport(oldData, oldName)
 	if err != nil {
 		return "", err
 	}
-	newSuite, err := sniffSuite(newData, newName)
+	nb, err := parseReport(newData, newName)
 	if err != nil {
 		return "", err
 	}
-	if oldSuite != newSuite {
-		return "", fmt.Errorf("cannot diff %s (%s) against %s (%s)", oldName, oldSuite, newName, newSuite)
+	return diffBench(ob, nb, oldName, newName), nil
+}
+
+// parseReport decodes one evaluation report, refusing anything whose
+// "suite" field does not name one.
+func parseReport(data []byte, name string) (Bench, error) {
+	var b Bench
+	if err := json.Unmarshal(data, &b); err != nil {
+		return b, fmt.Errorf("parsing %s: %v", name, err)
 	}
-	switch oldSuite {
+	switch b.Suite {
 	case "pisobench":
-		var ob, nb Bench
-		if err := parseReport(oldData, oldName, &ob); err != nil {
-			return "", err
-		}
-		if err := parseReport(newData, newName, &nb); err != nil {
-			return "", err
-		}
-		return diffBench(ob, nb, oldName, newName), nil
-	default: // "pisobench-perf"
-		var op, np PerfReport
-		if err := parseReport(oldData, oldName, &op); err != nil {
-			return "", err
-		}
-		if err := parseReport(newData, newName, &np); err != nil {
-			return "", err
-		}
-		return diffPerf(op, np, oldName, newName), nil
-	}
-}
-
-// sniffSuite identifies which pisobench artifact a JSON blob is.
-func sniffSuite(data []byte, name string) (string, error) {
-	var s struct {
-		Suite string `json:"suite"`
-	}
-	if err := json.Unmarshal(data, &s); err != nil {
-		return "", fmt.Errorf("parsing %s: %v", name, err)
-	}
-	switch s.Suite {
-	case "pisobench", "pisobench-perf":
-		return s.Suite, nil
+		return b, nil
 	case "":
-		return "", fmt.Errorf("%s: no \"suite\" field — not a pisobench report", name)
+		return b, fmt.Errorf("%s: no \"suite\" field — not a pisobench report", name)
 	default:
-		return "", fmt.Errorf("%s: unknown suite %q", name, s.Suite)
+		return b, fmt.Errorf("%s: unknown suite %q", name, b.Suite)
 	}
-}
-
-func parseReport(data []byte, name string, v any) error {
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("parsing %s: %v", name, err)
-	}
-	return nil
 }
 
 // pctDelta renders the relative change between two values.
@@ -190,46 +147,5 @@ func diffBench(old, new Bench, oldName, newName string) string {
 		fmt.Fprintf(&b, "\n%s", lat)
 	}
 	fmt.Fprintf(&b, "\n%s", thr)
-	return b.String()
-}
-
-// diffPerf compares two perf baselines scenario by scenario. Events are
-// deterministic; the timing and allocation columns are measured.
-func diffPerf(old, new PerfReport, oldName, newName string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "pisobench perf diff: %s -> %s\n", oldName, newName)
-	fmt.Fprintf(&b, "  old: eventq=%s reps=%d scenarios=%d\n", old.EventQueue, old.Reps, len(old.Scenarios))
-	fmt.Fprintf(&b, "  new: eventq=%s reps=%d scenarios=%d\n\n", new.EventQueue, new.Reps, len(new.Scenarios))
-	if old.EventQueue != new.EventQueue {
-		fmt.Fprintf(&b, "warning: different event queues (%s vs %s) — timing deltas conflate code and queue\n\n",
-			old.EventQueue, new.EventQueue)
-	}
-
-	oldByID := make(map[string]PerfScenario, len(old.Scenarios))
-	for _, s := range old.Scenarios {
-		oldByID[s.ID] = s
-	}
-	newIDs := make(map[string]bool, len(new.Scenarios))
-	t := stats.NewTable("Perf scenarios (ns/event and allocs/event are measured; events are deterministic)",
-		"Scenario", "Old ns/ev", "New ns/ev", "Δ", "Old allocs/ev", "New allocs/ev")
-	for _, s := range new.Scenarios {
-		newIDs[s.ID] = true
-		o, ok := oldByID[s.ID]
-		if !ok {
-			fmt.Fprintf(&b, "added scenario: %s\n", s.ID)
-			continue
-		}
-		if o.Events != s.Events {
-			fmt.Fprintf(&b, "events changed: %s dispatched %d -> %d\n", s.ID, o.Events, s.Events)
-		}
-		t.Addf(s.ID, o.NsPerEvent, s.NsPerEvent, pctDelta(o.NsPerEvent, s.NsPerEvent),
-			o.AllocsPerEvent, s.AllocsPerEvent)
-	}
-	for _, s := range old.Scenarios {
-		if !newIDs[s.ID] {
-			fmt.Fprintf(&b, "removed scenario: %s\n", s.ID)
-		}
-	}
-	fmt.Fprintf(&b, "\n%s", t)
 	return b.String()
 }

@@ -90,32 +90,13 @@ func TestDiffBenchIdentical(t *testing.T) {
 	}
 }
 
-// A perf-vs-perf diff reports per-scenario deltas and membership.
-func TestDiffPerf(t *testing.T) {
-	old := PerfReport{Suite: "pisobench-perf", EventQueue: "calendar", Reps: 3, Scenarios: []PerfScenario{
-		{ID: "fig2", Events: 100, NsPerEvent: 200, AllocsPerEvent: 0.5},
-		{ID: "gone", Events: 10, NsPerEvent: 100},
-	}}
-	new := PerfReport{Suite: "pisobench-perf", EventQueue: "heap", Reps: 3, Scenarios: []PerfScenario{
-		{ID: "fig2", Events: 100, NsPerEvent: 100, AllocsPerEvent: 0.5},
-	}}
-	out, err := Diff(marshalT(t, old), marshalT(t, new), "old", "new")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"removed scenario: gone", "-50.0%", "different event queues"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("perf diff missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // Mismatched or unrecognized inputs fail with a pointed error.
 func TestDiffRejectsMismatchedSuites(t *testing.T) {
 	bench := marshalT(t, Bench{Suite: "pisobench"})
-	perf := marshalT(t, PerfReport{Suite: "pisobench-perf"})
-	if _, err := Diff(bench, perf, "a", "b"); err == nil {
-		t.Error("bench-vs-perf diff should fail")
+	// The retired perf baselines are refused like any other suite.
+	perf := []byte(`{"suite":"pisobench-perf","event_queue":"calendar","reps":3,"scenarios":[]}`)
+	if _, err := Diff(bench, perf, "a", "b"); err == nil || !strings.Contains(err.Error(), `unknown suite "pisobench-perf"`) {
+		t.Errorf("bench-vs-perf diff: err = %v, want unknown suite", err)
 	}
 	if _, err := Diff([]byte(`{"hello":1}`), bench, "a", "b"); err == nil {
 		t.Error("non-report input should fail")

@@ -228,8 +228,6 @@ func New(cfg machine.Config, scheme core.Scheme, opts Options) *Kernel {
 	opts = opts.withDefaults()
 	eng := sim.NewEngine()
 	if opts.SimObs {
-		// AttachObs is a no-op if a process-wide collector hook (see
-		// simobs.Collect) already attached an observer at NewEngine time.
 		eng.AttachObs(simobs.Config{}.ObsConfig())
 	}
 	spus := core.NewManager()
@@ -914,8 +912,7 @@ func (k *Kernel) Snapshot() []byte {
 }
 
 // SimObsReport merges this kernel's engine telemetry into a simulator
-// self-observability report, or returns nil when Options.SimObs was off
-// and no collector attached an observer.
+// self-observability report, or returns nil when Options.SimObs was off.
 func (k *Kernel) SimObsReport(scenario string) *simobs.Report {
 	if k.eng.Obs() == nil {
 		return nil

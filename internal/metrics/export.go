@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 
 	"perfiso/internal/core"
 	"perfiso/internal/sim"
@@ -20,19 +21,37 @@ import (
 type jsonFloat float64
 
 func (f jsonFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(v)
+	return appendJSONFloat(nil, float64(f)), nil
 }
 
-func toJSONFloats(vs []float64) []jsonFloat {
-	out := make([]jsonFloat, len(vs))
-	for i, v := range vs {
-		out[i] = jsonFloat(v)
+// appendJSONFloat appends v formatted exactly as encoding/json formats a
+// float64 — shortest round-trip digits, exponent form only below 1e-6 or
+// from 1e21 up, a one-digit negative exponent without its leading zero —
+// except that NaN and ±Inf become null (see jsonFloat).
+func appendJSONFloat(b []byte, v float64) []byte {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return append(b, "null"...)
 	}
-	return out
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if format == 'e' {
+		// 1e-07 -> 1e-7, as encoding/json writes it.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendJSONString appends s as a JSON string literal with
+// encoding/json's escaping.
+func appendJSONString(b []byte, s string) []byte {
+	q, _ := json.Marshal(s) // a string always marshals
+	return append(b, q...)
 }
 
 // Names maps an SPU id to its display name for exports. NoSPU and
@@ -87,21 +106,21 @@ type distLine struct {
 	Max     jsonFloat `json:"max"`
 }
 
-type seriesLine struct {
-	Type     string      `json:"type"`
-	Name     string      `json:"name"`
-	SPU      int         `json:"spu"`
-	SPUName  string      `json:"spu_name"`
-	PeriodMS float64     `json:"period_ms"`
-	TimesMS  []float64   `json:"t_ms"`
-	Values   []jsonFloat `json:"v"`
-}
-
 // WriteJSONL writes every registered metric as one JSON object per
 // line: counters, then gauges (evaluated now), then distributions
 // (summarized), then series (full samples). Registration order is
-// deterministic, struct field order is fixed, and no wall-clock value
-// appears, so the same run always produces the same bytes.
+// deterministic, field order is fixed, and no wall-clock value appears,
+// so the same run always produces the same bytes.
+//
+// Series lines, which hold every sample of a run, are appended into a
+// buffer owned by this call rather than encoded through json.Encoder:
+// the encoder would park a buffer that large in encoding/json's shared
+// pool, and whether a garbage collection later drops it would make the
+// process's live heap differ from run to run. A series line reads
+//
+//	{"type":"series","name":N,"spu":I,"spu_name":S,"period_ms":P,"t_ms":[...],"v":[...]}
+//
+// with a null value for each NaN or ±Inf sample.
 func (r *Registry) WriteJSONL(w io.Writer, names Names) error {
 	if r == nil {
 		return nil
@@ -133,22 +152,33 @@ func (r *Registry) WriteJSONL(w io.Writer, names Names) error {
 			return err
 		}
 	}
+	periodMS := float64(r.period) / float64(sim.Millisecond)
+	var b []byte
 	for _, s := range r.series {
-		line := seriesLine{
-			Type: "series", Name: s.Name, SPU: int(s.SPU),
-			SPUName:  names.lookup(s.SPU),
-			PeriodMS: float64(r.period) / float64(sim.Millisecond),
-			TimesMS:  make([]float64, len(s.ts)),
-			Values:   toJSONFloats(s.vs),
-		}
+		b = append(b[:0], `{"type":"series","name":`...)
+		b = appendJSONString(b, s.Name)
+		b = append(b, `,"spu":`...)
+		b = strconv.AppendInt(b, int64(s.SPU), 10)
+		b = append(b, `,"spu_name":`...)
+		b = appendJSONString(b, names.lookup(s.SPU))
+		b = append(b, `,"period_ms":`...)
+		b = appendJSONFloat(b, periodMS)
+		b = append(b, `,"t_ms":[`...)
 		for i, t := range s.ts {
-			line.TimesMS[i] = float64(t) / float64(sim.Millisecond)
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONFloat(b, float64(t)/float64(sim.Millisecond))
 		}
-		if len(line.Values) == 0 {
-			line.TimesMS = []float64{}
-			line.Values = []jsonFloat{}
+		b = append(b, `],"v":[`...)
+		for i, v := range s.vs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONFloat(b, v)
 		}
-		if err := enc.Encode(line); err != nil {
+		b = append(b, "]}\n"...)
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}

@@ -96,3 +96,78 @@ func TestExportsSanitizeNonFiniteValues(t *testing.T) {
 		t.Fatalf("chrome trace has %d counter samples, want 2", counters)
 	}
 }
+
+// appendJSONFloat must write what encoding/json writes for a float64 on
+// both sides of its fixed/exponent switch (1e-6 and 1e21), at the
+// extremes of the range, and for negative zero — and null where
+// encoding/json would refuse the value.
+func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 1e-7, 1e-6, 0.1, 1e20, 1e21, 5e-324, 1.5e300, -3.25e-9, 123456.789} {
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONFloat(nil, v); string(got) != string(want) {
+			t.Errorf("appendJSONFloat(%g) = %s, json.Marshal = %s", v, got, want)
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got := appendJSONFloat(nil, v); string(got) != "null" {
+			t.Errorf("appendJSONFloat(%g) = %s, want null", v, got)
+		}
+	}
+}
+
+// structSeriesLine is the series line shape as an encoding/json struct,
+// field for field; the hand-appended series lines must match its bytes.
+type structSeriesLine struct {
+	Type     string      `json:"type"`
+	Name     string      `json:"name"`
+	SPU      int         `json:"spu"`
+	SPUName  string      `json:"spu_name"`
+	PeriodMS float64     `json:"period_ms"`
+	TimesMS  []float64   `json:"t_ms"`
+	Values   []jsonFloat `json:"v"`
+}
+
+// A series line — with NaN, ±Inf and exponent-form samples, odd sample
+// times, a name that needs escaping, and an empty series — is
+// byte-identical to the struct encoding of the same line.
+func TestSeriesLinesMatchStructEncoding(t *testing.T) {
+	eng := sim.NewEngine()
+	r := New(eng, 10*sim.Millisecond)
+	vals := []float64{1, math.NaN(), 2.5e-7, math.Inf(-1), 1e21, -0.125}
+	i := 0
+	r.Series("odd<&>\"name\"", 2, func() float64 { v := vals[i]; i++; return v })
+	for _, at := range []sim.Time{0, 1, 7*sim.Millisecond + 333, sim.Second, 3*sim.Second + 1, 90 * sim.Second} {
+		eng.Call(at, "sample", r.Sample)
+		eng.Run()
+	}
+	r.Series("empty", NoSPU, func() float64 { return 0 })
+
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for _, s := range r.series {
+		line := structSeriesLine{
+			Type: "series", Name: s.Name, SPU: int(s.SPU), SPUName: Names{2: "u"}.lookup(s.SPU),
+			PeriodMS: 10, TimesMS: []float64{}, Values: []jsonFloat{},
+		}
+		for j, t := range s.ts {
+			line.TimesMS = append(line.TimesMS, float64(t)/float64(sim.Millisecond))
+			line.Values = append(line.Values, jsonFloat(s.vs[j]))
+		}
+		if err := enc.Encode(line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got bytes.Buffer
+	if err := r.WriteJSONL(&got, Names{2: "u"}); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("series lines differ from the struct encoding:\ngot:  %s\nwant: %s", got.String(), want.String())
+	}
+	if !strings.Contains(got.String(), "null") || !strings.Contains(got.String(), "e-7") {
+		t.Fatalf("test lost its non-finite or exponent samples: %s", got.String())
+	}
+}

@@ -166,7 +166,7 @@ func TestWriteJSONL(t *testing.T) {
 	if first.Name != KeySchedLoans || first.SPUName != "alice" || first.Value != 4 {
 		t.Fatalf("first line = %+v", first)
 	}
-	var series seriesLine
+	var series structSeriesLine
 	if err := json.Unmarshal([]byte(lines[4]), &series); err != nil {
 		t.Fatal(err)
 	}

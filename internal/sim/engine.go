@@ -92,11 +92,7 @@ const arenaChunk = 128
 // SetDefaultQueue).
 func NewEngine() *Engine {
 	k := defaultQueue
-	e := &Engine{q: newQueue(k), kind: k}
-	if engineHook != nil {
-		engineHook(e)
-	}
-	return e
+	return &Engine{q: newQueue(k), kind: k}
 }
 
 // QueueStats snapshots the event queue's internal telemetry.

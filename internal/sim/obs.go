@@ -181,12 +181,8 @@ func newObs(cfg ObsConfig) *Obs {
 
 // AttachObs attaches an observer to the engine. It must be called
 // before any event is scheduled — every event is classified exactly
-// once, at schedule time — and at most once per engine (a second call
-// returns the existing observer unchanged).
+// once, at schedule time.
 func (e *Engine) AttachObs(cfg ObsConfig) *Obs {
-	if e.obs != nil {
-		return e.obs
-	}
 	if e.seq != 0 {
 		panic(fmt.Sprintf("sim: AttachObs after %d events were scheduled", e.seq))
 	}
@@ -360,20 +356,4 @@ func (o *Obs) Samples() uint64 { return o.samples }
 // Windows returns the completed GC/alloc windows.
 func (o *Obs) Windows() []ObsWindow {
 	return append([]ObsWindow(nil), o.windows...)
-}
-
-// engineHook, when set, observes every engine the process builds —
-// internal/simobs installs a hook that attaches observers, so whole
-// registry scenarios can be instrumented without threading a parameter
-// through each experiment constructor (the SetDefaultQueue precedent).
-var engineHook func(*Engine)
-
-// SetEngineHook installs fn to be called with every future NewEngine
-// result and returns the previous hook for restoration. Not safe to
-// call concurrently with engine construction; harnesses install it
-// around sequential runs.
-func SetEngineHook(fn func(*Engine)) func(*Engine) {
-	prev := engineHook
-	engineHook = fn
-	return prev
 }

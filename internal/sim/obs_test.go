@@ -169,24 +169,6 @@ func TestObsWindows(t *testing.T) {
 	}
 }
 
-// TestEngineHook checks the process-wide hook fires for new engines and
-// restores cleanly.
-func TestEngineHook(t *testing.T) {
-	var seen []*Engine
-	prev := SetEngineHook(func(e *Engine) { seen = append(seen, e) })
-	defer SetEngineHook(prev)
-	e1 := NewEngine()
-	e2 := NewEngine()
-	if len(seen) != 2 || seen[0] != e1 || seen[1] != e2 {
-		t.Fatalf("hook saw %d engines", len(seen))
-	}
-	SetEngineHook(prev)
-	_ = NewEngine()
-	if len(seen) != 2 {
-		t.Fatal("hook fired after restore")
-	}
-}
-
 // TestQueueStatsCalendar checks the calendar queue's counters see traffic
 // and the occupancy histogram sums to the bucket count.
 func TestQueueStatsCalendar(t *testing.T) {

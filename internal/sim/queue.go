@@ -157,9 +157,6 @@ func SetDefaultQueue(k QueueKind) QueueKind {
 	return old
 }
 
-// DefaultQueue returns the implementation NewEngine currently picks.
-func DefaultQueue() QueueKind { return defaultQueue }
-
 func newQueue(k QueueKind) evqueue {
 	switch k {
 	case QueueHeap:

@@ -2,10 +2,7 @@ package simobs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-
-	"perfiso/internal/profile"
 )
 
 // JSONL export. Every line carries a "type" discriminator. Line types
@@ -170,58 +167,6 @@ func (r *Report) WriteJSONL(w io.Writer) error {
 			Events: win.Events, HostNS: win.HostNS, GCCycles: win.GCCycles,
 			AllocObjects: win.AllocObjects, AllocBytes: win.AllocBytes,
 		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// foldedSamples builds the host-time attribution stacks: one sample per
-// class that held at least one wall-clock sample, rooted at the scenario
-// so multi-scenario profiles stay separable in pprof.
-func (r *Report) foldedSamples() []profile.FoldedSample {
-	var out []profile.FoldedSample
-	for _, c := range r.Classes {
-		if c.HostNS == 0 {
-			continue
-		}
-		out = append(out, profile.FoldedSample{
-			Stack: []string{r.Scenario, c.Module, c.Name},
-			Value: c.HostNS,
-		})
-	}
-	return out
-}
-
-// WritePprof writes the sampled host-time attribution as a gzipped pprof
-// protobuf: stacks scenario;module;event valued in host nanoseconds, so
-// `go tool pprof -top` shows where real time went while simulating.
-func (r *Report) WritePprof(w io.Writer) error {
-	return profile.WriteFoldedPprof(w, "hosttime", "nanoseconds", r.foldedSamples())
-}
-
-// WritePprofAll writes one combined host-attribution profile for several
-// scenario reports.
-func WritePprofAll(w io.Writer, reports []*Report) error {
-	var all []profile.FoldedSample
-	for _, r := range reports {
-		all = append(all, r.foldedSamples()...)
-	}
-	return profile.WriteFoldedPprof(w, "hosttime", "nanoseconds", all)
-}
-
-// WriteFolded writes the host attribution in Brendan Gregg's folded text
-// format (stack space value), ready for flamegraph.pl.
-func (r *Report) WriteFolded(w io.Writer) error {
-	for _, s := range r.foldedSamples() {
-		line := ""
-		for i, fr := range s.Stack {
-			if i > 0 {
-				line += ";"
-			}
-			line += fr
-		}
-		if _, err := fmt.Fprintf(w, "%s %d\n", line, s.Value); err != nil {
 			return err
 		}
 	}

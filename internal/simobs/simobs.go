@@ -1,22 +1,23 @@
-// Package simobs is the simulator's self-observability layer (ISSUE 10):
-// it applies the paper's measure-before-you-optimize discipline to the
-// simulator's own execution. internal/sim exposes the raw hooks (event
-// classes, domain edges, queue counters, host-time samples); this package
-// classifies event names into modules and resource domains, collects
-// observers across every engine a scenario builds, and renders three
-// artifacts:
+// Package simobs is the simulator's self-observability layer: it applies
+// the paper's measure-before-you-optimize discipline to the simulator's
+// own execution. internal/sim exposes the raw hooks (event classes,
+// domain edges, queue counters, host-time samples); this package
+// classifies event names into modules and resource domains, merges the
+// observers of the engines handed to Build, and renders three views:
 //
 //   - the event-core report: calendar-queue internals and the per-class
 //     event census;
 //   - host-time attribution: sampled wall-clock per module/class with
-//     GC/alloc windows, exported as JSONL and a pprof profile;
+//     GC/alloc windows, exported as JSONL;
 //   - the parallelism-feasibility report: per-domain event fractions and
 //     cross-domain lookahead, the design input for a conservative
 //     parallel core (ROADMAP item 3).
 //
-// Everything here runs off the hot path: when no collector is installed
-// and no kernel option asks for it, the engine pays one nil check per
-// schedule and per dispatch (see the zero-alloc guards in internal/kernel).
+// Observation is opt-in per kernel (kernel.Options.SimObs, read back with
+// Kernel.SimObsReport; pisosim -simobs on the command line). Everything
+// here runs off the hot path: with no observer attached the engine pays
+// one nil check per schedule and per dispatch (see the zero-alloc guards
+// in internal/kernel).
 package simobs
 
 import (
@@ -67,49 +68,13 @@ func isDigits(s string) bool {
 }
 
 // ObsConfig builds the sim-level observer config for this package's
-// classifier, for callers (the kernel) that attach observers directly.
+// classifier, ready for Engine.AttachObs.
 func (c Config) ObsConfig() sim.ObsConfig {
 	return sim.ObsConfig{
 		Classify:     Classify,
 		SampleStride: c.SampleStride,
 		WindowEvents: c.WindowEvents,
 	}
-}
-
-// Collector attaches an observer to every engine built while it is
-// installed, so whole registry scenarios can be instrumented without
-// threading an option through each experiment constructor (the same
-// process-wide pattern as sim.SetDefaultQueue). Install with Collect,
-// run the scenario, then Finish.
-type Collector struct {
-	prev    func(*sim.Engine)
-	engines []*sim.Engine
-}
-
-// Collect installs the engine hook. Scenarios must run sequentially
-// between Collect and Finish; the hook is process-wide.
-func Collect(cfg Config) *Collector {
-	c := &Collector{}
-	obsCfg := cfg.ObsConfig()
-	c.prev = sim.SetEngineHook(func(e *sim.Engine) {
-		e.AttachObs(obsCfg)
-		c.engines = append(c.engines, e)
-	})
-	return c
-}
-
-// Finish uninstalls the hook and merges every observed engine into one
-// scenario report.
-func (c *Collector) Finish(scenario string) *Report {
-	sim.SetEngineHook(c.prev)
-	return buildReport(scenario, c.engines)
-}
-
-// Build merges the given engines into one scenario report directly,
-// for callers (the kernel, single-engine CLIs) that attached observers
-// themselves rather than through a Collector.
-func Build(scenario string, engines ...*sim.Engine) *Report {
-	return buildReport(scenario, engines)
 }
 
 // Report is one scenario's merged self-observability snapshot.
@@ -135,7 +100,9 @@ type Report struct {
 	Windows []sim.ObsWindow
 }
 
-func buildReport(scenario string, engines []*sim.Engine) *Report {
+// Build merges the given engines, each observed through AttachObs, into
+// one scenario report.
+func Build(scenario string, engines ...*sim.Engine) *Report {
 	r := &Report{Scenario: scenario, Engines: len(engines)}
 	classes := map[string]*sim.ObsClassStat{}
 	edges := map[[2]string]*sim.ObsEdgeStat{}

@@ -2,9 +2,7 @@ package simobs
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
-	"io"
 	"strings"
 	"testing"
 
@@ -30,12 +28,12 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-// runScenario drives a small two-disk workload under a collector and
-// returns the finished report.
+// runScenario drives a small two-disk workload on an observed engine and
+// returns its report.
 func runScenario(t *testing.T) *Report {
 	t.Helper()
-	col := Collect(Config{SampleStride: 4, WindowEvents: 16})
 	e := sim.NewEngine()
+	e.AttachObs(Config{SampleStride: 4, WindowEvents: 16}.ObsConfig())
 	var pump func()
 	n := 0
 	pump = func() {
@@ -50,10 +48,10 @@ func runScenario(t *testing.T) *Report {
 	}
 	e.Call(0, "kernel.tick", pump)
 	e.Run()
-	return col.Finish("unit")
+	return Build("unit", e)
 }
 
-func TestCollectorReport(t *testing.T) {
+func TestBuildReport(t *testing.T) {
 	r := runScenario(t)
 	if r.Scenario != "unit" || r.Engines != 1 {
 		t.Fatalf("report header = %+v", r)
@@ -95,18 +93,6 @@ func TestCollectorReport(t *testing.T) {
 	}
 }
 
-// TestCollectorUninstalls checks Finish restores the hook so later
-// engines run dark.
-func TestCollectorUninstalls(t *testing.T) {
-	col := Collect(Config{})
-	_ = sim.NewEngine()
-	col.Finish("x")
-	e := sim.NewEngine()
-	if e.Obs() != nil {
-		t.Fatal("engine observed after collector finished")
-	}
-}
-
 func TestJSONLDeterministicSubset(t *testing.T) {
 	deterministic := func() string {
 		var buf bytes.Buffer
@@ -137,39 +123,6 @@ func TestJSONLDeterministicSubset(t *testing.T) {
 	for _, want := range []string{`"type":"simobs_scenario"`, `"type":"simobs_queue"`, `"type":"simobs_class"`, `"type":"simobs_edge"`} {
 		if !strings.Contains(a, want) {
 			t.Fatalf("JSONL missing %s", want)
-		}
-	}
-}
-
-func TestPprofAndFolded(t *testing.T) {
-	r := runScenario(t)
-	// Force some host attribution even if sampling missed: the profile
-	// writer must still emit a structurally valid (possibly empty) profile.
-	var buf bytes.Buffer
-	if err := r.WritePprof(&buf); err != nil {
-		t.Fatal(err)
-	}
-	zr, err := gzip.NewReader(&buf)
-	if err != nil {
-		t.Fatalf("profile is not gzipped: %v", err)
-	}
-	raw, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatalf("profile does not decompress: %v", err)
-	}
-	if len(raw) == 0 {
-		t.Fatal("empty profile message")
-	}
-	var folded bytes.Buffer
-	if err := r.WriteFolded(&folded); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(folded.String()), "\n") {
-		if line == "" {
-			continue
-		}
-		if !strings.HasPrefix(line, "unit;") || !strings.Contains(line, " ") {
-			t.Fatalf("bad folded line %q", line)
 		}
 	}
 }
