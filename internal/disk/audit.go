@@ -16,7 +16,8 @@ import (
 //   - per-SPU request and sector counts sum to the whole-disk totals
 //     (merged passengers count on both sides; failed transfers on
 //     neither),
-//   - every queued request still addresses sectors on the disk,
+//   - every queued request still addresses sectors on the disk, and the
+//     cylinder the schedulers read is its sector's,
 //   - the head is over a real cylinder.
 func (d *Disk) Audit() error {
 	if got := int(d.Total.QueueLen.Value()); got != len(d.queue) {
@@ -36,9 +37,16 @@ func (d *Disk) Audit() error {
 	if sectors != d.Total.Sectors {
 		return fmt.Errorf("disk audit: per-SPU sectors sum to %d, total says %d", sectors, d.Total.Sectors)
 	}
+	total, spc := d.params.TotalSectors(), d.params.SectorsPerCylinder()
 	for _, r := range d.queue {
-		if err := r.validate(d.params); err != nil {
+		if err := r.validate(total); err != nil {
 			return fmt.Errorf("disk audit: queued request invalid: %w", err)
+		}
+		// A valid sector lies below the last cylinder's end, so its
+		// cylinder is the one whose sector range holds it.
+		if start := int64(r.cyl) * spc; r.Sector < start || r.Sector >= start+spc {
+			return fmt.Errorf("disk audit: queued request at sector %d cached cylinder %d, want %d",
+				r.Sector, r.cyl, d.params.CylinderOf(r.Sector))
 		}
 	}
 	if d.headCyl < 0 || d.headCyl >= d.params.Cylinders {

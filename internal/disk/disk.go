@@ -66,6 +66,10 @@ type Disk struct {
 	Merge bool
 
 	usage *usageTable
+	// active and blamed are PIso.pick's and the profiler blame pass's
+	// per-SPU scratch, reused so neither allocates per request.
+	active []spuUsage
+	blamed []spuCount
 
 	// completeName labels this disk's completion events. SetLabel gives
 	// each disk a distinct name ("disk0.complete") so the simulator
@@ -193,9 +197,10 @@ func (d *Disk) spuStats(id core.SPUID) *SPUStats {
 // Submit enqueues a request. Invalid requests panic: they indicate a bug
 // in the file system layer, not a condition a real driver would see.
 func (d *Disk) Submit(r *Request) {
-	if err := r.validate(d.params); err != nil {
+	if err := r.validate(d.params.TotalSectors()); err != nil {
 		panic(err)
 	}
+	r.cyl = d.params.CylinderOf(r.Sector)
 	r.Submitted = d.eng.Now()
 	r.Failed = false
 	if d.Merge && d.tryMerge(r) {
@@ -228,7 +233,7 @@ func (d *Disk) tryMerge(r *Request) bool {
 			q.Count += r.Count
 			merged = true
 		case r.Sector+int64(r.Count) == q.Sector: // r prepends to q
-			q.Sector = r.Sector
+			q.Sector, q.cyl = r.Sector, r.cyl
 			q.Count += r.Count
 			merged = true
 		}
@@ -287,8 +292,7 @@ func (d *Disk) startNext() {
 	d.Total.Busy.Set(now, 1)
 
 	r.Started = now
-	targetCyl := d.params.CylinderOf(r.Sector)
-	seek := d.params.SeekTime(d.headCyl, targetCyl)
+	seek := d.params.SeekTime(d.headCyl, r.cyl)
 	r.SeekTime = seek
 	settled := now + d.params.Overhead + seek
 	rot := d.params.RotationalDelay(settled, r.Sector)
@@ -314,16 +318,7 @@ func (d *Disk) startNext() {
 	}
 
 	if d.Profile != nil {
-		// Blame pass: every queued request of another SPU now waits the
-		// whole service time of r because the scheduler chose r first.
-		// This is the only source of disk theft in the interference
-		// matrix (a waiter's own queue-time split must not double it).
-		for _, q := range d.queue {
-			if q.SPU != r.SPU {
-				d.Profile.AddTheft(q.SPU, r.SPU, profile.Disk, total)
-				q.StolenBy = r.SPU
-			}
-		}
+		d.blame(r, total)
 	}
 
 	d.eng.CallAfter(total, d.completeName, func() { d.complete(r) })
@@ -331,6 +326,40 @@ func (d *Disk) startNext() {
 	d.headCyl = d.params.CylinderOf(r.Sector + int64(r.Count) - 1)
 	d.lastEnd = r.Sector + int64(r.Count)
 	d.lastXferFinish = now + total
+}
+
+// blame is the profiler's blame pass: every queued request of another
+// SPU now waits the whole service time of r because the scheduler chose
+// r first. This is the only source of disk theft in the interference
+// matrix (a waiter's own queue-time split must not double it). Each
+// victim SPU is charged once, count × total — exactly the per-request
+// sum, since sim.Time is an integer.
+func (d *Disk) blame(r *Request, total sim.Time) {
+	blamed := d.blamed[:0]
+	for _, q := range d.queue {
+		if q.SPU == r.SPU {
+			continue
+		}
+		q.StolenBy = r.SPU
+		i := 0
+		for i < len(blamed) && blamed[i].id != q.SPU {
+			i++
+		}
+		if i == len(blamed) {
+			blamed = append(blamed, spuCount{id: q.SPU})
+		}
+		blamed[i].n++
+	}
+	for _, b := range blamed {
+		d.Profile.AddTheft(b.id, r.SPU, profile.Disk, sim.Time(b.n)*total)
+	}
+	d.blamed = blamed
+}
+
+// spuCount is one victim SPU's queued-request count in a blame pass.
+type spuCount struct {
+	id core.SPUID
+	n  int
 }
 
 // complete finishes a request: accounting, statistics, callback, and

@@ -66,6 +66,8 @@ type Request struct {
 	// the zero value means never displaced — the kernel SPU issues no
 	// disk traffic, so KernelID cannot be a real thief).
 	StolenBy core.SPUID
+
+	cyl int // cylinder of Sector, set by Submit (and by a merge that prepends)
 }
 
 // Positioning returns the mechanical positioning latency (seek plus
@@ -82,13 +84,15 @@ func (r *Request) Service() sim.Time { return r.Finished - r.Started }
 // Latency returns the total submit-to-finish time.
 func (r *Request) Latency() sim.Time { return r.Finished - r.Submitted }
 
-func (r *Request) validate(p Params) error {
+// validate checks that the request addresses a non-empty run of the
+// disk's total sectors.
+func (r *Request) validate(total int64) error {
 	if r.Count <= 0 {
 		return fmt.Errorf("disk: request with non-positive count %d", r.Count)
 	}
-	if r.Sector < 0 || r.Sector+int64(r.Count) > p.TotalSectors() {
+	if r.Sector < 0 || r.Sector+int64(r.Count) > total {
 		return fmt.Errorf("disk: request [%d,+%d) outside disk of %d sectors",
-			r.Sector, r.Count, p.TotalSectors())
+			r.Sector, r.Count, total)
 	}
 	return nil
 }

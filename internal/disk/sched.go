@@ -12,56 +12,54 @@ type Scheduler interface {
 	pick(d *Disk) int
 }
 
-// cscanBest returns the queue index that C-SCAN would pick from the given
-// candidate indices: the lowest starting cylinder at or ahead of the
-// current head position in the upward sweep, wrapping to the lowest
-// cylinder when the sweep passes the end (§3.3). Ties break by sector,
-// then FIFO.
-func cscanBest(d *Disk, candidates []int) int {
-	best := -1
-	bestWrap := -1
-	better := func(cur, cand int) bool {
-		a, b := d.queue[cand], d.queue[cur]
-		ca, cb := d.params.CylinderOf(a.Sector), d.params.CylinderOf(b.Sector)
-		if ca != cb {
-			return ca < cb
-		}
-		if a.Sector != b.Sector {
-			return a.Sector < b.Sector
-		}
-		return cand < cur // FIFO: earlier queue position first
-	}
-	for _, i := range candidates {
-		cyl := d.params.CylinderOf(d.queue[i].Sector)
-		if cyl >= d.headCyl {
-			if best == -1 || better(best, i) {
-				best = i
-			}
-		} else {
-			if bestWrap == -1 || better(bestWrap, i) {
-				bestWrap = i
-			}
-		}
-	}
-	if best != -1 {
-		return best
-	}
-	return bestWrap
+// cscan accumulates the C-SCAN choice over candidates offered in queue
+// order: the lowest starting cylinder at or ahead of the current head
+// position in the upward sweep, wrapping to the lowest cylinder when the
+// sweep passes the end (§3.3). Ties break by sector, then FIFO — a later
+// candidate must be strictly better to win.
+type cscan struct {
+	queue       []*Request
+	head        int
+	ahead, wrap int // best queue index at/after the head and behind it; -1 when none
 }
 
-// userCandidates partitions the queue into user-SPU requests and
-// shared/kernel requests, returning user indices and shared indices.
-// Shared-SPU requests have the lowest priority (§3.3); kernel requests
-// are treated like user requests (the kernel SPU is never restricted).
-func userCandidates(d *Disk) (user, shared []int) {
-	for i, r := range d.queue {
-		if r.SPU == core.SharedID {
-			shared = append(shared, i)
-		} else {
-			user = append(user, i)
+func newCSCAN(d *Disk) cscan { return cscan{queue: d.queue, head: d.headCyl, ahead: -1, wrap: -1} }
+
+func (c *cscan) offer(i int) {
+	r := c.queue[i]
+	best := &c.wrap
+	if r.cyl >= c.head {
+		best = &c.ahead
+	}
+	if *best < 0 {
+		*best = i
+		return
+	}
+	b := c.queue[*best]
+	if r.cyl < b.cyl || (r.cyl == b.cyl && r.Sector < b.Sector) {
+		*best = i
+	}
+}
+
+// pick returns the chosen queue index, or -1 when nothing was offered.
+func (c *cscan) pick() int {
+	if c.ahead >= 0 {
+		return c.ahead
+	}
+	return c.wrap
+}
+
+// hasUser reports whether any queued request belongs to a user (or the
+// kernel) SPU. Shared-SPU requests have the lowest priority (§3.3);
+// kernel requests are treated like user requests (the kernel SPU is
+// never restricted).
+func hasUser(d *Disk) bool {
+	for _, r := range d.queue {
+		if r.SPU != core.SharedID {
+			return true
 		}
 	}
-	return user, shared
+	return false
 }
 
 // Pos is IRIX 5.3's standard scheduling: head position only, via C-SCAN.
@@ -76,11 +74,11 @@ func NewPos() *Pos { return &Pos{} }
 func (*Pos) Name() string { return "Pos" }
 
 func (*Pos) pick(d *Disk) int {
-	all := make([]int, len(d.queue))
+	c := newCSCAN(d)
 	for i := range d.queue {
-		all[i] = i
+		c.offer(i)
 	}
-	return cscanBest(d, all)
+	return c.pick()
 }
 
 // Iso is the blind isolation policy: it ignores head position and serves
@@ -96,16 +94,17 @@ func NewIso() *Iso { return &Iso{} }
 func (*Iso) Name() string { return "Iso" }
 
 func (*Iso) pick(d *Disk) int {
-	user, shared := userCandidates(d)
-	cands := user
-	if len(cands) == 0 {
-		cands = shared
-	}
-	// Lowest relative usage goes first; FIFO within the winning SPU.
+	// Candidates are the user requests, or the shared ones when no user
+	// request is queued. Lowest relative usage goes first; FIFO within
+	// the winning SPU.
+	user := hasUser(d)
 	best := -1
 	var bestRel float64
-	for _, i := range cands {
-		rel := d.usage.relative(d.eng.Now(), d.queue[i].SPU)
+	for i, r := range d.queue {
+		if (r.SPU != core.SharedID) != user {
+			continue
+		}
+		rel := d.usage.relative(d.eng.Now(), r.SPU)
 		if best == -1 || rel < bestRel-1e-12 {
 			best, bestRel = i, rel
 		}
@@ -145,32 +144,61 @@ func NewPIso(threshold float64) *PIso {
 func (*PIso) Name() string { return "PIso" }
 
 func (p *PIso) pick(d *Disk) int {
-	user, shared := userCandidates(d)
-	if len(user) == 0 {
-		return cscanBest(d, shared)
-	}
 	now := d.eng.Now()
-	// Fairness criterion over the SPUs that currently have requests
-	// queued. At least one active SPU is at or below the mean, so the
-	// passing set is never empty for Threshold >= 0.
-	var active []core.SPUID
-	seen := make(map[core.SPUID]bool)
-	for _, i := range user {
-		id := d.queue[i].SPU
-		if !seen[id] {
-			seen[id] = true
-			active = append(active, id)
+	// Fairness criterion over the SPUs that currently have user requests
+	// queued. Each one's relative usage is read once (reading decays its
+	// meter in place) and summed in order of first appearance in the
+	// queue, so the mean is the same float every time. At least one
+	// active SPU is at or below the mean, so the passing set is never
+	// empty for Threshold >= 0.
+	active := d.active[:0]
+	var sum float64
+	for _, r := range d.queue {
+		if r.SPU == core.SharedID || activeIndex(active, r.SPU) >= 0 {
+			continue
+		}
+		rel := d.usage.relative(now, r.SPU)
+		active = append(active, spuUsage{r.SPU, rel})
+		sum += rel
+	}
+	d.active = active
+	c := newCSCAN(d)
+	if len(active) == 0 { // shared requests only
+		for i := range d.queue {
+			c.offer(i)
+		}
+		return c.pick()
+	}
+	limit := sum/float64(len(active)) + p.Threshold
+	for i, r := range d.queue {
+		if r.SPU != core.SharedID && active[activeIndex(active, r.SPU)].rel <= limit {
+			c.offer(i)
 		}
 	}
-	mean := d.usage.meanRelative(now, active)
-	var passing []int
-	for _, i := range user {
-		if d.usage.relative(now, d.queue[i].SPU) <= mean+p.Threshold {
-			passing = append(passing, i)
+	if best := c.pick(); best >= 0 {
+		return best
+	}
+	// Defensive; cannot happen with Threshold >= 0.
+	for i, r := range d.queue {
+		if r.SPU != core.SharedID {
+			c.offer(i)
 		}
 	}
-	if len(passing) == 0 { // defensive; cannot happen with Threshold >= 0
-		passing = user
+	return c.pick()
+}
+
+// spuUsage is one active SPU's relative bandwidth usage during a pick.
+type spuUsage struct {
+	id  core.SPUID
+	rel float64
+}
+
+// activeIndex returns the position of id in active, or -1.
+func activeIndex(active []spuUsage, id core.SPUID) int {
+	for i := range active {
+		if active[i].id == id {
+			return i
+		}
 	}
-	return cscanBest(d, passing)
+	return -1
 }

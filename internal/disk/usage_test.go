@@ -17,7 +17,7 @@ func TestUsageTableSharesAndRelative(t *testing.T) {
 	if ra, rb := tab.relative(0, a), tab.relative(0, b); ra != 100 || rb != 50 {
 		t.Fatalf("relative = %g, %g", ra, rb)
 	}
-	if mean := tab.meanRelative(0, []core.SPUID{a, b}); mean != 75 {
+	if mean := tab.MeanRelative(0, []core.SPUID{a, b}); mean != 75 {
 		t.Fatalf("mean = %g", mean)
 	}
 }

@@ -20,12 +20,13 @@ type CachePage struct {
 	file *File
 	idx  int64
 
-	page    *mem.Page
-	valid   bool // contents present
-	dirty   bool
-	io      bool // read or allocation in flight
-	dirtier core.SPUID
-	waiters []func()
+	page     *mem.Page
+	valid    bool // contents present
+	dirty    bool
+	io       bool // read or allocation in flight
+	dirtier  core.SPUID
+	dirtyPos int // position in FileSystem.dirty while dirty
+	waiters  []func()
 }
 
 // PageEvicted implements mem.Owner: the cache forgets the page; future
@@ -33,8 +34,7 @@ type CachePage struct {
 // the memory manager's pageout path before the frame is reused.
 func (cp *CachePage) PageEvicted(p *mem.Page) {
 	if cp.dirty {
-		cp.fs.dirtyCount--
-		cp.dirty = false
+		cp.fs.clearDirty(cp)
 	}
 	cp.page = nil
 	cp.valid = false

@@ -36,6 +36,11 @@ type File struct {
 	extents    []extent
 	metaSector int64 // where metadata rewrites land (a single sector)
 	seq        int64 // allocation order; deterministic identity for hashing
+	// dirtyOrd is 1 + the order in which the file system first dirtied
+	// the file (0 before). Files on different disks come from different
+	// allocators and may share a name and a seq; dirtyOrd still tells
+	// them apart deterministically when Flush orders them.
+	dirtyOrd int64
 
 	// lastReadEnd supports sequential-access detection for read-ahead.
 	lastReadEnd int64
@@ -56,6 +61,18 @@ func (f *File) SectorOfPage(idx int64) int64 {
 		want -= e.count
 	}
 	panic(fmt.Sprintf("fs: page %d beyond file %q (%d bytes)", idx, f.Name, f.Size))
+}
+
+// flushesBefore orders files for Flush: by name, then creation order,
+// then first dirtying.
+func (f *File) flushesBefore(g *File) bool {
+	if f.Name != g.Name {
+		return f.Name < g.Name
+	}
+	if f.seq != g.seq {
+		return f.seq < g.seq
+	}
+	return f.dirtyOrd < g.dirtyOrd
 }
 
 // contiguousWith reports whether page idx+1 directly follows page idx on

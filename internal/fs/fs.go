@@ -2,6 +2,7 @@ package fs
 
 import (
 	"fmt"
+	"sort"
 
 	"perfiso/internal/control"
 	"perfiso/internal/core"
@@ -53,8 +54,14 @@ type FileSystem struct {
 	eng *sim.Engine
 	mm  *mem.Manager
 
-	cache      map[cacheKey]*CachePage
-	dirtyCount int
+	cache map[cacheKey]*CachePage
+	// dirty holds every dirty cache page, each knowing its own position
+	// (CachePage.dirtyPos), so Flush visits only dirty pages and a page
+	// leaves the set in O(1).
+	dirty []*CachePage
+	// dirtied counts files as they get their first dirty page; see
+	// File.dirtyOrd.
+	dirtied int64
 
 	// RootInode is the §3.4 inode-lock semaphore guarding pathname
 	// lookups; its mode (mutex vs readers-writer) is the abl-sem knob.
@@ -209,7 +216,7 @@ func (fs *FileSystem) submit(d *disk.Disk, r *disk.Request) {
 }
 
 // DirtyPages returns the number of dirty cache pages.
-func (fs *FileSystem) DirtyPages() int { return fs.dirtyCount }
+func (fs *FileSystem) DirtyPages() int { return len(fs.dirty) }
 
 // CachedPages returns the number of resident cache pages.
 func (fs *FileSystem) CachedPages() int { return len(fs.cache) }
@@ -409,7 +416,7 @@ func (fs *FileSystem) Write(spu core.SPUID, f *File, off, n int64, done func()) 
 		if pending == 0 && !fired {
 			fired = true
 			done()
-			if fs.dirtyCount > fs.DirtyHighWater {
+			if len(fs.dirty) > fs.DirtyHighWater {
 				fs.Flush()
 			}
 		}
@@ -454,7 +461,12 @@ func (fs *FileSystem) markDirty(cp *CachePage, spu core.SPUID) {
 	cp.dirtier = spu
 	if !cp.dirty {
 		cp.dirty = true
-		fs.dirtyCount++
+		cp.dirtyPos = len(fs.dirty)
+		fs.dirty = append(fs.dirty, cp)
+		if cp.file.dirtyOrd == 0 {
+			fs.dirtied++
+			cp.file.dirtyOrd = fs.dirtied
+		}
 	}
 	fs.mm.MarkDirty(cp.page)
 	fs.mm.Touch(cp.page, spu)
@@ -481,56 +493,67 @@ func (fs *FileSystem) MetaUpdate(spu core.SPUID, f *File, done func()) {
 // back to the SPUs that dirtied them (§3.3). FlushTick is the kernel's
 // periodic entry point; Flush may also fire on the high-water mark.
 func (fs *FileSystem) Flush() {
-	// Collect dirty pages grouped by file, iterating files in a
-	// deterministic order (map iteration order would make request
-	// submission order — and thus whole runs — irreproducible).
-	byFile := make(map[*File][]*CachePage)
-	var files []*File
-	for _, cp := range fs.cache {
-		if cp.dirty && !cp.io && cp.page != nil && !cp.page.Pinned() {
-			if len(byFile[cp.file]) == 0 {
-				files = append(files, cp.file)
-			}
-			byFile[cp.file] = append(byFile[cp.file], cp)
+	for _, cluster := range fs.flushBatches() {
+		fs.flushCluster(cluster)
+	}
+}
+
+// flushBatches returns the clusters Flush submits, in submission order:
+// runs of up to FlushClusterPages dirty, idle pages of one file that
+// are consecutive in the file and on disk.
+func (fs *FileSystem) flushBatches() [][]*CachePage {
+	var cps []*CachePage
+	for _, cp := range fs.dirty {
+		if !cp.io && !cp.page.Pinned() {
+			cps = append(cps, cp)
 		}
 	}
-	for i := 1; i < len(files); i++ {
-		for j := i; j > 0 && files[j-1].Name > files[j].Name; j-- {
-			files[j-1], files[j] = files[j], files[j-1]
+	// A total order, so request submission — and thus whole runs — never
+	// depends on where pages sit in the dirty set: files by name (same
+	// names by creation order on one disk, then by first dirtying across
+	// disks), pages by index.
+	sort.Slice(cps, func(i, j int) bool {
+		a, b := cps[i], cps[j]
+		if a.file != b.file {
+			return a.file.flushesBefore(b.file)
 		}
-	}
-	for _, f := range files {
-		cps := byFile[f]
-		// Sort by index (insertion sort: clusters are small and the map
-		// iteration order is random).
-		for i := 1; i < len(cps); i++ {
-			for j := i; j > 0 && cps[j-1].idx > cps[j].idx; j-- {
-				cps[j-1], cps[j] = cps[j], cps[j-1]
+		return a.idx < b.idx
+	})
+	var batches [][]*CachePage
+	for i := 0; i < len(cps); {
+		f := cps[i].file
+		cluster := []*CachePage{cps[i]}
+		for int64(len(cluster)) < fs.FlushClusterPages && i+len(cluster) < len(cps) {
+			prev, next := cluster[len(cluster)-1], cps[i+len(cluster)]
+			if next.file != f || next.idx != prev.idx+1 || !f.contiguousWith(prev.idx) {
+				break
 			}
+			cluster = append(cluster, next)
 		}
-		i := 0
-		for i < len(cps) {
-			cluster := []*CachePage{cps[i]}
-			for int64(len(cluster)) < fs.FlushClusterPages && i+len(cluster) < len(cps) {
-				prev, next := cluster[len(cluster)-1], cps[i+len(cluster)]
-				if next.idx != prev.idx+1 || !f.contiguousWith(prev.idx) {
-					break
-				}
-				cluster = append(cluster, next)
-			}
-			i += len(cluster)
-			fs.flushCluster(f, cluster)
-		}
+		i += len(cluster)
+		batches = append(batches, cluster)
 	}
+	return batches
+}
+
+// clearDirty removes a dirty page from the dirty set (swap-remove).
+func (fs *FileSystem) clearDirty(cp *CachePage) {
+	last := len(fs.dirty) - 1
+	moved := fs.dirty[last]
+	fs.dirty[cp.dirtyPos] = moved
+	moved.dirtyPos = cp.dirtyPos
+	fs.dirty[last] = nil
+	fs.dirty = fs.dirty[:last]
+	cp.dirty = false
 }
 
 // FlushTick is the bdflush daemon entry point, called by the kernel on
 // its flush period.
 func (fs *FileSystem) FlushTick() { fs.Flush() }
 
-// flushCluster writes one batch of dirty pages as a single shared-SPU
-// request.
-func (fs *FileSystem) flushCluster(f *File, cluster []*CachePage) {
+// flushCluster writes one batch of dirty pages of one file as a single
+// shared-SPU request.
+func (fs *FileSystem) flushCluster(cluster []*CachePage) {
 	charges := make(map[core.SPUID]int)
 	for _, cp := range cluster {
 		fs.mm.SetPinned(cp.page, true)
@@ -548,7 +571,7 @@ func (fs *FileSystem) flushCluster(f *File, cluster []*CachePage) {
 	}
 	fs.Stat.Flushes++
 	fs.Stat.WriteReqs++
-	fs.submit(f.Disk, &disk.Request{
+	fs.submit(cluster[0].file.Disk, &disk.Request{
 		Kind:    disk.Write,
 		Sector:  cluster[0].Sector(),
 		Count:   len(cluster) * mem.SectorsPerPage,
@@ -559,8 +582,7 @@ func (fs *FileSystem) flushCluster(f *File, cluster []*CachePage) {
 				fs.mm.SetPinned(cp.page, false)
 				cp.io = false
 				if cp.dirty {
-					cp.dirty = false
-					fs.dirtyCount--
+					fs.clearDirty(cp)
 					fs.mm.SetDirty(cp.page, false)
 				}
 				cp.notify()

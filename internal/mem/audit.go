@@ -12,7 +12,7 @@ import (
 // unconstrained ShareAll mode never holds more frames than its allowed
 // level, beyond the frames it cannot release yet — eviction write-backs
 // still in flight and pinned pages (in-flight disk IO). The whole check
-// runs off the incrementally-maintained per-SPU lists and counters, so
+// runs off the incrementally-maintained per-SPU counters, so
 // it is O(#SPUs) and allocation-free — cheap enough for every tick and
 // sharing boundary. AuditDeep adds the O(pages) scan that proves those
 // incremental structures exact.
@@ -39,8 +39,8 @@ func (m *Manager) auditIsolation() error {
 			continue
 		}
 		pinned := 0
-		if i := int(s.ID()); i < len(m.pinnedN) {
-			pinned = m.pinnedN[i]
+		if i := int(s.ID()); i < len(m.perSPU) {
+			pinned = m.perSPU[i].pinned
 		}
 		slack := float64(m.inFlight + pinned)
 		if over := s.Used(core.Memory) - s.Allowed(core.Memory) - slack; over > 0.5 {

@@ -81,9 +81,10 @@ type Page struct {
 	dirty    bool
 	pinned   bool // never evicted while pinned (e.g. in-flight disk IO)
 	evicting bool
-	seq      uint64 // allocation sequence; LRU tie-break after LastUse
-	index    int    // position in Manager.pages, -1 when free
-	spuIdx   int    // position in the owning SPU's page list
+	seq      uint64   // allocation sequence; LRU tie-break after LastUse
+	index    int      // position in Manager.pages, -1 when free
+	hkey     sim.Time // LastUse when last keyed in its reclaim heap
+	heapIdx  int      // position in its SPU's reclaim heap, -1 when in none
 }
 
 // Dirty reports whether the page needs write-back before reuse. The flag
@@ -132,12 +133,10 @@ type Manager struct {
 	reserve float64 // fraction of total kept free (Reserve Threshold)
 	pageout PageoutFunc
 
-	pages    []*Page   // frames currently in use
-	bySPU    [][]*Page // the same frames partitioned by owning SPU
-	pinnedN  []int     // per-SPU pinned-page counts (index = SPUID)
-	dirtyN   []int     // per-SPU dirty-page counts
-	pseq     uint64    // allocation sequence for LRU tie-breaking
-	inFlight int       // frames being evicted (still counted as used)
+	pages    []*Page    // frames currently in use
+	perSPU   []spuPages // the linked frames' counts and reclaim heaps per owning SPU (index = SPUID)
+	pseq     uint64     // allocation sequence for LRU tie-breaking
+	inFlight int        // frames being evicted (still counted as used)
 	waiters  []waiter
 	pressure []bool // SPUs that hit their limit since last policy tick (index = SPUID)
 
@@ -315,7 +314,8 @@ func (m *Manager) Free(p *Page) {
 	m.serveWaiters()
 }
 
-// unlink removes the page from the in-use list and its SPU's list.
+// unlink removes the page from the in-use list and its SPU's counts
+// and reclaim heap.
 func (m *Manager) unlink(p *Page) {
 	last := len(m.pages) - 1
 	i := p.index
@@ -330,51 +330,49 @@ func (m *Manager) unlink(p *Page) {
 // on first sight of a new id.
 func (m *Manager) slot(id core.SPUID) int {
 	i := int(id)
-	for len(m.bySPU) <= i {
-		m.bySPU = append(m.bySPU, nil)
-		m.pinnedN = append(m.pinnedN, 0)
-		m.dirtyN = append(m.dirtyN, 0)
+	for len(m.perSPU) <= i {
+		m.perSPU = append(m.perSPU, spuPages{})
 		m.pressure = append(m.pressure, false)
 	}
 	return i
 }
 
-// linkSPU adds the page to its SPU's list, keeping the incremental
-// per-SPU counters exact. The counters (and the lists) cover linked
-// pages only: a frame mid-eviction is unlinked and tracked by inFlight.
+// linkSPU adds the page to its SPU's counts and, unless pinned, to the
+// reclaim heap matching its dirty flag. The counts and heaps cover
+// linked pages only: a frame mid-eviction is unlinked and tracked by
+// inFlight.
 func (m *Manager) linkSPU(p *Page) {
-	i := m.slot(p.SPU)
-	p.spuIdx = len(m.bySPU[i])
-	m.bySPU[i] = append(m.bySPU[i], p)
+	s := &m.perSPU[m.slot(p.SPU)]
+	s.owned++
 	if p.dirty {
-		m.dirtyN[i]++
+		s.dirty++
 	}
 	if p.pinned {
-		m.pinnedN[i]++
+		s.pinned++
+	} else {
+		s.lru(p.dirty).push(p)
 	}
 }
 
-// unlinkSPU removes the page from its SPU's list (swap-remove).
+// unlinkSPU removes the page from its SPU's counts and reclaim heap.
 func (m *Manager) unlinkSPU(p *Page) {
-	i := m.slot(p.SPU)
-	l := m.bySPU[i]
-	last := len(l) - 1
-	l[p.spuIdx] = l[last]
-	l[p.spuIdx].spuIdx = p.spuIdx
-	l[last] = nil
-	m.bySPU[i] = l[:last]
-	p.spuIdx = -1
+	s := &m.perSPU[m.slot(p.SPU)]
+	s.owned--
 	if p.dirty {
-		m.dirtyN[i]--
+		s.dirty--
 	}
 	if p.pinned {
-		m.pinnedN[i]--
+		s.pinned--
+	} else {
+		s.lru(p.dirty).remove(p)
 	}
 }
 
 // Touch records a use of the page by the given SPU at the current time.
 // A user page touched by a second user SPU is re-tagged to the shared
-// SPU, so its cost is borne by everyone (§3.2).
+// SPU, so its cost is borne by everyone (§3.2). The reclaim heap is not
+// touched: the clock never runs backwards, so LastUse only rises and
+// the heap re-keys the page when it surfaces at the top.
 func (m *Manager) Touch(p *Page, by core.SPUID) {
 	p.LastUse = m.eng.Now()
 	if p.index < 0 || !by.IsUser() || !p.SPU.IsUser() || p.SPU == by {
@@ -392,35 +390,34 @@ func (m *Manager) Touch(p *Page, by core.SPUID) {
 func (m *Manager) MarkDirty(p *Page) { m.SetDirty(p, true) }
 
 // SetDirty sets or clears the page's dirty flag, keeping the per-SPU
-// dirty counters exact.
+// dirty counters and reclaim heaps exact.
 func (m *Manager) SetDirty(p *Page, v bool) {
 	if p.dirty == v {
 		return
 	}
-	p.dirty = v
-	if p.index >= 0 {
-		if v {
-			m.dirtyN[m.slot(p.SPU)]++
-		} else {
-			m.dirtyN[m.slot(p.SPU)]--
-		}
+	if p.index < 0 {
+		p.dirty = v
+		return
 	}
+	m.unlinkSPU(p)
+	p.dirty = v
+	m.linkSPU(p)
 }
 
 // SetPinned pins or unpins the page. A pinned page is never evicted —
-// in-flight disk IO targets its frame.
+// in-flight disk IO targets its frame — so it leaves the reclaim heaps
+// until unpinned.
 func (m *Manager) SetPinned(p *Page, v bool) {
 	if p.pinned == v {
 		return
 	}
-	p.pinned = v
-	if p.index >= 0 {
-		if v {
-			m.pinnedN[m.slot(p.SPU)]++
-		} else {
-			m.pinnedN[m.slot(p.SPU)]--
-		}
+	if p.index < 0 {
+		p.pinned = v
+		return
 	}
+	m.unlinkSPU(p)
+	p.pinned = v
+	m.linkSPU(p)
 }
 
 // Culprit identifies the SPU to blame when victim stalls waiting for
@@ -461,61 +458,78 @@ func (m *Manager) Pressured(spu core.SPUID) bool {
 }
 
 // Audit verifies the manager's internal consistency the slow, exhaustive
-// way: page-list and per-SPU-list linkage, agreement between the scan
-// and the incremental counters the fast path trusts, frame conservation,
-// and charge/ownership agreement. It returns a descriptive error on the
-// first violation. Intended for tests, the stress harness, and the final
-// sweep; it is O(pages). The per-tick sweep uses auditFast.
+// way: page-list linkage, the reclaim heaps (every slot's position, the
+// heap order, keys that never exceed LastUse, and exactly the SPU's
+// unpinned pages, each in the heap matching its dirty flag), agreement
+// between the scan and the incremental counters the fast path trusts,
+// frame conservation, and charge/ownership agreement. It returns a
+// descriptive error on the first violation. Intended for tests, the
+// stress harness, and the final sweep; it is O(pages). The per-tick
+// sweep uses auditFast.
 func (m *Manager) Audit() error {
 	for i, p := range m.pages {
 		if p.index != i {
 			return fmt.Errorf("mem audit: page at slot %d has index %d", i, p.index)
 		}
 	}
-	for id, l := range m.bySPU {
-		for i, p := range l {
-			if p.spuIdx != i {
-				return fmt.Errorf("mem audit: spu%d page at slot %d has spuIdx %d", id, i, p.spuIdx)
-			}
-			if int(p.SPU) != id {
-				return fmt.Errorf("mem audit: spu%d list holds a page owned by spu%d", id, p.SPU)
+	for id := range m.perSPU {
+		for _, dirty := range [2]bool{false, true} {
+			h := *m.perSPU[id].lru(dirty)
+			for i, p := range h {
+				switch {
+				case p.heapIdx != i:
+					return fmt.Errorf("mem audit: spu%d heap slot %d holds a page with heapIdx %d", id, i, p.heapIdx)
+				case p.index < 0 || p.index >= len(m.pages) || m.pages[p.index] != p:
+					return fmt.Errorf("mem audit: spu%d heap slot %d holds a page not in use", id, i)
+				case int(p.SPU) != id:
+					return fmt.Errorf("mem audit: spu%d heap holds a page owned by spu%d", id, p.SPU)
+				case p.dirty != dirty:
+					return fmt.Errorf("mem audit: spu%d heap for dirty=%v holds a page with dirty=%v", id, dirty, p.dirty)
+				case p.pinned:
+					return fmt.Errorf("mem audit: spu%d heap slot %d holds a pinned page", id, i)
+				case p.hkey > p.LastUse:
+					return fmt.Errorf("mem audit: spu%d heap slot %d keyed at %v, after its last use %v", id, i, p.hkey, p.LastUse)
+				case i > 0 && heapLess(p, h[(i-1)/2]):
+					return fmt.Errorf("mem audit: spu%d heap slot %d orders before its parent", id, i)
+				}
 			}
 		}
 	}
-	counts := make(map[core.SPUID]int)
-	pinned := make(map[core.SPUID]int)
-	dirty := make(map[core.SPUID]int)
-	listed := 0
+	counts := make([]spuPages, len(m.perSPU))
 	for _, p := range m.pages {
-		counts[p.SPU]++
-		if p.pinned {
-			pinned[p.SPU]++
+		if int(p.SPU) >= len(counts) {
+			return fmt.Errorf("mem audit: page owned by spu%d, beyond the per-SPU index", p.SPU)
 		}
+		c := &counts[p.SPU]
+		c.owned++
 		if p.dirty {
-			dirty[p.SPU]++
+			c.dirty++
+		}
+		if p.pinned {
+			c.pinned++
+			continue
+		}
+		if h := *m.perSPU[p.SPU].lru(p.dirty); p.heapIdx < 0 || p.heapIdx >= len(h) || h[p.heapIdx] != p {
+			return fmt.Errorf("mem audit: unpinned spu%d page is missing from its reclaim heap", p.SPU)
 		}
 	}
-	for id := range m.bySPU {
-		sid := core.SPUID(id)
-		listed += len(m.bySPU[id])
-		if got := len(m.bySPU[id]); got != counts[sid] {
-			return fmt.Errorf("mem audit: spu%d list holds %d pages, scan found %d", id, got, counts[sid])
+	for id := range m.perSPU {
+		s, c := &m.perSPU[id], &counts[id]
+		if s.owned != c.owned {
+			return fmt.Errorf("mem audit: spu%d owned counter %d, scan found %d", id, s.owned, c.owned)
 		}
-		if m.pinnedN[id] != pinned[sid] {
-			return fmt.Errorf("mem audit: spu%d pinned counter %d, scan found %d", id, m.pinnedN[id], pinned[sid])
+		if s.pinned != c.pinned {
+			return fmt.Errorf("mem audit: spu%d pinned counter %d, scan found %d", id, s.pinned, c.pinned)
 		}
-		if m.dirtyN[id] != dirty[sid] {
-			return fmt.Errorf("mem audit: spu%d dirty counter %d, scan found %d", id, m.dirtyN[id], dirty[sid])
+		if s.dirty != c.dirty {
+			return fmt.Errorf("mem audit: spu%d dirty counter %d, scan found %d", id, s.dirty, c.dirty)
 		}
-	}
-	if listed != len(m.pages) {
-		return fmt.Errorf("mem audit: SPU lists hold %d pages, in-use list %d", listed, len(m.pages))
 	}
 	return m.auditFast()
 }
 
 // auditFast checks frame conservation and charge/ownership agreement
-// from the incrementally-maintained per-SPU lists and counters — O(#SPUs),
+// from the incrementally-maintained per-SPU counters — O(#SPUs),
 // no scan, no allocation. Audit cross-checks those structures against a
 // full scan, so tests and the final sweep would catch counter drift.
 func (m *Manager) auditFast() error {
@@ -531,8 +545,8 @@ func (m *Manager) auditFast() error {
 		u := s.Used(core.Memory)
 		charged += u
 		owned := 0
-		if i := int(s.ID()); i < len(m.bySPU) {
-			owned = len(m.bySPU[i])
+		if i := int(s.ID()); i < len(m.perSPU) {
+			owned = m.perSPU[i].owned
 		}
 		if int(u) < owned {
 			return fmt.Errorf("mem audit: SPU %d charged %.0f but owns %d pages", s.ID(), u, owned)

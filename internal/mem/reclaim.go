@@ -149,66 +149,26 @@ func (m *Manager) revokeLoans(needed int) {
 	m.auditBoundary("revoke-loan")
 }
 
-// lruBefore orders eviction candidates: least-recently-used first, ties
-// broken by allocation order so a scan's winner does not depend on the
-// incidental layout of the page list.
-func lruBefore(a, b *Page) bool {
-	return a.LastUse < b.LastUse || (a.LastUse == b.LastUse && a.seq < b.seq)
-}
-
-// scanVictims finds the clean and dirty LRU candidates in one SPU's page
-// list, merging with the best found so far (for multi-list scans).
-func scanVictims(l []*Page, victim, dirtyVictim *Page) (*Page, *Page) {
-	for _, p := range l {
-		if p.pinned || p.evicting {
-			continue
-		}
-		if p.dirty {
-			if dirtyVictim == nil || lruBefore(p, dirtyVictim) {
-				dirtyVictim = p
-			}
-			continue
-		}
-		if victim == nil || lruBefore(p, victim) {
-			victim = p
-		}
-	}
-	return victim, dirtyVictim
-}
-
 // evictFromSPU evicts the least-recently-used unpinned page owned by the
-// SPU — an O(pages of that SPU) scan of its own list rather than the
-// whole machine's.
+// SPU: the top of one of its own reclaim heaps.
 func (m *Manager) evictFromSPU(spu core.SPUID) bool {
-	if int(spu) >= len(m.bySPU) {
+	if int(spu) >= len(m.perSPU) {
 		return false
 	}
-	victim, dirtyVictim := scanVictims(m.bySPU[spu], nil, nil)
-	return m.evictVictim(victim, dirtyVictim)
+	return m.evictVictim(lruVictim(m.perSPU[spu : spu+1]))
 }
 
 // evictAny evicts the least-recently-used unpinned page regardless of
-// owner, scanning the per-SPU lists in SPU-id order for determinism.
+// owner: the least of every SPU's heap tops.
 func (m *Manager) evictAny() bool {
-	var victim, dirtyVictim *Page
-	for _, l := range m.bySPU {
-		victim, dirtyVictim = scanVictims(l, victim, dirtyVictim)
-	}
-	return m.evictVictim(victim, dirtyVictim)
+	return m.evictVictim(lruVictim(m.perSPU))
 }
 
-// evictVictim evicts the chosen page, preferring the clean candidate
-// (which frees instantly) over the dirty one (which must be written back
-// first) — the standard pageout-daemon optimization; without it every
-// fault under memory pressure pays a full write-back plus a swap-in and
-// the machine collapses rather than degrades. It returns false when no
-// page qualifies. Dirty write-back goes through the pageout function;
-// the frame frees when the write completes — the revocation cost the
-// Reserve Threshold hides (§3.2).
-func (m *Manager) evictVictim(victim, dirtyVictim *Page) bool {
-	if victim == nil {
-		victim = dirtyVictim
-	}
+// evictVictim evicts the chosen page and returns false when there is
+// none. Dirty write-back goes through the pageout function; the frame
+// frees when the write completes — the revocation cost the Reserve
+// Threshold hides (§3.2).
+func (m *Manager) evictVictim(victim *Page) bool {
 	if victim == nil {
 		return false
 	}
