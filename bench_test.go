@@ -24,7 +24,7 @@ import (
 func BenchmarkFig2Pmake8Isolation(b *testing.B) {
 	var r experiment.Pmake8Result
 	for i := 0; i < b.N; i++ {
-		r = experiment.RunPmake8(experiment.Pmake8Options{})
+		r = experiment.RunPmake8()
 	}
 	for _, row := range r.Fig2Rows() {
 		switch row.Scheme {
@@ -41,7 +41,7 @@ func BenchmarkFig2Pmake8Isolation(b *testing.B) {
 func BenchmarkFig3Pmake8Sharing(b *testing.B) {
 	var r experiment.Pmake8Result
 	for i := 0; i < b.N; i++ {
-		r = experiment.RunPmake8(experiment.Pmake8Options{})
+		r = experiment.RunPmake8()
 	}
 	for _, row := range r.Fig3Rows() {
 		b.ReportMetric(row.Heavy, row.Scheme.String()+"_heavy_pct")
@@ -54,7 +54,7 @@ func BenchmarkFig3Pmake8Sharing(b *testing.B) {
 func BenchmarkFig5CPUIsolation(b *testing.B) {
 	var r experiment.CPUIsoResult
 	for i := 0; i < b.N; i++ {
-		r = experiment.RunCPUIso(experiment.CPUIsoOptions{})
+		r = experiment.RunCPUIso()
 	}
 	for _, row := range r.Rows() {
 		b.ReportMetric(row.PIso, row.App+"_PIso_pct")
@@ -67,7 +67,7 @@ func BenchmarkFig5CPUIsolation(b *testing.B) {
 func BenchmarkFig7MemoryIsolation(b *testing.B) {
 	var r experiment.MemIsoResult
 	for i := 0; i < b.N; i++ {
-		r = experiment.RunMemIso(experiment.MemIsoOptions{})
+		r = experiment.RunMemIso()
 	}
 	for _, row := range r.SharingRows() {
 		b.ReportMetric(row.Unbalanced, row.Scheme.String()+"_spu2_U_pct")
@@ -80,7 +80,7 @@ func BenchmarkFig7MemoryIsolation(b *testing.B) {
 func BenchmarkTable3PmakeCopy(b *testing.B) {
 	var r experiment.DiskResult
 	for i := 0; i < b.N; i++ {
-		r = experiment.RunTable3(experiment.DiskOptions{})
+		r = experiment.RunTable3()
 	}
 	for _, row := range r.Rows {
 		b.ReportMetric(row.RespA.Seconds(), row.Policy+"_pmk_s")
@@ -92,7 +92,7 @@ func BenchmarkTable3PmakeCopy(b *testing.B) {
 func BenchmarkTable4BigSmallCopy(b *testing.B) {
 	var r experiment.DiskResult
 	for i := 0; i < b.N; i++ {
-		r = experiment.RunTable4(experiment.DiskOptions{})
+		r = experiment.RunTable4()
 	}
 	for _, row := range r.Rows {
 		b.ReportMetric(row.RespA.Seconds(), row.Policy+"_small_s")

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -62,6 +64,24 @@ func TestRunBadFaultSpecFails(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "fault:") {
 		t.Fatalf("stderr = %q", errOut.String())
+	}
+}
+
+// A spec naming a disk the machine lacks is a clean usage error, not a
+// kernel panic.
+func TestRunSpecBadDiskFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad-disk.json")
+	doc := `{"machine":"memory-isolation","spus":[{"name":"a","disk":2}],"jobs":[{"type":"pmake","spu":"a","name":"j"}]}`
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut strings.Builder
+	if code := run([]string{"-spec", path}, &out, &errOut); code != 1 {
+		t.Fatalf("exit code %d, want 1", code)
+	}
+	want := `scenario: SPU "a" disk 2 out of range (memory-isolation has 2 disks)`
+	if !strings.Contains(errOut.String(), want) || strings.Contains(errOut.String(), "panic:") {
+		t.Fatalf("stderr = %q, want %q", errOut.String(), want)
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 
 	"perfiso/internal/core"
 	"perfiso/internal/kernel"
-	"perfiso/internal/machine"
 	"perfiso/internal/netbw"
+	"perfiso/internal/scenario"
 	"perfiso/internal/sim"
 	"perfiso/internal/stats"
 	"perfiso/internal/workload"
@@ -35,23 +35,11 @@ func RunAblationBWThreshold(thresholds []float64) BWThresholdResult {
 	res.Big.Name = "big copy response (s)"
 	res.Latency.Name = "avg positioning latency (ms)"
 	for _, th := range thresholds {
-		k := kernel.New(machine.DiskIsolation(), core.PIso, kernel.Options{
-			DiskSched: "PIso", BWThreshold: th, Profiled: true,
-		})
-		spu1 := k.NewSPU("small", 1)
-		spu2 := k.NewSPU("big", 1)
-		k.SetAffinity(spu1.ID(), 0)
-		k.SetAffinity(spu2.ID(), 0)
-		k.Boot()
-		small := workload.Copy(k, spu1.ID(), "small", workload.DefaultCopy(500*1024))
-		big := workload.Copy(k, spu2.ID(), "big", workload.DefaultCopy(5*1024*1024))
-		k.Spawn(big)
-		k.Spawn(small)
-		k.Run()
-		res.observe(k, fmt.Sprintf("bw=%g", th))
-		res.Small.Add(th, small.ResponseTime().Seconds())
-		res.Big.Add(th, big.ResponseTime().Seconds())
-		res.Latency.Add(th, k.Disk(0).Total.Pos.Mean()*1000)
+		r := scenario.Execute(bigSmallCopy(kernel.Options{DiskSched: "PIso", BWThreshold: th, Profiled: true}))
+		res.observe(r.Kernel, fmt.Sprintf("bw=%g", th))
+		res.Small.Add(th, r.Procs[0].ResponseTime().Seconds())
+		res.Big.Add(th, r.Procs[1].ResponseTime().Seconds())
+		res.Latency.Add(th, r.Kernel.Disk(0).Total.Pos.Mean()*1000)
 	}
 	return res
 }
@@ -86,24 +74,11 @@ func RunAblationReserve(fractions []float64) ReserveResult {
 	res := ReserveResult{Fractions: fractions}
 	res.SPU1.Name = "SPU1 (lender) response (s)"
 	res.SPU2.Name = "SPU2 (borrower) response (s)"
-	params := workload.MemPmake()
 	for _, f := range fractions {
-		k := kernel.New(machine.MemoryIsolation(), core.PIso, kernel.Options{Reserve: f, Profiled: true})
-		spu1 := k.NewSPU("spu1", 1)
-		spu2 := k.NewSPU("spu2", 1)
-		k.SetAffinity(spu1.ID(), 0)
-		k.SetAffinity(spu2.ID(), 1)
-		k.Boot()
-		j1 := workload.Pmake(k, spu1.ID(), "job1", params)
-		j2a := workload.Pmake(k, spu2.ID(), "job2a", params)
-		j2b := workload.Pmake(k, spu2.ID(), "job2b", params)
-		k.Spawn(j1)
-		k.Spawn(j2a)
-		k.Spawn(j2b)
-		k.Run()
-		res.observe(k, fmt.Sprintf("reserve=%g", f))
-		res.SPU1.Add(f, j1.ResponseTime().Seconds())
-		res.SPU2.Add(f, (j2a.ResponseTime()+j2b.ResponseTime()).Seconds()/2)
+		r := scenario.Execute(scenario.Fig7(core.PIso, kernel.Options{Reserve: f, Profiled: true}, true))
+		res.observe(r.Kernel, fmt.Sprintf("reserve=%g", f))
+		res.SPU1.Add(f, r.Procs[0].ResponseTime().Seconds())
+		res.SPU2.Add(f, (r.Procs[1].ResponseTime()+r.Procs[2].ResponseTime()).Seconds()/2)
 	}
 	return res
 }
@@ -138,27 +113,19 @@ type InodeLockResult struct {
 func RunAblationInodeLock() InodeLockResult {
 	var res InodeLockResult
 	run := func(mutex bool) (sim.Time, sim.Time) {
-		k := kernel.New(machine.Pmake8(), core.PIso, kernel.Options{InodeMutex: mutex, Profiled: true})
-		var spus []core.SPUID
-		for i := 0; i < 8; i++ {
-			s := k.NewSPU(fmt.Sprintf("spu%d", i+1), 1)
-			k.SetAffinity(s.ID(), i)
-			spus = append(spus, s.ID())
-		}
-		k.Boot()
-		// 16 concurrent compiles each issuing a lookup every ~120 ms
-		// against a 30 ms hold saturates a mutual-exclusion lock while a
-		// readers-writer lock stays uncontended.
-		k.FS().LookupHold = 30 * sim.Millisecond
 		params := workload.DefaultPmake()
 		params.FilesPerCompile = 16 // lookup-heavy
 		params.ComputePerFile = 100 * sim.Millisecond
-		for i, id := range spus {
-			k.Spawn(workload.Pmake(k, id, fmt.Sprintf("pmake%d", i), params))
-		}
-		end := k.Run()
-		res.observe(k, fmt.Sprintf("mutex=%t", mutex))
-		return end, k.FS().RootInode.MeanWait()
+		r := scenario.Boot(eachOfEight(kernel.Options{InodeMutex: mutex, Profiled: true},
+			scenario.Job{Name: "pmake", Pmake: &params}))
+		// 16 concurrent compiles each issuing a lookup every ~120 ms
+		// against a 30 ms hold saturates a mutual-exclusion lock while a
+		// readers-writer lock stays uncontended.
+		r.Kernel.FS().LookupHold = 30 * sim.Millisecond
+		r.Start()
+		end := r.Finish()
+		res.observe(r.Kernel, fmt.Sprintf("mutex=%t", mutex))
+		return end, r.Kernel.FS().RootInode.MeanWait()
 	}
 	res.MutexResp, res.MutexWait = run(true)
 	res.RWResp, res.RWWait = run(false)
@@ -191,29 +158,9 @@ type RevocationResult struct {
 func RunAblationRevocation() RevocationResult {
 	var res RevocationResult
 	run := func(ipi bool) (ocean, eda sim.Time) {
-		k := kernel.New(machine.CPUIsolation(), core.PIso, kernel.Options{IPIRevoke: ipi, Profiled: true})
-		spu1 := k.NewSPU("ocean", 1)
-		spu2 := k.NewSPU("eda", 1)
-		k.SetAffinity(spu1.ID(), 0)
-		k.SetAffinity(spu2.ID(), 1)
-		k.Boot()
-		oc := workload.Ocean(k, spu1.ID(), "ocean", workload.DefaultOcean())
-		k.Spawn(oc)
-		var edaJobs []interface{ ResponseTime() sim.Time }
-		for i := 0; i < 3; i++ {
-			f := workload.ComputeBound(k, spu2.ID(), fmt.Sprintf("fl%d", i), workload.DefaultFlashlite())
-			v := workload.ComputeBound(k, spu2.ID(), fmt.Sprintf("vcs%d", i), workload.DefaultVCS())
-			k.Spawn(f)
-			k.Spawn(v)
-			edaJobs = append(edaJobs, f, v)
-		}
-		k.Run()
-		res.observe(k, fmt.Sprintf("ipi=%t", ipi))
-		var sum sim.Time
-		for _, j := range edaJobs {
-			sum += j.ResponseTime()
-		}
-		return oc.ResponseTime(), sum / sim.Time(len(edaJobs))
+		r := scenario.Execute(scenario.Fig5(core.PIso, kernel.Options{IPIRevoke: ipi, Profiled: true}, "fl"))
+		res.observe(r.Kernel, fmt.Sprintf("ipi=%t", ipi))
+		return r.Procs[0].ResponseTime(), r.Mean(onSPU(1))
 	}
 	res.TickOcean, res.TickEda = run(false)
 	res.IPIOcean, res.IPIEda = run(true)

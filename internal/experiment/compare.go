@@ -32,7 +32,7 @@ func RunComparison() Comparison {
 		c.Rows = append(c.Rows, CompareRow{exp, metric, paper, measured, unit})
 	}
 
-	p := RunPmake8(Pmake8Options{})
+	p := RunPmake8()
 	fig2 := map[core.Scheme][2]float64{}
 	for _, r := range p.Fig2Rows() {
 		fig2[r.Scheme] = [2]float64{r.Balanced, r.Unbalanced}
@@ -52,7 +52,7 @@ func RunComparison() Comparison {
 		}
 	}
 
-	m := RunMemIso(MemIsoOptions{})
+	m := RunMemIso()
 	for _, r := range m.IsolationRows() {
 		if r.Scheme == core.SMP {
 			// "a 45% decrease" for SMP vs "13%" for PIso.
@@ -70,7 +70,7 @@ func RunComparison() Comparison {
 		}
 	}
 
-	t3 := RunTable3(DiskOptions{})
+	t3 := RunTable3()
 	pos, piso := t3.Row("Pos"), t3.Row("PIso")
 	if pos != nil && piso != nil {
 		// "significantly reduces the response time for the pmake (39%)".
@@ -91,7 +91,7 @@ func RunComparison() Comparison {
 			100*(float64(iso3.AvgLatency)/float64(pos.AvgLatency)-1), "%")
 	}
 
-	t4 := RunTable4(DiskOptions{})
+	t4 := RunTable4()
 	p4, i4, pi4 := t4.Row("Pos"), t4.Row("Iso"), t4.Row("PIso")
 	if p4 != nil && i4 != nil && pi4 != nil {
 		// Paper values: small 0.93/0.56/0.28 s under Pos/Iso/PIso.

@@ -11,6 +11,7 @@ import (
 	"perfiso/internal/fault"
 	"perfiso/internal/kernel"
 	"perfiso/internal/machine"
+	"perfiso/internal/scenario"
 	"perfiso/internal/sim"
 	"perfiso/internal/stats"
 	"perfiso/internal/workload"
@@ -89,39 +90,15 @@ func RunSLOController() SLOControllerResult {
 		if err != nil {
 			panic(err)
 		}
-		opts := kernel.Options{
-			LatencyWindow: 500 * sim.Millisecond,
-			Faults:        plan,
-			Profiled:      true,
-			MetricsPeriod: metricsPeriod,
-		}
-		if scheme == core.PIso {
-			opts.IPIRevoke = true
-		}
+		opts := kernel.Options{Faults: plan, Profiled: true, MetricsPeriod: metricsPeriod}
 		if adaptive {
 			opts.Control = control.Config{Enabled: true, Step: 0.5, Decay: 0.75, Hold: 6}
 		}
-		k := kernel.New(machine.Pmake8(), scheme, opts)
-		spus := make([]core.SPUID, len(tenants))
-		for i, ts := range tenants {
-			spus[i] = k.NewSPU(ts.Name, ts.Weight).ID()
-		}
-		noise := k.NewSPU("noise", 4)
-		k.Boot()
-		jobs := make([]*workload.ServerJob, len(tenants))
-		for i, ts := range tenants {
-			jobs[i] = workload.OpenServer(k, spus[i], ts.Name, ts.Server)
-			k.Spawn(jobs[i].Root)
-		}
-		for i := 0; i < sloNoiseHogs; i++ {
-			k.Spawn(workload.ComputeBound(k, noise.ID(), fmt.Sprintf("hog%d", i),
-				workload.ComputeParams{Total: sloNoiseWork, Chunk: 50 * sim.Millisecond, WSSPages: 50}))
-		}
-		k.RunUntil(sloHorizon)
-		end := sloHorizon
-		for _, j := range jobs {
-			j.CensorTail(end)
-		}
+		p := scenario.TenantMachine(scheme, opts, tenants, sloNoiseHogs,
+			workload.ComputeParams{Total: sloNoiseWork, Chunk: 50 * sim.Millisecond, WSSPages: 50})
+		p.Until = sloHorizon
+		r := scenario.Execute(p)
+		k, end, noise := r.Kernel, r.End, r.SPUs[len(tenants)]
 		res.observe(k, config)
 
 		cfgRow := SLOControllerConfig{Config: config, Tenants: len(tenants)}
@@ -141,7 +118,7 @@ func RunSLOController() SLOControllerResult {
 			cfgRow.Stats = c.Stat
 		}
 		for i, ts := range tenants {
-			tr := jobs[i].Tracker()
+			tr := r.Servers[i].Tracker()
 			attain := tr.Attainment()
 			row := SLOControllerRow{
 				Config: config, Tenant: ts.Name,

@@ -1,15 +1,11 @@
 package experiment
 
 import (
-	"fmt"
-
 	"perfiso/internal/core"
 	"perfiso/internal/kernel"
-	"perfiso/internal/machine"
-	"perfiso/internal/proc"
+	"perfiso/internal/scenario"
 	"perfiso/internal/sim"
 	"perfiso/internal/stats"
-	"perfiso/internal/workload"
 )
 
 // CPUIsoRun is one scheme's measurement: mean response time per
@@ -26,74 +22,24 @@ type CPUIsoResult struct {
 	Runs map[core.Scheme]CPUIsoRun
 }
 
-// CPUIsoOptions tunes the experiment.
-type CPUIsoOptions struct {
-	Kernel    kernel.Options
-	Ocean     workload.OceanParams   // zero -> DefaultOcean
-	Flashlite workload.ComputeParams // zero -> DefaultFlashlite
-	VCS       workload.ComputeParams // zero -> DefaultVCS
-}
-
-func (o CPUIsoOptions) withDefaults() CPUIsoOptions {
-	if o.Ocean.Procs == 0 {
-		o.Ocean = workload.DefaultOcean()
-	}
-	if o.Flashlite.Total == 0 {
-		o.Flashlite = workload.DefaultFlashlite()
-	}
-	if o.VCS.Total == 0 {
-		o.VCS = workload.DefaultVCS()
-	}
-	return o
-}
-
 // RunCPUIso executes the CPU isolation workload (Figure 4's structure):
 // SPU 1 runs the four-process Ocean, SPU 2 runs three Flashlite and
 // three VCS processes; each SPU owns half the 8-CPU machine. Ten
 // processes compete for eight processors, so SPU 2 is overcommitted and
 // SPU 1 is not.
-func RunCPUIso(opts CPUIsoOptions) CPUIsoResult {
-	opts = opts.withDefaults()
+func RunCPUIso() CPUIsoResult {
 	res := CPUIsoResult{Runs: make(map[core.Scheme]CPUIsoRun)}
 	for _, scheme := range Schemes {
-		res.Runs[scheme] = runCPUIsoConfig(scheme, opts, &res.Meter)
+		r := scenario.Execute(scenario.Fig5(scheme,
+			kernel.Options{MetricsPeriod: metricsPeriod, Profiled: true}, "flashlite"))
+		res.observe(r.Kernel, scheme.String())
+		res.Runs[scheme] = CPUIsoRun{
+			Ocean:     r.Procs[0].ResponseTime(),
+			Flashlite: r.Mean(named("flashlite")),
+			VCS:       r.Mean(named("vcs")),
+		}
 	}
 	return res
-}
-
-func runCPUIsoConfig(scheme core.Scheme, opts CPUIsoOptions, m *Meter) CPUIsoRun {
-	if opts.Kernel.MetricsPeriod == 0 {
-		opts.Kernel.MetricsPeriod = metricsPeriod
-	}
-	opts.Kernel.Profiled = true
-	k := kernel.New(machine.CPUIsolation(), scheme, opts.Kernel)
-	spu1 := k.NewSPU("ocean", 1)
-	spu2 := k.NewSPU("eda", 1)
-	k.SetAffinity(spu1.ID(), 0)
-	k.SetAffinity(spu2.ID(), 1)
-	k.Boot()
-
-	ocean := workload.Ocean(k, spu1.ID(), "ocean", opts.Ocean)
-	k.Spawn(ocean)
-	var fls, vcs []*proc.Process
-	for i := 0; i < 3; i++ {
-		f := workload.ComputeBound(k, spu2.ID(), fmt.Sprintf("flashlite%d", i), opts.Flashlite)
-		v := workload.ComputeBound(k, spu2.ID(), fmt.Sprintf("vcs%d", i), opts.VCS)
-		fls = append(fls, f)
-		vcs = append(vcs, v)
-		k.Spawn(f)
-		k.Spawn(v)
-	}
-	k.Run()
-	m.observe(k, scheme.String())
-	mean := func(ps []*proc.Process) sim.Time {
-		ts := make([]sim.Time, len(ps))
-		for i, p := range ps {
-			ts[i] = p.ResponseTime()
-		}
-		return meanResponse(ts)
-	}
-	return CPUIsoRun{Ocean: ocean.ResponseTime(), Flashlite: mean(fls), VCS: mean(vcs)}
 }
 
 // Rows returns Figure 5's bars: per application, the response time under

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"perfiso/internal/core"
-	"perfiso/internal/workload"
 )
 
 // The whole stack is deterministic: the same experiment run twice
@@ -13,8 +12,8 @@ import (
 // assertion in this package meaningful rather than flaky.
 func TestEndToEndDeterminism(t *testing.T) {
 	var m Meter
-	a := runPmake8Config(core.PIso, true, Pmake8Options{Params: workload.DefaultPmake()}, &m)
-	b := runPmake8Config(core.PIso, true, Pmake8Options{Params: workload.DefaultPmake()}, &m)
+	a := runPmake8Config(core.PIso, true, &m)
+	b := runPmake8Config(core.PIso, true, &m)
 	if a.Light != b.Light || a.Heavy != b.Heavy {
 		t.Fatalf("identical runs diverged: %+v vs %+v", a, b)
 	}
@@ -24,8 +23,8 @@ func TestEndToEndDeterminism(t *testing.T) {
 // so fault injection is exactly as reproducible as a clean run: the
 // rendered table — every normalized cell — is byte-identical.
 func TestFaultExperimentDeterminism(t *testing.T) {
-	a := RunFaults(FaultOptions{}).Table().String()
-	b := RunFaults(FaultOptions{}).Table().String()
+	a := RunFaults().Table().String()
+	b := RunFaults().Table().String()
 	if a != b {
 		t.Fatalf("identical faulted runs diverged:\n%s\nvs\n%s", a, b)
 	}
@@ -59,8 +58,8 @@ func TestFaultExperimentDeterministicUnderParallelRunAll(t *testing.T) {
 }
 
 func TestDiskExperimentDeterminism(t *testing.T) {
-	a := RunTable4(DiskOptions{})
-	b := RunTable4(DiskOptions{})
+	a := RunTable4()
+	b := RunTable4()
 	for i := range a.Rows {
 		if a.Rows[i] != b.Rows[i] {
 			t.Fatalf("row %d diverged: %+v vs %+v", i, a.Rows[i], b.Rows[i])

@@ -4,6 +4,7 @@ import (
 	"perfiso/internal/core"
 	"perfiso/internal/kernel"
 	"perfiso/internal/machine"
+	"perfiso/internal/scenario"
 	"perfiso/internal/sim"
 	"perfiso/internal/stats"
 	"perfiso/internal/workload"
@@ -37,52 +38,16 @@ type DiskResult struct {
 	Rows           []DiskRow
 }
 
-// DiskOptions tunes the disk-bandwidth experiments.
-type DiskOptions struct {
-	Kernel kernel.Options
-}
-
 // RunTable3 executes the pmake-copy workload: SPU 1 runs a pmake job,
 // SPU 2 copies a 20 MB file, both on one shared HP 97560 with cold
 // caches, under each of the three disk scheduling policies.
-func RunTable3(opts DiskOptions) DiskResult {
+func RunTable3() DiskResult {
 	res := DiskResult{
 		Title:  "Table 3: performance isolation on a disk-limited workload (pmake-copy)",
 		LabelA: "Pmk", LabelB: "Cpy",
 	}
 	for _, pol := range DiskPolicies {
-		kOpts := opts.Kernel
-		kOpts.DiskSched = pol
-		kOpts.Profiled = true
-		k := kernel.New(machine.DiskIsolation(), core.PIso, kOpts)
-		spu1 := k.NewSPU("pmake", 1)
-		spu2 := k.NewSPU("copy", 1)
-		k.SetAffinity(spu1.ID(), 0)
-		k.SetAffinity(spu2.ID(), 0) // one shared disk
-		k.Boot()
-
-		pmk := workload.Pmake(k, spu1.ID(), "pmake", workload.DiskPmake())
-		cpy := workload.Copy(k, spu2.ID(), "copy", workload.DefaultCopy(20*1024*1024))
-		k.Spawn(pmk)
-		k.Spawn(cpy)
-		k.Run()
-		res.observe(k, pol)
-
-		d := k.Disk(0)
-		row := DiskRow{
-			Policy:     pol,
-			RespA:      pmk.ResponseTime(),
-			RespB:      cpy.ResponseTime(),
-			AvgLatency: sim.FromSeconds(d.Total.Pos.Mean()),
-			AvgSeek:    sim.FromSeconds(d.Total.Seek.Mean()),
-		}
-		if st := d.PerSPU[spu1.ID()]; st != nil {
-			row.WaitA = sim.FromSeconds(st.Wait.Mean())
-		}
-		if st := d.PerSPU[spu2.ID()]; st != nil {
-			row.WaitB = sim.FromSeconds(st.Wait.Mean())
-		}
-		res.Rows = append(res.Rows, row)
+		res.add(pol, scenario.Table3(core.PIso, kernel.Options{DiskSched: pol, Profiled: true}))
 	}
 	return res
 }
@@ -91,49 +56,52 @@ func RunTable3(opts DiskOptions) DiskResult {
 // 500 KB file, SPU 2 a 5 MB file, on the same disk. Both streams are
 // contiguous, so ignoring head position (Iso) costs real seek time —
 // the case that motivates PIso's hybrid policy.
-func RunTable4(opts DiskOptions) DiskResult {
+func RunTable4() DiskResult {
 	res := DiskResult{
 		Title:  "Table 4: considering both head position and fairness (big-and-small-copy)",
 		LabelA: "Small", LabelB: "Big",
 	}
 	for _, pol := range DiskPolicies {
-		kOpts := opts.Kernel
-		kOpts.DiskSched = pol
-		kOpts.Profiled = true
-		k := kernel.New(machine.DiskIsolation(), core.PIso, kOpts)
-		spu1 := k.NewSPU("small", 1)
-		spu2 := k.NewSPU("big", 1)
-		k.SetAffinity(spu1.ID(), 0)
-		k.SetAffinity(spu2.ID(), 0)
-		k.Boot()
-
-		small := workload.Copy(k, spu1.ID(), "small", workload.DefaultCopy(500*1024))
-		big := workload.Copy(k, spu2.ID(), "big", workload.DefaultCopy(5*1024*1024))
-		// The paper notes the larger copy "happening to issue requests
-		// to the disk earlier than the smaller copy" locks it out under
-		// Pos; spawn the big copy first to reproduce that phasing.
-		k.Spawn(big)
-		k.Spawn(small)
-		k.Run()
-		res.observe(k, pol)
-
-		d := k.Disk(0)
-		row := DiskRow{
-			Policy:     pol,
-			RespA:      small.ResponseTime(),
-			RespB:      big.ResponseTime(),
-			AvgLatency: sim.FromSeconds(d.Total.Pos.Mean()),
-			AvgSeek:    sim.FromSeconds(d.Total.Seek.Mean()),
-		}
-		if st := d.PerSPU[spu1.ID()]; st != nil {
-			row.WaitA = sim.FromSeconds(st.Wait.Mean())
-		}
-		if st := d.PerSPU[spu2.ID()]; st != nil {
-			row.WaitB = sim.FromSeconds(st.Wait.Mean())
-		}
-		res.Rows = append(res.Rows, row)
+		res.add(pol, bigSmallCopy(kernel.Options{DiskSched: pol, Profiled: true}))
 	}
 	return res
+}
+
+// bigSmallCopy is the Table 4 workload: SPU "small" copies 500 KB and
+// SPU "big" 5 MB on the disk-isolation machine's one disk. The small
+// copy is built first but the big one starts first: the paper notes
+// the larger copy "happening to issue requests to the disk earlier
+// than the smaller copy" locks it out under Pos.
+func bigSmallCopy(opts kernel.Options) scenario.Plan {
+	small, big := workload.DefaultCopy(500*1024), workload.DefaultCopy(5*1024*1024)
+	return scenario.Plan{
+		Machine: machine.DiskIsolation(), Scheme: core.PIso, Options: opts,
+		SPUs:  []scenario.SPU{{Name: "small"}, {Name: "big"}},
+		Jobs:  []scenario.Job{{SPU: 0, Name: "small", Copy: &small}, {SPU: 1, Name: "big", Copy: &big}},
+		Spawn: []int{1, 0},
+	}
+}
+
+// add runs one policy's plan — job and SPU 0 are the table's A column,
+// job and SPU 1 its B column — and appends its row.
+func (r *DiskResult) add(policy string, p scenario.Plan) {
+	run := scenario.Execute(p)
+	r.observe(run.Kernel, policy)
+	d := run.Kernel.Disk(0)
+	row := DiskRow{
+		Policy:     policy,
+		RespA:      run.Procs[0].ResponseTime(),
+		RespB:      run.Procs[1].ResponseTime(),
+		AvgLatency: sim.FromSeconds(d.Total.Pos.Mean()),
+		AvgSeek:    sim.FromSeconds(d.Total.Seek.Mean()),
+	}
+	if st := d.PerSPU[run.SPUs[0].ID()]; st != nil {
+		row.WaitA = sim.FromSeconds(st.Wait.Mean())
+	}
+	if st := d.PerSPU[run.SPUs[1].ID()]; st != nil {
+		row.WaitB = sim.FromSeconds(st.Wait.Mean())
+	}
+	r.Rows = append(r.Rows, row)
 }
 
 // Row returns the row for a policy, or nil.

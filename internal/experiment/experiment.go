@@ -9,7 +9,10 @@
 package experiment
 
 import (
+	"strings"
+
 	"perfiso/internal/core"
+	"perfiso/internal/scenario"
 	"perfiso/internal/sim"
 )
 
@@ -25,14 +28,12 @@ func Norm(v, base sim.Time) float64 {
 	return 100 * float64(v) / float64(base)
 }
 
-// meanResponse averages the response times of completed jobs.
-func meanResponse(times []sim.Time) sim.Time {
-	if len(times) == 0 {
-		return 0
-	}
-	var sum sim.Time
-	for _, t := range times {
-		sum += t
-	}
-	return sum / sim.Time(len(times))
+// named selects the jobs whose names start with prefix, for Run.Mean.
+func named(prefix string) func(scenario.Job) bool {
+	return func(j scenario.Job) bool { return strings.HasPrefix(j.Name, prefix) }
+}
+
+// onSPU selects the jobs of the plan's SPU i, for Run.Mean.
+func onSPU(i int) func(scenario.Job) bool {
+	return func(j scenario.Job) bool { return j.SPU == i }
 }

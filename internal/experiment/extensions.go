@@ -6,6 +6,7 @@ import (
 	"perfiso/internal/core"
 	"perfiso/internal/kernel"
 	"perfiso/internal/machine"
+	"perfiso/internal/scenario"
 	"perfiso/internal/sim"
 	"perfiso/internal/stats"
 	"perfiso/internal/workload"
@@ -28,22 +29,22 @@ type GangResult struct {
 func RunAblationGang() GangResult {
 	var res GangResult
 	run := func(gang, interference bool) sim.Time {
-		k := kernel.New(machine.CPUIsolation(), core.SMP, kernel.Options{Profiled: true})
-		s := k.NewSPU("all", 1)
-		k.Boot()
-		p := workload.DefaultOcean()
-		p.GangScheduled = gang
-		oc := workload.Ocean(k, s.ID(), "ocean", p)
-		k.Spawn(oc)
+		ocean := workload.DefaultOcean()
+		ocean.GangScheduled = gang
+		hog := workload.ComputeParams{Total: 6 * sim.Second, Chunk: 100 * sim.Millisecond, WSSPages: 50}
+		p := scenario.Plan{
+			Machine: machine.CPUIsolation(), Scheme: core.SMP, Options: kernel.Options{Profiled: true},
+			SPUs: []scenario.SPU{{Name: "all"}},
+			Jobs: []scenario.Job{{Name: "ocean", Ocean: &ocean}},
+		}
 		if interference {
 			for i := 0; i < 6; i++ {
-				k.Spawn(workload.ComputeBound(k, s.ID(), fmt.Sprintf("hog%d", i),
-					workload.ComputeParams{Total: 6 * sim.Second, Chunk: 100 * sim.Millisecond, WSSPages: 50}))
+				p.Jobs = append(p.Jobs, scenario.Job{Name: fmt.Sprintf("hog%d", i), Compute: &hog})
 			}
 		}
-		k.Run()
-		res.observe(k, fmt.Sprintf("gang=%t/interference=%t", gang, interference))
-		return oc.ResponseTime()
+		r := scenario.Execute(p)
+		res.observe(r.Kernel, fmt.Sprintf("gang=%t/interference=%t", gang, interference))
+		return r.Procs[0].ResponseTime()
 	}
 	res.PlainOcean = run(false, true)
 	res.GangOcean = run(true, true)
@@ -86,18 +87,20 @@ type ServerLatencyRow struct {
 func RunServerLatency() ServerLatencyResult {
 	var res ServerLatencyResult
 	run := func(scheme core.Scheme, ipi bool) ServerLatencyRow {
-		k := kernel.New(machine.CPUIsolation(), scheme, kernel.Options{IPIRevoke: ipi, Profiled: true})
-		svc := k.NewSPU("service", 1)
-		batch := k.NewSPU("batch", 1)
-		k.Boot()
-		job := workload.Server(k, svc.ID(), "svc", workload.DefaultServer())
-		k.Spawn(job.Root)
-		for i := 0; i < 16; i++ {
-			k.Spawn(workload.ComputeBound(k, batch.ID(), fmt.Sprintf("b%d", i),
-				workload.ComputeParams{Total: 20 * sim.Second, Chunk: 100 * sim.Millisecond, WSSPages: 50}))
+		svc := workload.DefaultServer()
+		hog := workload.ComputeParams{Total: 20 * sim.Second, Chunk: 100 * sim.Millisecond, WSSPages: 50}
+		p := scenario.Plan{
+			Machine: machine.CPUIsolation(), Scheme: scheme,
+			Options: kernel.Options{IPIRevoke: ipi, Profiled: true},
+			SPUs:    []scenario.SPU{{Name: "service"}, {Name: "batch"}},
+			Jobs:    []scenario.Job{{Name: "svc", Server: &svc}},
 		}
-		end := k.Run()
-		res.observe(k, fmt.Sprintf("%s/ipi=%t", scheme, ipi))
+		for i := 0; i < 16; i++ {
+			p.Jobs = append(p.Jobs, scenario.Job{SPU: 1, Name: fmt.Sprintf("b%d", i), Compute: &hog})
+		}
+		r := scenario.Execute(p)
+		res.observe(r.Kernel, fmt.Sprintf("%s/ipi=%t", scheme, ipi))
+		job, end := r.Servers[0], r.End
 		lat := job.Latencies(end)
 		return ServerLatencyRow{
 			Mean: sim.FromSeconds(lat.Mean()), Max: job.MaxLatency(end),
@@ -167,34 +170,16 @@ type AffinityRow struct {
 func RunAblationAffinity() AffinityResult {
 	var res AffinityResult
 	run := func(name string, reload, minLoan sim.Time) AffinityRow {
-		k := kernel.New(machine.CPUIsolation(), core.PIso, kernel.Options{
+		r := scenario.Execute(scenario.Fig5(core.PIso, kernel.Options{
 			CacheReload: reload, MinLoanInterval: minLoan, Profiled: true,
-		})
-		spu1 := k.NewSPU("ocean", 1)
-		spu2 := k.NewSPU("eda", 1)
-		k.Boot()
-		oc := workload.Ocean(k, spu1.ID(), "ocean", workload.DefaultOcean())
-		k.Spawn(oc)
-		var jobs []interface{ ResponseTime() sim.Time }
-		for i := 0; i < 3; i++ {
-			f := workload.ComputeBound(k, spu2.ID(), fmt.Sprintf("fl%d", i), workload.DefaultFlashlite())
-			v := workload.ComputeBound(k, spu2.ID(), fmt.Sprintf("vcs%d", i), workload.DefaultVCS())
-			k.Spawn(f)
-			k.Spawn(v)
-			jobs = append(jobs, f, v)
-		}
-		k.Run()
-		res.observe(k, name)
-		var sum sim.Time
-		for _, j := range jobs {
-			sum += j.ResponseTime()
-		}
+		}, "fl"))
+		res.observe(r.Kernel, name)
 		return AffinityRow{
 			Config:      name,
-			Ocean:       oc.ResponseTime(),
-			Eda:         sum / sim.Time(len(jobs)),
-			Loans:       k.Scheduler().Stat.Loans,
-			Revocations: k.Scheduler().Stat.Revocations,
+			Ocean:       r.Procs[0].ResponseTime(),
+			Eda:         r.Mean(onSPU(1)),
+			Loans:       r.Kernel.Scheduler().Stat.Loans,
+			Revocations: r.Kernel.Scheduler().Stat.Revocations,
 		}
 	}
 	res.Rows = []AffinityRow{
@@ -241,22 +226,14 @@ type PageInsertResult struct {
 func RunAblationPageInsert() PageInsertResult {
 	var res PageInsertResult
 	run := func(stripes int) (sim.Time, sim.Time) {
-		k := kernel.New(machine.Pmake8(), core.PIso, kernel.Options{PageInsertStripes: stripes, Profiled: true})
-		var spus []core.SPUID
-		for i := 0; i < 8; i++ {
-			s := k.NewSPU(fmt.Sprintf("spu%d", i+1), 1)
-			k.SetAffinity(s.ID(), i)
-			spus = append(spus, s.ID())
-		}
-		k.Boot()
-		k.FS().PageInsertHold = 500 * sim.Microsecond
 		params := workload.DefaultPmake()
-		for i, id := range spus {
-			k.Spawn(workload.Pmake(k, id, fmt.Sprintf("pmake%d", i), params))
-		}
-		end := k.Run()
-		res.observe(k, fmt.Sprintf("stripes=%d", stripes))
-		_, wait := k.FS().PageInsertContention()
+		r := scenario.Boot(eachOfEight(kernel.Options{PageInsertStripes: stripes, Profiled: true},
+			scenario.Job{Name: "pmake", Pmake: &params}))
+		r.Kernel.FS().PageInsertHold = 500 * sim.Microsecond
+		r.Start()
+		end := r.Finish()
+		res.observe(r.Kernel, fmt.Sprintf("stripes=%d", stripes))
+		_, wait := r.Kernel.FS().PageInsertContention()
 		return end, wait
 	}
 	res.CoarseResp, res.CoarseWait = run(1)

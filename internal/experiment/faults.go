@@ -7,6 +7,7 @@ import (
 	"perfiso/internal/fault"
 	"perfiso/internal/kernel"
 	"perfiso/internal/machine"
+	"perfiso/internal/scenario"
 	"perfiso/internal/sim"
 	"perfiso/internal/stats"
 	"perfiso/internal/workload"
@@ -39,15 +40,6 @@ type FaultResult struct {
 	Runs map[core.Scheme]FaultRun
 }
 
-// FaultOptions tunes the experiment.
-type FaultOptions struct {
-	Kernel kernel.Options
-	// Plan overrides DefaultFaultPlan (parsed per run).
-	Plan string
-	// Pmake overrides the per-SPU job shape.
-	Pmake workload.PmakeParams
-}
-
 // RunFaults executes the isolation-under-faults family: two equal SPUs
 // on the 8-CPU fault-isolation machine, each running one pmake job on
 // its own disk. The fault plan degrades the victim SPU's disk and CPUs
@@ -55,17 +47,11 @@ type FaultOptions struct {
 // faulted. The isolation question is the steady SPU's column: under
 // PIso the faults are absorbed by the victim's partition, under SMP the
 // shared pools spread them to the bystander.
-func RunFaults(opts FaultOptions) FaultResult {
-	if opts.Plan == "" {
-		opts.Plan = DefaultFaultPlan
-	}
-	if opts.Pmake.Parallel == 0 {
-		opts.Pmake = workload.DefaultPmake()
-	}
-	res := FaultResult{Plan: opts.Plan, Runs: make(map[core.Scheme]FaultRun)}
+func RunFaults() FaultResult {
+	res := FaultResult{Plan: DefaultFaultPlan, Runs: make(map[core.Scheme]FaultRun)}
 	for _, scheme := range Schemes {
-		base := runFaultConfig(scheme, "", opts, &res.Meter)
-		faulted := runFaultConfig(scheme, opts.Plan, opts, &res.Meter)
+		base := runFaultConfig(scheme, "", &res.Meter)
+		faulted := runFaultConfig(scheme, DefaultFaultPlan, &res.Meter)
 		res.Runs[scheme] = FaultRun{
 			Victim: faulted.Victim, VictimBase: base.Victim,
 			Steady: faulted.Steady, SteadyBase: base.Steady,
@@ -76,38 +62,30 @@ func RunFaults(opts FaultOptions) FaultResult {
 
 // runFaultConfig boots one kernel (clean when spec is empty) and
 // returns the two SPUs' pmake response times.
-func runFaultConfig(scheme core.Scheme, spec string, opts FaultOptions, m *Meter) FaultRun {
-	kopts := opts.Kernel
-	if kopts.MetricsPeriod == 0 {
-		kopts.MetricsPeriod = metricsPeriod
-	}
+func runFaultConfig(scheme core.Scheme, spec string, m *Meter) FaultRun {
+	opts := kernel.Options{MetricsPeriod: metricsPeriod, Profiled: true}
+	config := scheme.String() + "/clean"
 	if spec != "" {
 		plan, err := fault.ParsePlan(spec)
 		if err != nil {
 			panic(fmt.Sprintf("experiment: bad fault plan: %v", err))
 		}
-		kopts.Faults = plan
+		opts.Faults, config = plan, scheme.String()+"/faulted"
 	}
-	kopts.Profiled = true
-	k := kernel.New(machine.FaultIsolation(), scheme, kopts)
+	params := workload.DefaultPmake()
 	// The victim SPU is created first so AssignHomes gives it the
-	// low-index CPUs the plan targets; its files live on disk 0.
-	victim := k.NewSPU("victim", 1)
-	steady := k.NewSPU("steady", 1)
-	k.SetAffinity(victim.ID(), 0)
-	k.SetAffinity(steady.ID(), 1)
-	k.Boot()
-	vj := workload.Pmake(k, victim.ID(), "victim-pmake", opts.Pmake)
-	sj := workload.Pmake(k, steady.ID(), "steady-pmake", opts.Pmake)
-	k.Spawn(vj)
-	k.Spawn(sj)
-	k.Run()
-	config := scheme.String() + "/clean"
-	if spec != "" {
-		config = scheme.String() + "/faulted"
-	}
-	m.observe(k, config)
-	return FaultRun{Victim: vj.ResponseTime(), Steady: sj.ResponseTime()}
+	// low-index CPUs the plan targets; by the round-robin default its
+	// files live on disk 0.
+	r := scenario.Execute(scenario.Plan{
+		Machine: machine.FaultIsolation(), Scheme: scheme, Options: opts,
+		SPUs: []scenario.SPU{{Name: "victim"}, {Name: "steady"}},
+		Jobs: []scenario.Job{
+			{SPU: 0, Name: "victim-pmake", Pmake: &params},
+			{SPU: 1, Name: "steady-pmake", Pmake: &params},
+		},
+	})
+	m.observe(r.Kernel, config)
+	return FaultRun{Victim: r.Procs[0].ResponseTime(), Steady: r.Procs[1].ResponseTime()}
 }
 
 // Rows returns, per scheme, each SPU's faulted response time normalized

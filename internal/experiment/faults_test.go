@@ -11,7 +11,7 @@ var faultsCache *FaultResult
 func faults(t *testing.T) FaultResult {
 	t.Helper()
 	if faultsCache == nil {
-		r := RunFaults(FaultOptions{})
+		r := RunFaults()
 		faultsCache = &r
 	}
 	return *faultsCache

@@ -7,6 +7,7 @@ import (
 	"perfiso/internal/kernel"
 	"perfiso/internal/machine"
 	"perfiso/internal/profile"
+	"perfiso/internal/scenario"
 	"perfiso/internal/sim"
 	"perfiso/internal/stats"
 	"perfiso/internal/workload"
@@ -59,26 +60,19 @@ func RunLockLeak() LockLeakResult {
 	var res LockLeakResult
 	run := func(config string, shards int) {
 		coarse := shards <= 1
-		k := kernel.New(machine.Pmake8(), core.PIso, kernel.Options{
+		lookups := workload.DefaultLookupLoop()
+		r := scenario.Boot(eachOfEight(kernel.Options{
 			InodeMutex:        true,
 			InodeShards:       shards,
 			RunqLockHold:      2 * sim.Microsecond,
 			FrameLockHold:     2 * sim.Microsecond,
 			CoarseKernelLocks: coarse,
 			Profiled:          true,
-		})
-		var spus []core.SPUID
-		for i := 0; i < 8; i++ {
-			s := k.NewSPU(fmt.Sprintf("spu%d", i+1), 1)
-			k.SetAffinity(s.ID(), i)
-			spus = append(spus, s.ID())
-		}
-		k.Boot()
+		}, scenario.Job{Name: "md", Lookup: &lookups}))
+		k := r.Kernel
 		k.FS().LookupHold = 30 * sim.Millisecond
-		for i, id := range spus {
-			k.Spawn(workload.LookupLoop(k, id, fmt.Sprintf("md%d", i), workload.DefaultLookupLoop()))
-		}
-		end := k.Run()
+		r.Start()
+		end := r.Finish()
 		res.observe(k, config)
 
 		row := LockLeakRow{Config: config, Shards: shards, Makespan: end}
@@ -104,6 +98,19 @@ func RunLockLeak() LockLeakResult {
 	run("sharded-4", 4)
 	run("private", 8)
 	return res
+}
+
+// eachOfEight is a PIso plan on the Pmake8 machine with SPUs spu1..spu8,
+// SPU i running one copy of job named job.Name+i.
+func eachOfEight(opts kernel.Options, job scenario.Job) scenario.Plan {
+	p := scenario.Plan{Machine: machine.Pmake8(), Scheme: core.PIso, Options: opts}
+	for i := 0; i < 8; i++ {
+		p.SPUs = append(p.SPUs, scenario.SPU{Name: fmt.Sprintf("spu%d", i+1)})
+		j := job
+		j.SPU, j.Name = i, fmt.Sprintf("%s%d", job.Name, i)
+		p.Jobs = append(p.Jobs, j)
+	}
+	return p
 }
 
 // Table renders the erosion ladder.

@@ -3,11 +3,9 @@ package experiment
 import (
 	"perfiso/internal/core"
 	"perfiso/internal/kernel"
-	"perfiso/internal/machine"
-	"perfiso/internal/proc"
+	"perfiso/internal/scenario"
 	"perfiso/internal/sim"
 	"perfiso/internal/stats"
-	"perfiso/internal/workload"
 )
 
 // MemIsoRun is one configuration's measurement.
@@ -25,64 +23,32 @@ type MemIsoResult struct {
 	BaseSMP    sim.Time // SMP balanced SPU1 response (normalization base)
 }
 
-// MemIsoOptions tunes the experiment.
-type MemIsoOptions struct {
-	Kernel kernel.Options
-	Params workload.PmakeParams // zero -> workload.MemPmake()
-}
-
 // RunMemIso executes the memory-isolation workload (Figure 6's
 // structure): two SPUs on a 4-CPU, 16 MB machine; memory suffices for
 // one pmake job per SPU but two jobs in one SPU cause memory pressure.
 // Balanced: one job each. Unbalanced: SPU 2 runs two jobs.
-func RunMemIso(opts MemIsoOptions) MemIsoResult {
-	if opts.Params.Parallel == 0 {
-		opts.Params = workload.MemPmake()
-	}
+func RunMemIso() MemIsoResult {
 	res := MemIsoResult{
 		Balanced:   make(map[core.Scheme]MemIsoRun),
 		Unbalanced: make(map[core.Scheme]MemIsoRun),
 	}
 	for _, scheme := range Schemes {
-		res.Balanced[scheme] = runMemIsoConfig(scheme, false, opts, &res.Meter)
-		res.Unbalanced[scheme] = runMemIsoConfig(scheme, true, opts, &res.Meter)
+		res.Balanced[scheme] = runMemIsoConfig(scheme, false, &res.Meter)
+		res.Unbalanced[scheme] = runMemIsoConfig(scheme, true, &res.Meter)
 	}
 	res.BaseSMP = res.Balanced[core.SMP].SPU1
 	return res
 }
 
-func runMemIsoConfig(scheme core.Scheme, unbalanced bool, opts MemIsoOptions, m *Meter) MemIsoRun {
-	if opts.Kernel.MetricsPeriod == 0 {
-		opts.Kernel.MetricsPeriod = metricsPeriod
-	}
-	opts.Kernel.Profiled = true
-	k := kernel.New(machine.MemoryIsolation(), scheme, opts.Kernel)
-	spu1 := k.NewSPU("spu1", 1)
-	spu2 := k.NewSPU("spu2", 1)
-	k.SetAffinity(spu1.ID(), 0)
-	k.SetAffinity(spu2.ID(), 1)
-	k.Boot()
-
-	j1 := workload.Pmake(k, spu1.ID(), "job1", opts.Params)
-	k.Spawn(j1)
-	jobs2 := []*proc.Process{workload.Pmake(k, spu2.ID(), "job2a", opts.Params)}
-	k.Spawn(jobs2[0])
-	if unbalanced {
-		j := workload.Pmake(k, spu2.ID(), "job2b", opts.Params)
-		jobs2 = append(jobs2, j)
-		k.Spawn(j)
-	}
-	k.Run()
+func runMemIsoConfig(scheme core.Scheme, unbalanced bool, m *Meter) MemIsoRun {
+	r := scenario.Execute(scenario.Fig7(scheme,
+		kernel.Options{MetricsPeriod: metricsPeriod, Profiled: true}, unbalanced))
 	config := scheme.String() + "/balanced"
 	if unbalanced {
 		config = scheme.String() + "/unbalanced"
 	}
-	m.observe(k, config)
-	ts := make([]sim.Time, len(jobs2))
-	for i, j := range jobs2 {
-		ts[i] = j.ResponseTime()
-	}
-	return MemIsoRun{SPU1: j1.ResponseTime(), SPU2: meanResponse(ts)}
+	m.observe(r.Kernel, config)
+	return MemIsoRun{SPU1: r.Procs[0].ResponseTime(), SPU2: r.Mean(onSPU(1))}
 }
 
 // IsolationRows returns Figure 7's lower graph: SPU 1's normalized

@@ -26,6 +26,9 @@ type Meter struct {
 	Controller []ControllerSummary
 }
 
+// meter returns the meter a result embeds.
+func (m Meter) meter() Meter { return m }
+
 // count folds a finished kernel's engine dispatch total into the meter.
 func (m *Meter) count(k *kernel.Kernel) { m.Events += k.Engine().Dispatched() }
 

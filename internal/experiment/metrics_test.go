@@ -11,7 +11,7 @@ import (
 // The instrumented experiments run with the registry on and distill one
 // summary per kernel configuration, in run order.
 func TestCPUIsoCollectsMetricSummaries(t *testing.T) {
-	r := RunCPUIso(CPUIsoOptions{})
+	r := RunCPUIso()
 	if len(r.Metrics) != len(Schemes) {
 		t.Fatalf("got %d summaries, want one per scheme (%d)", len(r.Metrics), len(Schemes))
 	}

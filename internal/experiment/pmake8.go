@@ -1,15 +1,11 @@
 package experiment
 
 import (
-	"fmt"
-
 	"perfiso/internal/core"
 	"perfiso/internal/kernel"
-	"perfiso/internal/machine"
-	"perfiso/internal/proc"
+	"perfiso/internal/scenario"
 	"perfiso/internal/sim"
 	"perfiso/internal/stats"
-	"perfiso/internal/workload"
 )
 
 // Pmake8Run is one configuration's measurement: mean job response time
@@ -30,25 +26,16 @@ type Pmake8Result struct {
 	BaseSMP sim.Time
 }
 
-// Pmake8Options tunes the experiment (zero value = paper configuration).
-type Pmake8Options struct {
-	Kernel kernel.Options
-	Params workload.PmakeParams // zero value -> workload.DefaultPmake()
-}
-
 // RunPmake8 executes the Pmake8 workload (Figure 1's balanced and
 // unbalanced job distributions) under all three schemes.
-func RunPmake8(opts Pmake8Options) Pmake8Result {
-	if opts.Params.Parallel == 0 {
-		opts.Params = workload.DefaultPmake()
-	}
+func RunPmake8() Pmake8Result {
 	res := Pmake8Result{
 		Balanced:   make(map[core.Scheme]Pmake8Run),
 		Unbalanced: make(map[core.Scheme]Pmake8Run),
 	}
 	for _, scheme := range Schemes {
-		res.Balanced[scheme] = runPmake8Config(scheme, false, opts, &res.Meter)
-		res.Unbalanced[scheme] = runPmake8Config(scheme, true, opts, &res.Meter)
+		res.Balanced[scheme] = runPmake8Config(scheme, false, &res.Meter)
+		res.Unbalanced[scheme] = runPmake8Config(scheme, true, &res.Meter)
 	}
 	res.BaseSMP = res.Balanced[core.SMP].Light
 	return res
@@ -57,46 +44,17 @@ func RunPmake8(opts Pmake8Options) Pmake8Result {
 // runPmake8Config boots one kernel and runs one job distribution.
 // Balanced: one pmake job per SPU (8 jobs). Unbalanced: SPUs 5-8 run two
 // jobs each (12 jobs).
-func runPmake8Config(scheme core.Scheme, unbalanced bool, opts Pmake8Options, m *Meter) Pmake8Run {
-	opts.Kernel.Profiled = true
-	k := kernel.New(machine.Pmake8(), scheme, opts.Kernel)
-	var spus []*core.SPU
-	for i := 0; i < 8; i++ {
-		s := k.NewSPU(fmt.Sprintf("spu%d", i+1), 1)
-		k.SetAffinity(s.ID(), i) // each SPU gets its own fast disk
-		spus = append(spus, s)
-	}
-	k.Boot()
-	var light, heavy []*proc.Process
-	for i, s := range spus {
-		jobs := 1
-		if unbalanced && i >= 4 {
-			jobs = 2
-		}
-		for j := 0; j < jobs; j++ {
-			job := workload.Pmake(k, s.ID(), fmt.Sprintf("pmake%d.%d", i+1, j), opts.Params)
-			if i < 4 {
-				light = append(light, job)
-			} else {
-				heavy = append(heavy, job)
-			}
-			k.Spawn(job)
-		}
-	}
-	k.Run()
-	config := scheme.String() + "/balanced"
+func runPmake8Config(scheme core.Scheme, unbalanced bool, m *Meter) Pmake8Run {
+	heavy, config := 1, scheme.String()+"/balanced"
 	if unbalanced {
-		config = scheme.String() + "/unbalanced"
+		heavy, config = 2, scheme.String()+"/unbalanced"
 	}
-	m.observe(k, config)
-	collect := func(jobs []*proc.Process) sim.Time {
-		times := make([]sim.Time, len(jobs))
-		for i, j := range jobs {
-			times[i] = j.ResponseTime()
-		}
-		return meanResponse(times)
+	r := scenario.Execute(scenario.Pmake8(scheme, kernel.Options{Profiled: true}, "spu", heavy))
+	m.observe(r.Kernel, config)
+	return Pmake8Run{
+		Light: r.Mean(func(j scenario.Job) bool { return j.SPU < 4 }),
+		Heavy: r.Mean(func(j scenario.Job) bool { return j.SPU >= 4 }),
 	}
-	return Pmake8Run{Light: collect(light), Heavy: collect(heavy)}
 }
 
 // Fig2Rows returns Figure 2's bars: per scheme, the normalized response

@@ -12,7 +12,7 @@ import (
 func TestRunAllRecoversPanickingSpec(t *testing.T) {
 	ok := func(id string) Spec {
 		return Spec{ID: id, Title: id, Run: func() Output {
-			return Output{Events: 7}
+			return Output{Meter: Meter{Events: 7}}
 		}}
 	}
 	specs := []Spec{

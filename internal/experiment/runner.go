@@ -27,27 +27,11 @@ type Section struct {
 	Bars  *BarChart
 }
 
-// Output is everything one experiment run produced.
+// Output is everything one experiment run produced: its sections and
+// the simulation work and observer summaries behind them.
 type Output struct {
 	Sections []Section
-	// Events is the total number of simulation events the experiment
-	// dispatched, for events/sec reporting.
-	Events uint64
-	// Metrics holds per-configuration observability summaries for the
-	// experiments that run with the metrics registry on.
-	Metrics []MetricSummary
-	// Attribution holds per-configuration profiler summaries (latency
-	// breakdown per process, cross-SPU interference matrix) for the
-	// experiments that run with the profiler on.
-	Attribution []AttributionSummary
-	// Latency holds per-configuration tail-latency summaries (per-tenant
-	// percentiles and SLO attainment) for the experiments that run with
-	// latency tracking on.
-	Latency []LatencySummary
-	// Controller holds per-configuration SLO-controller summaries
-	// (retune/shed/breaker totals plus the decision log) for the
-	// experiments that run with the closed loop on.
-	Controller []ControllerSummary
+	Meter
 }
 
 // Rows flattens every section table into machine-readable headline rows
@@ -100,7 +84,7 @@ func Registry() []Spec {
 			ID: "pmake8", Aliases: []string{"fig2", "fig3"},
 			Title: "Pmake8 isolation and sharing (Figures 2-3)",
 			Run: func() Output {
-				p := RunPmake8(Pmake8Options{})
+				p := RunPmake8()
 				fig2 := Section{ID: "fig2", Table: p.Fig2Table(), Bars: &BarChart{}}
 				for _, r := range p.Fig2Rows() {
 					fig2.Bars.Labels = append(fig2.Bars.Labels, r.Scheme.String()+" B", r.Scheme.String()+" U")
@@ -111,120 +95,78 @@ func Registry() []Spec {
 					fig3.Bars.Labels = append(fig3.Bars.Labels, r.Scheme.String())
 					fig3.Bars.Values = append(fig3.Bars.Values, r.Heavy)
 				}
-				return Output{Sections: []Section{fig2, fig3}, Events: p.Events, Attribution: p.Attribution}
+				return Output{Sections: []Section{fig2, fig3}, Meter: p.Meter}
 			},
 		},
 		{
 			ID: "fig5", Title: "CPU isolation (Figure 5)",
-			Run: func() Output {
-				r := RunCPUIso(CPUIsoOptions{})
-				return Output{Sections: []Section{{ID: "fig5", Table: r.Table()}}, Events: r.Events, Metrics: r.Metrics, Attribution: r.Attribution}
-			},
+			Run: single("fig5", RunCPUIso),
 		},
 		{
 			ID: "fig7", Title: "Memory isolation (Figure 7)",
-			Run: func() Output {
-				r := RunMemIso(MemIsoOptions{})
-				return Output{Sections: []Section{{ID: "fig7", Table: r.Table()}}, Events: r.Events, Metrics: r.Metrics, Attribution: r.Attribution}
-			},
+			Run: single("fig7", RunMemIso),
 		},
 		{
 			ID: "tab3", Title: "Disk isolation, pmake-copy (Table 3)",
-			Run: func() Output {
-				r := RunTable3(DiskOptions{})
-				return Output{Sections: []Section{{ID: "tab3", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
-			},
+			Run: single("tab3", RunTable3),
 		},
 		{
 			ID: "tab4", Title: "Disk head position vs fairness (Table 4)",
-			Run: func() Output {
-				r := RunTable4(DiskOptions{})
-				return Output{Sections: []Section{{ID: "tab4", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
-			},
+			Run: single("tab4", RunTable4),
 		},
 		{
 			ID: "isolation-under-faults", Aliases: []string{"faults"},
 			Title: "Isolation under injected faults (extension)", Ablation: true,
 			Run: func() Output {
-				r := RunFaults(FaultOptions{})
+				r := RunFaults()
 				s := Section{ID: "isolation-under-faults", Table: r.Table(), Bars: &BarChart{}}
 				for _, row := range r.Rows() {
 					s.Bars.Labels = append(s.Bars.Labels, row.Scheme.String()+" V", row.Scheme.String()+" S")
 					s.Bars.Values = append(s.Bars.Values, row.Victim, row.Steady)
 				}
-				return Output{Sections: []Section{s}, Events: r.Events, Metrics: r.Metrics, Attribution: r.Attribution}
+				return Output{Sections: []Section{s}, Meter: r.Meter}
 			},
 		},
 		{
 			ID: "abl-bwthreshold", Title: "Ablation: BW-difference threshold sweep", Ablation: true,
-			Run: func() Output {
-				r := RunAblationBWThreshold(nil)
-				return Output{Sections: []Section{{ID: "abl-bwthreshold", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
-			},
+			Run: single("abl-bwthreshold", func() BWThresholdResult { return RunAblationBWThreshold(nil) }),
 		},
 		{
 			ID: "abl-reserve", Title: "Ablation: memory Reserve Threshold sweep", Ablation: true,
-			Run: func() Output {
-				r := RunAblationReserve(nil)
-				return Output{Sections: []Section{{ID: "abl-reserve", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
-			},
+			Run: single("abl-reserve", func() ReserveResult { return RunAblationReserve(nil) }),
 		},
 		{
 			ID: "abl-inodelock", Title: "Ablation: inode-lock granularity", Ablation: true,
-			Run: func() Output {
-				r := RunAblationInodeLock()
-				return Output{Sections: []Section{{ID: "abl-inodelock", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
-			},
+			Run: single("abl-inodelock", RunAblationInodeLock),
 		},
 		{
 			ID: "abl-pageinsert", Title: "Ablation: page-insert-lock granularity", Ablation: true,
-			Run: func() Output {
-				r := RunAblationPageInsert()
-				return Output{Sections: []Section{{ID: "abl-pageinsert", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
-			},
+			Run: single("abl-pageinsert", RunAblationPageInsert),
 		},
 		{
 			ID: "lock-leak", Aliases: []string{"abl-lockleak"},
 			Title: "Lock-sharing erosion of performance isolation", Ablation: true,
-			Run: func() Output {
-				r := RunLockLeak()
-				return Output{Sections: []Section{{ID: "lock-leak", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
-			},
+			Run: single("lock-leak", RunLockLeak),
 		},
 		{
 			ID: "abl-revocation", Title: "Ablation: CPU revocation latency", Ablation: true,
-			Run: func() Output {
-				r := RunAblationRevocation()
-				return Output{Sections: []Section{{ID: "abl-revocation", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
-			},
+			Run: single("abl-revocation", RunAblationRevocation),
 		},
 		{
 			ID: "abl-affinity", Title: "Ablation: cache pollution and loan limiting", Ablation: true,
-			Run: func() Output {
-				r := RunAblationAffinity()
-				return Output{Sections: []Section{{ID: "abl-affinity", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
-			},
+			Run: single("abl-affinity", RunAblationAffinity),
 		},
 		{
 			ID: "abl-gang", Title: "Ablation: gang scheduling", Ablation: true,
-			Run: func() Output {
-				r := RunAblationGang()
-				return Output{Sections: []Section{{ID: "abl-gang", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
-			},
+			Run: single("abl-gang", RunAblationGang),
 		},
 		{
 			ID: "abl-network", Title: "Ablation: network bandwidth isolation", Ablation: true,
-			Run: func() Output {
-				r := RunAblationNetwork()
-				return Output{Sections: []Section{{ID: "abl-network", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
-			},
+			Run: single("abl-network", RunAblationNetwork),
 		},
 		{
 			ID: "server-latency", Title: "Extension: interactive response-time isolation", Ablation: true,
-			Run: func() Output {
-				r := RunServerLatency()
-				return Output{Sections: []Section{{ID: "server-latency", Table: r.Table()}}, Events: r.Events, Attribution: r.Attribution}
-			},
+			Run: single("server-latency", RunServerLatency),
 		},
 		{
 			ID: "slo-controller", Aliases: []string{"controller", "adaptive"},
@@ -236,9 +178,7 @@ func Registry() []Spec {
 						{ID: "slo-controller", Table: r.Table()},
 						{ID: "slo-frontier", Table: r.FrontierTable()},
 					},
-					Events: r.Events, Metrics: r.Metrics,
-					Attribution: r.Attribution, Latency: r.Latency,
-					Controller: r.Controller,
+					Meter: r.Meter,
 				}
 			},
 		},
@@ -252,11 +192,25 @@ func Registry() []Spec {
 						{ID: "open-arrival", Table: r.Table()},
 						{ID: "open-arrival-breakdown", Table: r.BreakdownTable()},
 					},
-					Events: r.Events, Metrics: r.Metrics,
-					Attribution: r.Attribution, Latency: r.Latency,
+					Meter: r.Meter,
 				}
 			},
 		},
+	}
+}
+
+// tabled is a one-table experiment result (every result embeds Meter).
+type tabled interface {
+	Table() *stats.Table
+	meter() Meter
+}
+
+// single adapts a one-table experiment to Spec.Run, its table filed
+// under section id.
+func single[R tabled](id string, run func() R) func() Output {
+	return func() Output {
+		r := run()
+		return Output{Sections: []Section{{ID: id, Table: r.Table()}}, Meter: r.meter()}
 	}
 }
 

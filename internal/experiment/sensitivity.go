@@ -5,11 +5,9 @@ import (
 
 	"perfiso/internal/core"
 	"perfiso/internal/kernel"
-	"perfiso/internal/machine"
-	"perfiso/internal/proc"
+	"perfiso/internal/scenario"
 	"perfiso/internal/sim"
 	"perfiso/internal/stats"
-	"perfiso/internal/workload"
 )
 
 // SensitivityResult sweeps background load on the Pmake8 machine: SPU 1
@@ -50,32 +48,9 @@ func RunSensitivity(loads []int) SensitivityResult {
 // runSensitivityPoint runs the victim job against load background jobs
 // in each of SPUs 5-8 and returns the victim's response time.
 func runSensitivityPoint(scheme core.Scheme, load int, m *Meter) sim.Time {
-	k := kernel.New(machine.Pmake8(), scheme, kernel.Options{Profiled: true})
-	var spus []*core.SPU
-	for i := 0; i < 8; i++ {
-		s := k.NewSPU(fmt.Sprintf("spu%d", i+1), 1)
-		k.SetAffinity(s.ID(), i)
-		spus = append(spus, s)
-	}
-	k.Boot()
-	params := workload.DefaultPmake()
-	var victim *proc.Process
-	for i, s := range spus {
-		jobs := 1
-		if i >= 4 {
-			jobs = load
-		}
-		for j := 0; j < jobs; j++ {
-			p := workload.Pmake(k, s.ID(), fmt.Sprintf("pmake%d.%d", i+1, j), params)
-			if i == 0 && j == 0 {
-				victim = p
-			}
-			k.Spawn(p)
-		}
-	}
-	k.Run()
-	m.observe(k, fmt.Sprintf("%s/load%d", scheme, load))
-	return victim.ResponseTime()
+	r := scenario.Execute(scenario.Pmake8(scheme, kernel.Options{Profiled: true}, "spu", load))
+	m.observe(r.Kernel, fmt.Sprintf("%s/load%d", scheme, load))
+	return r.Procs[0].ResponseTime()
 }
 
 // Table renders the sweep: one row per load level, one column per

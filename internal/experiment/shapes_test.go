@@ -16,7 +16,7 @@ var pmake8Cache *Pmake8Result
 func pmake8(t *testing.T) Pmake8Result {
 	t.Helper()
 	if pmake8Cache == nil {
-		r := RunPmake8(Pmake8Options{})
+		r := RunPmake8()
 		pmake8Cache = &r
 	}
 	return *pmake8Cache
@@ -80,7 +80,7 @@ func TestFig3SharingShape(t *testing.T) {
 // ideal and PIso close behind; Flashlite and VCS (heavy SPU) do much
 // better under PIso than Quo and land near SMP.
 func TestFig5CPUIsolationShape(t *testing.T) {
-	r := RunCPUIso(CPUIsoOptions{})
+	r := RunCPUIso()
 	for _, row := range r.Rows() {
 		switch row.App {
 		case "Ocean":
@@ -113,7 +113,7 @@ func TestFig5CPUIsolationShape(t *testing.T) {
 // SMP; SPU2 (two jobs) suffers badly under Quo and lands near SMP under
 // PIso.
 func TestFig7MemoryIsolationShape(t *testing.T) {
-	r := RunMemIso(MemIsoOptions{})
+	r := RunMemIso()
 	iso := map[core.Scheme]struct{ b, u float64 }{}
 	for _, row := range r.IsolationRows() {
 		iso[row.Scheme] = struct{ b, u float64 }{row.Balanced, row.Unbalanced}
@@ -152,7 +152,7 @@ func TestFig7MemoryIsolationShape(t *testing.T) {
 // per-request wait versus Pos, at a modest cost to the copy; blind Iso
 // performs like PIso here because the pmake's requests are irregular.
 func TestTable3Shape(t *testing.T) {
-	r := RunTable3(DiskOptions{})
+	r := RunTable3()
 	pos, iso, piso := r.Row("Pos"), r.Row("Iso"), r.Row("PIso")
 	if pos == nil || iso == nil || piso == nil {
 		t.Fatal("missing rows")
@@ -192,7 +192,7 @@ func TestTable3Shape(t *testing.T) {
 // because it also considers head position; Iso pays extra positioning
 // latency; under Pos the small copy is locked out by the big one.
 func TestTable4Shape(t *testing.T) {
-	r := RunTable4(DiskOptions{})
+	r := RunTable4()
 	pos, iso, piso := r.Row("Pos"), r.Row("Iso"), r.Row("PIso")
 	if pos == nil || iso == nil || piso == nil {
 		t.Fatal("missing rows")
@@ -240,7 +240,7 @@ func TestTableRendering(t *testing.T) {
 	if r.Fig2Table().NumRows() != 3 || r.Fig3Table().NumRows() != 3 {
 		t.Fatal("figure tables incomplete")
 	}
-	d := RunTable4(DiskOptions{})
+	d := RunTable4()
 	if d.Table().NumRows() != 3 {
 		t.Fatal("disk table incomplete")
 	}

@@ -7,6 +7,7 @@ import (
 	"perfiso/internal/kernel"
 	"perfiso/internal/machine"
 	"perfiso/internal/profile"
+	"perfiso/internal/scenario"
 	"perfiso/internal/sim"
 	"perfiso/internal/stats"
 	"perfiso/internal/workload"
@@ -27,10 +28,6 @@ const OpenArrivalTolerance = 1.5
 // on top of OpenArrivalTolerance×solo: roughly the queueing delay of a
 // couple of overlapping requests on the tenant's single entitled CPU.
 const OpenArrivalSlack = 10 * sim.Millisecond
-
-// openArrivalNoiseHogs is how many compute antagonists the noise SPU
-// runs in the shared configurations.
-const openArrivalNoiseHogs = 8
 
 // OpenArrivalRow is one (config, tenant) cell of the multi-tenant
 // open-arrival comparison: the percentile ladder, SLO attainment, and
@@ -74,53 +71,27 @@ func RunOpenArrival() OpenArrivalResult {
 	window := 500 * sim.Millisecond
 
 	solo := make(map[string]TenantLatency)
-	for _, ts := range tenants {
-		k := kernel.New(machine.Pmake8(), core.PIso, kernel.Options{
-			LatencyWindow: window, IPIRevoke: true,
+	for i, ts := range tenants {
+		r := scenario.Execute(scenario.Plan{
+			Machine: machine.Pmake8(), Scheme: core.PIso,
+			Options: kernel.Options{LatencyWindow: window, IPIRevoke: true},
+			SPUs:    []scenario.SPU{{Name: ts.Name, Weight: ts.Weight}},
+			Jobs:    []scenario.Job{{Name: ts.Name, Open: &tenants[i].Server}},
 		})
-		spu := k.NewSPU(ts.Name, ts.Weight)
-		k.Boot()
-		job := workload.OpenServer(k, spu.ID(), ts.Name, ts.Server)
-		k.Spawn(job.Root)
-		end := k.Run()
-		job.CensorTail(end)
-		res.observe(k, "solo/"+ts.Name)
+		res.observe(r.Kernel, "solo/"+ts.Name)
 		tl := res.Latency[len(res.Latency)-1].Tenant(ts.Name)
 		solo[ts.Name] = *tl
 		res.Rows = append(res.Rows, openArrivalRow("solo", *tl, 0))
 	}
 
 	shared := func(scheme core.Scheme, config string) (LatencySummary, []profile.Theft, map[int]string) {
-		opts := kernel.Options{LatencyWindow: window, Profiled: true}
-		if scheme == core.PIso {
-			opts.IPIRevoke = true
-		}
-		k := kernel.New(machine.Pmake8(), scheme, opts)
-		spus := make([]core.SPUID, len(tenants))
-		for i, ts := range tenants {
-			spus[i] = k.NewSPU(ts.Name, ts.Weight).ID()
-		}
-		noise := k.NewSPU("noise", 4)
-		k.Boot()
-		jobs := make([]*workload.ServerJob, len(tenants))
-		for i, ts := range tenants {
-			jobs[i] = workload.OpenServer(k, spus[i], ts.Name, ts.Server)
-			k.Spawn(jobs[i].Root)
-		}
-		for i := 0; i < openArrivalNoiseHogs; i++ {
-			k.Spawn(workload.ComputeBound(k, noise.ID(), fmt.Sprintf("hog%d", i),
-				workload.ComputeParams{Total: 12 * sim.Second, Chunk: 100 * sim.Millisecond, WSSPages: 50}))
-		}
-		end := k.Run()
-		for _, j := range jobs {
-			j.CensorTail(end)
-		}
-		res.observe(k, config)
+		r := scenario.Execute(scenario.Tenants(scheme, kernel.Options{LatencyWindow: window, Profiled: true}))
+		res.observe(r.Kernel, config)
 		names := make(map[int]string)
-		for _, u := range k.SPUs().All() {
+		for _, u := range r.Kernel.SPUs().All() {
 			names[int(u.ID())] = u.Name()
 		}
-		return res.Latency[len(res.Latency)-1], k.Profile().Interference(), names
+		return res.Latency[len(res.Latency)-1], r.Kernel.Profile().Interference(), names
 	}
 
 	smp, smpTheft, smpNames := shared(core.SMP, "SMP")
@@ -181,7 +152,7 @@ func (r OpenArrivalResult) Row(config, tenant string) *OpenArrivalRow {
 func (r OpenArrivalResult) Table() *stats.Table {
 	t := stats.NewTable(
 		fmt.Sprintf("Extension: multi-tenant open-arrival tail latency (%d tenants vs %d noise hogs, Pmake8)",
-			len(workload.TenantSet()), openArrivalNoiseHogs),
+			len(workload.TenantSet()), scenario.TenantHogs),
 		"Config", "Tenant", "p50 (ms)", "p99 (ms)", "p999 (ms)", "Attain (%)", "Censored", "p99 vs solo")
 	for _, row := range r.Rows {
 		ratio := "-"

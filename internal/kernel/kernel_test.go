@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"testing"
 
 	"perfiso/internal/core"
@@ -139,6 +140,27 @@ func TestAffinityDefaultsRoundRobin(t *testing.T) {
 	k.SetAffinity(c.ID(), 1)
 	if k.AffinityDisk(c.ID()) != k.Disk(1) {
 		t.Fatal("SetAffinity ignored")
+	}
+}
+
+// The experiment, soak and pisosim plans pin no disks: each relies on
+// SPU i landing on disk i mod disks, which is what their explicit
+// affinity calls used to spell out (one disk per SPU on Pmake8; spu1 on
+// disk 0 and spu2 on disk 1 on the two-disk machines; every SPU on the
+// disk-isolation machine's one shared disk).
+func TestAffinityDefaultPerMachine(t *testing.T) {
+	for _, cfg := range []machine.Config{
+		machine.Pmake8(), machine.CPUIsolation(), machine.MemoryIsolation(),
+		machine.FaultIsolation(), machine.DiskIsolation(),
+	} {
+		k := New(cfg, core.PIso, Options{})
+		for i := 0; i < len(cfg.Disks)+2; i++ {
+			s := k.NewSPU(fmt.Sprintf("spu%d", i+1), 1)
+			d := i % len(cfg.Disks)
+			if k.AffinityDisk(s.ID()) != k.Disk(d) || k.AffinityAllocator(s.ID()) != k.Allocator(d) {
+				t.Errorf("%s: SPU %d not on disk %d", cfg.Name, i, d)
+			}
+		}
 	}
 }
 

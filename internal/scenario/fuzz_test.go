@@ -14,6 +14,9 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))
 	f.Add([]byte(`[1,2,3]`))
+	for doc := range badDiskSpecs {
+		f.Add([]byte(doc))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := Parse(data)
 		if err != nil {

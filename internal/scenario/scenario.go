@@ -1,8 +1,12 @@
-// Package scenario runs declarative simulation specs: a JSON document
-// describes the machine, the allocation scheme, the SPUs and their
-// workloads, and the runner boots the kernel, executes everything, and
-// reports per-job response times — so experiments can be described in a
-// file instead of Go code (pisosim -spec).
+// Package scenario is the one boot path of the simulator: a Plan
+// describes a run as data (machine, scheme, kernel options, SPUs, jobs)
+// and Boot, Start and Finish execute it. The experiment registry, the
+// soak harness, the pisosim workloads and the declarative JSON specs
+// (pisosim -spec) all build Plans.
+//
+// A JSON spec describes the machine, the allocation scheme, the SPUs
+// and their workloads; it decodes into a Plan, and the result reports
+// per-job response times.
 //
 // Example spec:
 //
@@ -27,7 +31,6 @@ import (
 	"perfiso/internal/core"
 	"perfiso/internal/kernel"
 	"perfiso/internal/machine"
-	"perfiso/internal/proc"
 	"perfiso/internal/sim"
 	"perfiso/internal/workload"
 )
@@ -54,7 +57,7 @@ type Spec struct {
 type SPUSpec struct {
 	Name   string  `json:"name"`
 	Weight float64 `json:"weight"`         // 0 means 1
-	Disk   *int    `json:"disk,omitempty"` // affinity; default round-robin
+	Disk   *int    `json:"disk,omitempty"` // affinity, a disk of the machine; default round-robin
 }
 
 // JobSpec declares one workload instance.
@@ -109,7 +112,8 @@ func Parse(data []byte) (*Spec, error) {
 }
 
 func (s *Spec) validate() error {
-	if _, err := s.machine(); err != nil {
+	cfg, err := s.machine()
+	if err != nil {
 		return err
 	}
 	if _, err := s.scheme(); err != nil {
@@ -127,6 +131,14 @@ func (s *Spec) validate() error {
 			return fmt.Errorf("scenario: duplicate SPU %q", sp.Name)
 		}
 		names[sp.Name] = true
+		if n := len(cfg.Disks); sp.Disk != nil && (*sp.Disk < 0 || *sp.Disk >= n) {
+			unit := "disks"
+			if n == 1 {
+				unit = "disk"
+			}
+			return fmt.Errorf("scenario: SPU %q disk %d out of range (%s has %d %s)",
+				sp.Name, *sp.Disk, cfg.Name, n, unit)
+		}
 	}
 	if len(s.Jobs) == 0 {
 		return fmt.Errorf("scenario: no jobs declared")
@@ -177,112 +189,100 @@ func (s *Spec) scheme() (core.Scheme, error) {
 
 // Run executes the scenario to completion.
 func (s *Spec) Run() (*Result, error) {
-	cfg, err := s.machine()
-	if err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	scheme, err := s.scheme()
-	if err != nil {
-		return nil, err
-	}
-	k := kernel.New(cfg, scheme, kernel.Options{
-		DiskSched: s.DiskSched,
-		IPIRevoke: s.IPIRevoke,
-		Seed:      s.Seed,
-	})
-	spus := make(map[string]*core.SPU)
-	for _, sp := range s.SPUs {
-		w := sp.Weight
-		if w <= 0 {
-			w = 1
-		}
-		u := k.NewSPU(sp.Name, w)
-		if sp.Disk != nil {
-			k.SetAffinity(u.ID(), *sp.Disk)
-		}
-		spus[sp.Name] = u
-	}
-	k.Boot()
-
-	type runningJob struct {
-		spec JobSpec
-		p    *proc.Process
-		srv  *workload.ServerJob
-	}
-	var jobs []runningJob
-	for _, j := range s.Jobs {
-		spu := spus[j.SPU].ID()
-		var rj runningJob
-		rj.spec = j
-		switch j.Type {
-		case "pmake":
-			params := workload.DefaultPmake()
-			if j.Parallel > 0 {
-				params.Parallel = j.Parallel
-			}
-			if j.WSSPages > 0 {
-				params.WSSPages = j.WSSPages
-			}
-			rj.p = workload.Pmake(k, spu, j.Name, params)
-		case "copy":
-			rj.p = workload.Copy(k, spu, j.Name, workload.DefaultCopy(j.Bytes))
-		case "ocean":
-			params := workload.DefaultOcean()
-			if j.WSSPages > 0 {
-				params.WSSPages = j.WSSPages
-			}
-			rj.p = workload.Ocean(k, spu, j.Name, params)
-		case "flashlite", "vcs", "compute":
-			var params workload.ComputeParams
-			switch j.Type {
-			case "flashlite":
-				params = workload.DefaultFlashlite()
-			case "vcs":
-				params = workload.DefaultVCS()
-			default:
-				params = workload.ComputeParams{Total: sim.Second, Chunk: 100 * sim.Millisecond, WSSPages: 100}
-			}
-			if j.ComputeMS > 0 {
-				params.Total = sim.Time(j.ComputeMS) * sim.Millisecond
-			}
-			if j.WSSPages > 0 {
-				params.WSSPages = j.WSSPages
-			}
-			rj.p = workload.ComputeBound(k, spu, j.Name, params)
-		case "server":
-			params := workload.DefaultServer()
-			if j.Requests > 0 {
-				params.Requests = j.Requests
-			}
-			if j.InterarrivalMS > 0 {
-				params.Interarrival = sim.Time(j.InterarrivalMS) * sim.Millisecond
-			}
-			srv := workload.Server(k, spu, j.Name, params)
-			rj.p = srv.Root
-			rj.srv = srv
-		}
-		k.Spawn(rj.p)
-		jobs = append(jobs, rj)
-	}
-	end := k.Run()
-
+	r := Execute(s.plan())
 	res := &Result{
-		MakespanSecs:   end.Seconds(),
-		CPUUtilization: k.Scheduler().Utilization(),
+		MakespanSecs:   r.End.Seconds(),
+		CPUUtilization: r.Kernel.Scheduler().Utilization(),
 	}
-	for _, rj := range jobs {
+	for i, j := range s.Jobs {
 		jr := JobResult{
-			Name:     rj.spec.Name,
-			SPU:      rj.spec.SPU,
-			Type:     rj.spec.Type,
-			RespSecs: rj.p.ResponseTime().Seconds(),
+			Name:     j.Name,
+			SPU:      j.SPU,
+			Type:     j.Type,
+			RespSecs: r.Procs[i].ResponseTime().Seconds(),
 		}
-		if rj.srv != nil {
-			jr.MaxLatencySecs = rj.srv.MaxLatency(end).Seconds()
+		if srv := r.Servers[i]; srv != nil {
+			jr.MaxLatencySecs = srv.MaxLatency(r.End).Seconds()
 		}
 		res.Jobs = append(res.Jobs, jr)
 	}
 	return res, nil
+}
+
+// plan decodes a validated spec into a Plan.
+func (s *Spec) plan() Plan {
+	cfg, _ := s.machine()
+	scheme, _ := s.scheme()
+	p := Plan{Machine: cfg, Scheme: scheme, Options: kernel.Options{
+		DiskSched: s.DiskSched,
+		IPIRevoke: s.IPIRevoke,
+		Seed:      s.Seed,
+	}}
+	spus := make(map[string]int)
+	for i, sp := range s.SPUs {
+		spus[sp.Name] = i
+		p.SPUs = append(p.SPUs, SPU{Name: sp.Name, Weight: sp.Weight, Disk: sp.Disk})
+	}
+	for _, j := range s.Jobs {
+		p.Jobs = append(p.Jobs, j.job(spus[j.SPU]))
+	}
+	return p
+}
+
+// job decodes one job spec, applying its overrides to the type's
+// default parameters.
+func (j JobSpec) job(spu int) Job {
+	out := Job{SPU: spu, Name: j.Name}
+	switch j.Type {
+	case "pmake":
+		params := workload.DefaultPmake()
+		if j.Parallel > 0 {
+			params.Parallel = j.Parallel
+		}
+		if j.WSSPages > 0 {
+			params.WSSPages = j.WSSPages
+		}
+		out.Pmake = &params
+	case "copy":
+		params := workload.DefaultCopy(j.Bytes)
+		out.Copy = &params
+	case "ocean":
+		params := workload.DefaultOcean()
+		if j.WSSPages > 0 {
+			params.WSSPages = j.WSSPages
+		}
+		out.Ocean = &params
+	case "flashlite", "vcs", "compute":
+		var params workload.ComputeParams
+		switch j.Type {
+		case "flashlite":
+			params = workload.DefaultFlashlite()
+		case "vcs":
+			params = workload.DefaultVCS()
+		default:
+			params = workload.ComputeParams{Total: sim.Second, Chunk: 100 * sim.Millisecond, WSSPages: 100}
+		}
+		if j.ComputeMS > 0 {
+			params.Total = sim.Time(j.ComputeMS) * sim.Millisecond
+		}
+		if j.WSSPages > 0 {
+			params.WSSPages = j.WSSPages
+		}
+		out.Compute = &params
+	case "server":
+		params := workload.DefaultServer()
+		if j.Requests > 0 {
+			params.Requests = j.Requests
+		}
+		if j.InterarrivalMS > 0 {
+			params.Interarrival = sim.Time(j.InterarrivalMS) * sim.Millisecond
+		}
+		out.Server = &params
+	}
+	return out
 }
 
 // JSON renders the result as indented JSON.

@@ -103,6 +103,21 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// badDiskSpecs name a disk the machine does not have; the kernel would
+// panic on them, so Parse must refuse them.
+var badDiskSpecs = map[string]string{
+	`{"machine":"memory-isolation","spus":[{"name":"a","disk":2}],"jobs":[{"type":"pmake","spu":"a","name":"j"}]}`:  `scenario: SPU "a" disk 2 out of range (memory-isolation has 2 disks)`,
+	`{"machine":"memory-isolation","spus":[{"name":"a","disk":-1}],"jobs":[{"type":"pmake","spu":"a","name":"j"}]}`: `scenario: SPU "a" disk -1 out of range (memory-isolation has 2 disks)`,
+}
+
+func TestDiskOutOfRange(t *testing.T) {
+	for doc, want := range badDiskSpecs {
+		if _, err := Parse([]byte(doc)); err == nil || err.Error() != want {
+			t.Errorf("Parse(%s) = %v, want %q", doc, err, want)
+		}
+	}
+}
+
 func TestScenarioDeterministic(t *testing.T) {
 	run := func() string {
 		spec, err := Parse([]byte(validSpec))

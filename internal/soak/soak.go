@@ -18,6 +18,7 @@ import (
 	"perfiso/internal/invariant"
 	"perfiso/internal/kernel"
 	"perfiso/internal/machine"
+	"perfiso/internal/scenario"
 	"perfiso/internal/sim"
 	"perfiso/internal/workload"
 )
@@ -191,34 +192,44 @@ func run(c Case, until sim.Time) (res *Result) {
 		}
 	}()
 
-	k := kernel.New(machine.MemoryIsolation(), c.Scheme, kernel.Options{
-		Seed:         c.Seed ^ uint64(c.Index)<<32,
-		Faults:       c.Faults,
-		AuditCollect: true,
-		Horizon:      Horizon,
-	})
-	spus := make([]*core.SPU, c.SPUs)
-	for i := range spus {
-		spus[i] = k.NewSPU(fmt.Sprintf("u%d", i), 1)
-	}
-	k.Boot()
+	p := c.Plan()
+	p.Until = until
+	r := scenario.Boot(p)
 	if c.sabotage {
 		if at, ok := firstMemLoss(c.Faults); ok {
+			k := r.Kernel
 			k.Engine().Call(at+sim.Millisecond, "soak.sabotage", func() {
 				k.SPUs().Shared().Charge(core.Memory, 1)
 			})
 		}
 	}
-	for i, u := range spus {
-		k.Spawn(workload.Pmake(k, u.ID(), fmt.Sprintf("mk%d", i), c.Pmake))
+	r.Start()
+	end := r.Finish()
+	if until == 0 {
+		res.End = end // a bounded replay has no completion time
 	}
-	if until > 0 {
-		k.RunUntil(until)
-	} else {
-		res.End = k.Run()
-	}
-	res.Violations = append(res.Violations, k.Auditor().Violations()...)
+	res.Violations = append(res.Violations, r.Kernel.Auditor().Violations()...)
 	return res
+}
+
+// Plan is the case as a run description: SPUs u0.. on the
+// memory-isolation machine, each running one pmake job mkI, under the
+// auditor in collect mode and the fault plan.
+func (c Case) Plan() scenario.Plan {
+	p := scenario.Plan{
+		Machine: machine.MemoryIsolation(), Scheme: c.Scheme,
+		Options: kernel.Options{
+			Seed:         c.Seed ^ uint64(c.Index)<<32,
+			Faults:       c.Faults,
+			AuditCollect: true,
+			Horizon:      Horizon,
+		},
+	}
+	for i := 0; i < c.SPUs; i++ {
+		p.SPUs = append(p.SPUs, scenario.SPU{Name: fmt.Sprintf("u%d", i)})
+		p.Jobs = append(p.Jobs, scenario.Job{SPU: i, Name: fmt.Sprintf("mk%d", i), Pmake: &c.Pmake})
+	}
+	return p
 }
 
 func firstMemLoss(p *fault.Plan) (sim.Time, bool) {

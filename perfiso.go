@@ -32,6 +32,7 @@ package perfiso
 
 import (
 	"io"
+	"runtime"
 
 	"perfiso/internal/control"
 	"perfiso/internal/core"
@@ -347,30 +348,18 @@ func (s *System) WriteSpans(w io.Writer) error { return s.k.WriteSpans(w) }
 var HP97560 = disk.HP97560
 
 // ReproduceAll runs every experiment of the paper's evaluation plus the
-// ablations and returns the formatted tables — what cmd/pisobench
+// ablations and extensions — the whole experiment registry, in
+// registry order — and returns the formatted tables: what cmd/pisobench
 // prints. It takes a few seconds of real time.
 func ReproduceAll() string {
 	out := ""
-	p := experiment.RunPmake8(experiment.Pmake8Options{})
-	out += p.Fig2Table().String() + "\n"
-	out += p.Fig3Table().String() + "\n"
-	c := experiment.RunCPUIso(experiment.CPUIsoOptions{})
-	out += c.Table().String() + "\n"
-	m := experiment.RunMemIso(experiment.MemIsoOptions{})
-	out += m.Table().String() + "\n"
-	out += experiment.RunTable3(experiment.DiskOptions{}).Table().String() + "\n"
-	out += experiment.RunTable4(experiment.DiskOptions{}).Table().String() + "\n"
-	out += experiment.RunAblationBWThreshold(nil).Table().String() + "\n"
-	out += experiment.RunAblationReserve(nil).Table().String() + "\n"
-	out += experiment.RunAblationInodeLock().Table().String() + "\n"
-	out += experiment.RunAblationPageInsert().Table().String() + "\n"
-	out += experiment.RunAblationRevocation().Table().String() + "\n"
-	out += experiment.RunAblationAffinity().Table().String() + "\n"
-	out += experiment.RunAblationGang().Table().String() + "\n"
-	out += experiment.RunAblationNetwork().Table().String() + "\n"
-	out += experiment.RunServerLatency().Table().String() + "\n"
-	oa := experiment.RunOpenArrival()
-	out += oa.Table().String() + "\n"
-	out += oa.BreakdownTable().String() + "\n"
+	for _, r := range experiment.RunAll(experiment.Registry(), runtime.GOMAXPROCS(0)) {
+		if r.Err != nil {
+			panic(r.Err)
+		}
+		for _, s := range r.Output.Sections {
+			out += s.Table.String() + "\n"
+		}
+	}
 	return out
 }

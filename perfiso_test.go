@@ -1,8 +1,11 @@
 package perfiso
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+
+	"perfiso/internal/experiment"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -129,6 +132,15 @@ func TestReproduceAllSmoke(t *testing.T) {
 		"inode-lock", "revocation", "network bandwidth"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ReproduceAll output missing %q", want)
+		}
+	}
+	// Every section the registry produces — what pisobench prints —
+	// appears, so the two cannot drift apart again.
+	for _, r := range experiment.RunAll(experiment.Registry(), runtime.GOMAXPROCS(0)) {
+		for _, s := range r.Output.Sections {
+			if !strings.Contains(out, s.Table.Title) {
+				t.Errorf("ReproduceAll output missing %s section %q", r.Spec.ID, s.Table.Title)
+			}
 		}
 	}
 }

@@ -1,6 +1,6 @@
 package perfiso
 
-import "fmt"
+import "perfiso/internal/scenario"
 
 // WorkloadSpec is one canonical single-run scenario — the Table 1
 // machine/workload combinations — registered by name so cmd/pisosim's
@@ -14,8 +14,9 @@ type WorkloadSpec struct {
 	// Unbalanced reports whether the unbalanced flag changes this
 	// workload's job distribution.
 	Unbalanced bool
-	// Build boots a System with the workload's SPUs and jobs attached.
-	// The caller runs it (sys.Run()) and reads sys.Jobs().
+	// Build boots a System with the workload's SPUs and jobs attached,
+	// through the same plans the experiment registry runs. The caller
+	// runs it (sys.Run()) and reads sys.Jobs().
 	Build func(scheme Scheme, opts Options, unbalanced bool) *System
 }
 
@@ -25,23 +26,29 @@ func Workloads() []WorkloadSpec {
 	return []WorkloadSpec{
 		{
 			Name: "pmake8", Desc: "8 CPUs, 8 SPUs, pmake jobs (Figures 2-3)", Unbalanced: true,
-			Build: buildPmake8Workload,
+			Build: func(s Scheme, o Options, unbalanced bool) *System {
+				heavy := 1
+				if unbalanced {
+					heavy = 2
+				}
+				return start(scenario.Pmake8(s, o, "user", heavy))
+			},
 		},
 		{
 			Name: "cpu", Desc: "Ocean vs 3x Flashlite + 3x VCS (Figure 5)",
-			Build: buildCPUWorkload,
+			Build: func(s Scheme, o Options, _ bool) *System { return start(scenario.Fig5(s, o, "flashlite")) },
 		},
 		{
 			Name: "mem", Desc: "pmake jobs under memory pressure (Figure 7)", Unbalanced: true,
-			Build: buildMemWorkload,
+			Build: func(s Scheme, o Options, unbalanced bool) *System { return start(scenario.Fig7(s, o, unbalanced)) },
 		},
 		{
 			Name: "disk", Desc: "pmake vs 20 MB copy on one shared disk (Table 3)",
-			Build: buildDiskWorkload,
+			Build: func(s Scheme, o Options, _ bool) *System { return start(scenario.Table3(s, o)) },
 		},
 		{
 			Name: "tenants", Desc: "4 open-arrival server tenants vs a noisy neighbor (tail latency)",
-			Build: buildTenantsWorkload,
+			Build: func(s Scheme, o Options, _ bool) *System { return start(scenario.Tenants(s, o)) },
 		},
 	}
 }
@@ -66,92 +73,9 @@ func LookupWorkload(name string) (WorkloadSpec, bool) {
 	return WorkloadSpec{}, false
 }
 
-func buildPmake8Workload(scheme Scheme, opts Options, unbalanced bool) *System {
-	sys := New(Pmake8Machine(), scheme, opts)
-	var spus []*SPU
-	for i := 0; i < 8; i++ {
-		s := sys.NewSPU(fmt.Sprintf("user%d", i+1), 1)
-		sys.SetAffinity(s.ID(), i)
-		spus = append(spus, s)
-	}
-	sys.Boot()
-	for i, s := range spus {
-		jobs := 1
-		if unbalanced && i >= 4 {
-			jobs = 2
-		}
-		for j := 0; j < jobs; j++ {
-			sys.Pmake(s, fmt.Sprintf("pmake%d.%d", i+1, j), DefaultPmake())
-		}
-	}
-	return sys
-}
-
-func buildCPUWorkload(scheme Scheme, opts Options, _ bool) *System {
-	sys := New(CPUIsolationMachine(), scheme, opts)
-	s1 := sys.NewSPU("ocean", 1)
-	s2 := sys.NewSPU("eda", 1)
-	sys.Boot()
-	sys.Ocean(s1, "ocean", DefaultOcean())
-	for i := 0; i < 3; i++ {
-		sys.ComputeBound(s2, fmt.Sprintf("flashlite%d", i), DefaultFlashlite())
-		sys.ComputeBound(s2, fmt.Sprintf("vcs%d", i), DefaultVCS())
-	}
-	return sys
-}
-
-func buildMemWorkload(scheme Scheme, opts Options, unbalanced bool) *System {
-	sys := New(MemIsolationMachine(), scheme, opts)
-	s1 := sys.NewSPU("spu1", 1)
-	s2 := sys.NewSPU("spu2", 1)
-	sys.SetAffinity(s1.ID(), 0)
-	sys.SetAffinity(s2.ID(), 1)
-	sys.Boot()
-	sys.Pmake(s1, "job1", MemPmake())
-	sys.Pmake(s2, "job2a", MemPmake())
-	if unbalanced {
-		sys.Pmake(s2, "job2b", MemPmake())
-	}
-	return sys
-}
-
-func buildTenantsWorkload(scheme Scheme, opts Options, _ bool) *System {
-	// Latency tracking is the point of this workload, so it is always
-	// on; -latency only decides whether the JSONL is also written out.
-	if opts.LatencyWindow == 0 {
-		opts.LatencyWindow = 500 * Millisecond
-	}
-	if scheme == PIso {
-		// Tick-bounded revocation would put a scheduler quantum into
-		// every tenant's tail; the §3.1 IPI suggestion is what makes
-		// shared-machine p99 track the solo baseline.
-		opts.IPIRevoke = true
-	}
-	sys := New(Pmake8Machine(), scheme, opts)
-	var spus []*SPU
-	for _, ts := range TenantSet() {
-		spus = append(spus, sys.NewSPU(ts.Name, ts.Weight))
-	}
-	noise := sys.NewSPU("noise", 4)
-	sys.Boot()
-	for i, ts := range TenantSet() {
-		sys.OpenServer(spus[i], ts.Name, ts.Server)
-	}
-	for i := 0; i < 8; i++ {
-		sys.ComputeBound(noise, fmt.Sprintf("hog%d", i),
-			ComputeParams{Total: 12 * Second, Chunk: 100 * Millisecond, WSSPages: 50})
-	}
-	return sys
-}
-
-func buildDiskWorkload(scheme Scheme, opts Options, _ bool) *System {
-	sys := New(DiskIsolationMachine(), scheme, opts)
-	s1 := sys.NewSPU("pmake", 1)
-	s2 := sys.NewSPU("copy", 1)
-	sys.SetAffinity(s1.ID(), 0)
-	sys.SetAffinity(s2.ID(), 0)
-	sys.Boot()
-	sys.Pmake(s1, "pmake", DiskPmake())
-	sys.Copy(s2, "copy", DefaultCopy(20*1024*1024))
-	return sys
+// start boots the plan and spawns its jobs, leaving the caller to Run.
+func start(p scenario.Plan) *System {
+	r := scenario.Boot(p)
+	r.Start()
+	return &System{k: r.Kernel, jobs: r.Procs}
 }
