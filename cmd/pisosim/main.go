@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceN := fs.Int("trace", 0, "dump the last N resource-management decisions")
 	traceKind := fs.String("trace-kind", "", "restrict -trace output to these kinds (comma-separated: sched,mem,disk,fs,proc,policy,fault,audit)")
 	traceSPU := fs.Int("trace-spu", -1, "restrict -trace output to events concerning this SPU id")
-	timeline := fs.Bool("timeline", false, "render per-SPU usage sparklines")
+	timeline := fs.Bool("timeline", false, "render per-SPU usage sparklines and the sampled usage table")
 	metricsPath := fs.String("metrics", "", "write per-SPU metrics as JSONL to this file")
 	latencyPath := fs.String("latency", "", "write per-tenant tail-latency summaries, SLO attainment, and window timelines as JSONL to this file")
 	adaptive := fs.Bool("adaptive", false, "close the loop: retune SPU entitlements from SLO burn (admission control, retry budgets, disk breakers)")
@@ -100,10 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := perfiso.Options{DiskSched: *diskSched, TraceCapacity: *traceN}
-	if *timeline {
-		opts.TimelinePeriod = 100 * perfiso.Millisecond
-	}
-	if *metricsPath != "" || *chromePath != "" {
+	if *timeline || *metricsPath != "" || *chromePath != "" {
 		opts.MetricsPeriod = 100 * perfiso.Millisecond
 	}
 	if *latencyPath != "" {
@@ -144,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		_, wait, pos := sys.DiskStats(0)
 		fmt.Fprintf(stdout, "disk: mean wait %.1fms, mean positioning %.2fms\n", wait*1000, pos*1000)
 	}
-	report(sys, stdout, kinds, spuFilter)
+	report(sys, stdout, *timeline, kinds, spuFilter)
 	if *latencyPath != "" {
 		if err := writeExport(*latencyPath, sys.WriteLatency); err != nil {
 			fmt.Fprintln(stderr, err)
@@ -224,7 +221,7 @@ func parseScheme(name string) (perfiso.Scheme, bool) {
 	return perfiso.SMP, false
 }
 
-func report(sys *perfiso.System, w io.Writer, kinds []trace.Kind, spu string) {
+func report(sys *perfiso.System, w io.Writer, timeline bool, kinds []trace.Kind, spu string) {
 	rep := sys.Report()
 	fmt.Fprintf(w, "\nmakespan %.2fs  cpu-util %.0f%%  disk-reqs %d  reclaims %d  dirty-writes %d\n",
 		rep.Makespan.Seconds(), 100*rep.CPUUtilization, rep.DiskRequests,
@@ -239,8 +236,8 @@ func report(sys *perfiso.System, w io.Writer, kinds []trace.Kind, spu string) {
 			in.Stat.Injected, in.Stat.Reverted, failures,
 			k.FS().Stat.Retries, k.Memory().Stat.PageoutRetries)
 	}
-	if tl := sys.Kernel().Timeline(); tl != nil {
-		fmt.Fprintf(w, "\nper-SPU usage over time (CPUs / MB):\n%s", tl.Render(64))
+	if timeline {
+		fmt.Fprintf(w, "\nper-SPU usage over time (CPUs / MB):\n%s", sys.Kernel().Timeline().Render(64))
 	}
 	if tbl := sys.Kernel().UsageTable(); tbl != nil {
 		fmt.Fprintf(w, "\n%s", tbl)

@@ -102,6 +102,26 @@ func TestRunFaultedWorkload(t *testing.T) {
 	}
 }
 
+// The SMP memory workload under the CI fault plan: the cpu-off heal
+// rebalances the machine, turning SMP threads' foreign occupancy into
+// loans, and the auditor must not bill their earlier wait as a missed
+// revocation.
+func TestRunFaultedSMPMemWorkload(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two full simulations")
+	}
+	for _, extra := range [][]string{nil, {"-unbalanced"}} {
+		args := append([]string{"-workload", "mem", "-scheme", "SMP", "-faults", ciFaultPlan}, extra...)
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 0 {
+			t.Fatalf("%v: exit code %d, stderr: %s", args, code, errOut.String())
+		}
+		if !strings.Contains(out.String(), "faults: injected 3, healed 3") {
+			t.Fatalf("%v: stdout missing fault summary:\n%s", args, out.String())
+		}
+	}
+}
+
 // Smoke test: dispatch the disk workload end to end through the
 // registry and check the report reaches stdout.
 func TestRunDiskWorkload(t *testing.T) {

@@ -46,57 +46,54 @@ import (
 
 // Config tunes the controller. The zero value with Enabled=false is a
 // valid "controller off" configuration; withDefaults fills the rest.
+// The controller ticks once per latency window, evaluating each window
+// right after it completes.
 type Config struct {
 	// Enabled turns the closed loop on. Off, the kernel neither builds
 	// a controller nor touches any SPU share, and every division is
 	// bit-identical to the static weight-driven math.
 	Enabled bool
-	// Period is the controller tick period. Zero means "one latency
-	// window": the controller evaluates each window exactly once, right
-	// after it completes.
-	Period sim.Time
 	// Step is the additive-increase step as a fraction of the SPU's
 	// weight (AIMD's AI term). Default 0.25.
 	Step float64
 	// Decay is the fraction of boosted share a calm SPU keeps per
 	// release tick (AIMD's MD term applied to give-backs). Default 0.5.
 	Decay float64
-	// Floor is the minimum-guarantee floor as a fraction of weight.
-	// Default 0.25.
-	Floor float64
 	// MaxBoost caps an SPU's share at this multiple of its weight.
 	// Default 4.
 	MaxBoost float64
+	// Hold is how many consecutive calm ticks an SPU must string
+	// together before boosted share is released. Default 3.
+	Hold int
+}
+
+// The controller's fixed operating points.
+const (
+	// Floor is the minimum-guarantee floor as a fraction of weight.
+	Floor = 0.25
 	// HighBurn and LowBurn are the hysteresis thresholds on the
 	// window's error-budget burn rate: at or above HighBurn the SPU is
 	// hot (asks for more share); at or below LowBurn it is calm
 	// (donates, and eventually releases boost); in between it holds.
-	// Defaults 1.0 and 0.25.
-	HighBurn float64
-	LowBurn  float64
-	// Hold is how many consecutive calm ticks an SPU must string
-	// together before boosted share is released. Default 3.
-	Hold int
+	HighBurn = 1.0
+	LowBurn  = 0.25
 	// MaxTickFrac bounds any SPU's per-tick share movement to this
-	// fraction of its weight. Default 0.5.
-	MaxTickFrac float64
+	// fraction of its weight.
+	MaxTickFrac = 0.5
 	// ShedBurn is the burn rate beyond which a tenant whose share is
 	// already at MaxBoost gets its admission cap tightened (load
-	// shedding — the graceful-degradation fallback). Default 4.
-	ShedBurn float64
+	// shedding — the graceful-degradation fallback).
+	ShedBurn = 4
 	// MinInflight is the lowest admission cap shedding may impose, so
-	// a degraded tenant always keeps some service. Default 4.
-	MinInflight int
-	// Retry is the deadline-aware retry policy handed to the fs, mem,
-	// and kernel retry loops. Zero fields take DefaultRetryPolicy.
-	Retry RetryPolicy
+	// a degraded tenant always keeps some service.
+	MinInflight = 4
 	// BreakerFail and BreakerSlow are the circuit-breaker trip points:
 	// a disk whose injected failure probability is at least BreakerFail
 	// or whose service-time degradation factor is at least BreakerSlow
-	// is "open" and degraded-mode routing avoids it. Defaults 0.5, 4.
-	BreakerFail float64
-	BreakerSlow float64
-}
+	// is "open" and degraded-mode routing avoids it.
+	BreakerFail = 0.5
+	BreakerSlow = 4
+)
 
 func (c Config) withDefaults() Config {
 	if c.Step <= 0 {
@@ -105,36 +102,11 @@ func (c Config) withDefaults() Config {
 	if c.Decay <= 0 || c.Decay >= 1 {
 		c.Decay = 0.5
 	}
-	if c.Floor <= 0 {
-		c.Floor = 0.25
-	}
 	if c.MaxBoost <= 1 {
 		c.MaxBoost = 4
 	}
-	if c.HighBurn <= 0 {
-		c.HighBurn = 1.0
-	}
-	if c.LowBurn <= 0 {
-		c.LowBurn = 0.25
-	}
 	if c.Hold <= 0 {
 		c.Hold = 3
-	}
-	if c.MaxTickFrac <= 0 {
-		c.MaxTickFrac = 0.5
-	}
-	if c.ShedBurn <= 0 {
-		c.ShedBurn = 4
-	}
-	if c.MinInflight <= 0 {
-		c.MinInflight = 4
-	}
-	c.Retry = c.Retry.withDefaults()
-	if c.BreakerFail <= 0 {
-		c.BreakerFail = 0.5
-	}
-	if c.BreakerSlow <= 0 {
-		c.BreakerSlow = 4
 	}
 	return c
 }
@@ -200,12 +172,8 @@ func New(cfg Config, eng *sim.Engine, spus *core.Manager, lat *latency.Registry,
 	if lat == nil {
 		panic("control: controller without a latency registry has no sensor")
 	}
-	cfg = cfg.withDefaults()
-	if cfg.Period <= 0 {
-		cfg.Period = lat.Window()
-	}
 	return &Controller{
-		cfg:        cfg,
+		cfg:        cfg.withDefaults(),
 		eng:        eng,
 		spus:       spus,
 		lat:        lat,
@@ -223,9 +191,6 @@ func (c *Controller) Config() Config { return c.cfg }
 // LastTickDelta returns the total absolute share movement of the most
 // recent tick — the quantity the bounded-actuation law constrains.
 func (c *Controller) LastTickDelta() float64 { return c.lastDelta }
-
-// Actions returns the decision log in decision order.
-func (c *Controller) Actions() []Action { return c.actions }
 
 // st returns (allocating) the per-SPU state.
 func (c *Controller) st(id core.SPUID) *spuState {
@@ -290,7 +255,7 @@ func (c *Controller) worstBurn(id core.SPUID, idx int) (burn float64, tracked bo
 	}
 	st := c.st(id)
 	if tracked && !observed && st.inflight > 0 {
-		burn = maxf(st.lastBurn, c.cfg.HighBurn)
+		burn = maxf(st.lastBurn, HighBurn)
 	}
 	st.lastBurn = burn
 	return burn, tracked
@@ -324,9 +289,9 @@ func (c *Controller) retune(now sim.Time, users []*core.SPU, burns []float64, tr
 		w := u.Weight()
 		share := u.Share()
 		st := c.st(u.ID())
-		maxMove := c.cfg.MaxTickFrac * w
-		hot := tracked[i] && burns[i] >= c.cfg.HighBurn
-		calm := burns[i] <= c.cfg.LowBurn // untracked SPUs always read calm
+		maxMove := MaxTickFrac * w
+		hot := tracked[i] && burns[i] >= HighBurn
+		calm := burns[i] <= LowBurn // untracked SPUs always read calm
 		switch {
 		case hot:
 			st.calm = 0
@@ -334,7 +299,7 @@ func (c *Controller) retune(now sim.Time, users []*core.SPU, burns []float64, tr
 			// burning — a tenant 10x over its budget cannot wait for
 			// ten polite increments — but never past the per-tick
 			// movement bound, so the actuation law still holds.
-			step := c.cfg.Step * w * maxf(1, burns[i]/c.cfg.HighBurn)
+			step := c.cfg.Step * w * maxf(1, burns[i]/HighBurn)
 			boost[i] = minf(step, c.cfg.MaxBoost*w-share, maxMove)
 			if boost[i] < 0 {
 				boost[i] = 0
@@ -346,7 +311,7 @@ func (c *Controller) retune(now sim.Time, users []*core.SPU, burns []float64, tr
 				restore[i] = minf(w-share, c.cfg.Step*w, maxMove)
 				pos2 += restore[i]
 			}
-			negCap := minf(share-c.cfg.Floor*w, maxMove)
+			negCap := minf(share-Floor*w, maxMove)
 			if negCap <= 0 || st.calm < 2 {
 				// One calm window right after running hot is noise, not
 				// recovery; donating on it would see-saw against the
@@ -429,7 +394,7 @@ func (c *Controller) retune(now sim.Time, users []*core.SPU, burns []float64, tr
 		best := -1
 		var bestRoom float64
 		for i, u := range users {
-			if room := u.Share() - c.cfg.Floor*u.Weight(); best == -1 || room > bestRoom+1e-12 {
+			if room := u.Share() - Floor*u.Weight(); best == -1 || room > bestRoom+1e-12 {
 				best, bestRoom = i, room
 			}
 		}
@@ -458,12 +423,12 @@ func (c *Controller) admission(now sim.Time, users []*core.SPU, burns []float64,
 		w := u.Weight()
 		atCeiling := u.Share() >= c.cfg.MaxBoost*w-1e-9
 		switch {
-		case burns[i] >= c.cfg.ShedBurn && atCeiling:
+		case burns[i] >= ShedBurn && atCeiling:
 			old := st.cap
 			if old == 0 {
-				st.cap = maxi(c.cfg.MinInflight, st.inflight*3/4)
+				st.cap = maxi(MinInflight, st.inflight*3/4)
 			} else {
-				st.cap = maxi(c.cfg.MinInflight, old*3/4)
+				st.cap = maxi(MinInflight, old*3/4)
 			}
 			if st.cap != old {
 				c.record(Action{
@@ -473,7 +438,7 @@ func (c *Controller) admission(now sim.Time, users []*core.SPU, burns []float64,
 				c.Trace.Emitf(trace.Control, fmt.Sprintf("spu%d", u.ID()), "shed-cap",
 					"admission cap %d -> %d (burn %.2f)", old, st.cap, burns[i])
 			}
-		case burns[i] <= c.cfg.LowBurn && st.cap > 0:
+		case burns[i] <= LowBurn && st.cap > 0:
 			old := st.cap
 			st.cap *= 2
 			action := "uncap"
@@ -517,9 +482,6 @@ func (c *Controller) Done(id core.SPUID) {
 	}
 }
 
-// Inflight returns the SPU's current admitted-but-unfinished count.
-func (c *Controller) Inflight(id core.SPUID) int { return c.st(id).inflight }
-
 // Cap returns the SPU's admission cap (0 = uncapped).
 func (c *Controller) Cap(id core.SPUID) int { return c.st(id).cap }
 
@@ -529,7 +491,7 @@ func (c *Controller) Cap(id core.SPUID) int { return c.st(id).cap }
 // the machine, and it heals the instant the injector reverts.
 func (c *Controller) tickBreaker(now sim.Time) {
 	for i, d := range c.disks {
-		open := d.FailProb() >= c.cfg.BreakerFail || d.Slow() >= c.cfg.BreakerSlow
+		open := d.FailProb() >= BreakerFail || d.Slow() >= BreakerSlow
 		if open == c.openMask[i] {
 			continue
 		}
@@ -555,7 +517,7 @@ func (c *Controller) BreakerOpen(i int) bool {
 		return false
 	}
 	d := c.disks[i]
-	return d.FailProb() >= c.cfg.BreakerFail || d.Slow() >= c.cfg.BreakerSlow
+	return d.FailProb() >= BreakerFail || d.Slow() >= BreakerSlow
 }
 
 // Fallback returns the nearest healthy disk to route around tripped

@@ -66,7 +66,7 @@ func (r *rig) sumShare() float64 {
 }
 
 func TestRetryBudgetSchedule(t *testing.T) {
-	b := DefaultRetryPolicy().NewBudget()
+	b := NewBudget()
 	want := []sim.Time{5, 10, 20, 40, 80, 80, 80, 80}
 	var spent sim.Time
 	for i, w := range want {
@@ -112,11 +112,11 @@ func TestRetuneBoostsHotConservesAndFloors(t *testing.T) {
 		}
 		var bound float64
 		for _, u := range r.spus.ActiveUsers() {
-			if u.Share() < cfg.Floor*u.Weight()-1e-9 {
+			if u.Share() < Floor*u.Weight()-1e-9 {
 				t.Fatalf("tick %d: SPU %s share %.3f below floor %.3f",
-					idx, u.Name(), u.Share(), cfg.Floor*u.Weight())
+					idx, u.Name(), u.Share(), Floor*u.Weight())
 			}
-			bound += cfg.MaxTickFrac * u.Weight()
+			bound += MaxTickFrac * u.Weight()
 		}
 		if r.c.LastTickDelta() > bound+1e-9 {
 			t.Fatalf("tick %d: moved %.3f share, bound %.3f", idx, r.c.LastTickDelta(), bound)

@@ -46,13 +46,13 @@ func WriteJSONL(w io.Writer, c *Controller) error {
 	ms := func(t sim.Time) float64 { return float64(t) / float64(sim.Millisecond) }
 	if err := enc.Encode(headerLine{
 		Type:     "controller",
-		PeriodMS: ms(c.cfg.Period),
+		PeriodMS: ms(c.lat.Window()),
 		Step:     c.cfg.Step,
 		Decay:    c.cfg.Decay,
-		Floor:    c.cfg.Floor,
+		Floor:    Floor,
 		MaxBoost: c.cfg.MaxBoost,
-		HighBurn: c.cfg.HighBurn,
-		LowBurn:  c.cfg.LowBurn,
+		HighBurn: HighBurn,
+		LowBurn:  LowBurn,
 		Ticks:    c.Stat.Ticks,
 		Retunes:  c.Stat.Retunes,
 		Boosts:   c.Stat.Boosts,

@@ -2,63 +2,32 @@ package control
 
 import "perfiso/internal/sim"
 
-// RetryPolicy bounds a retry loop. The old fs/mem/kernel retry loops
+// The deadline-aware retry schedule. The old fs/mem/kernel retry loops
 // backed off exponentially but retried forever at full cadence: under
-// a long disk fault every stuck request kept resubmitting every Max,
-// and the retry storm itself became an interference source. A
-// RetryPolicy keeps the exact same exponential schedule (Base doubling
-// to Max) until the request has spent Budget waiting — its deadline
-// budget — and then forces the caller onto its degraded path: fail
-// over to a healthy disk where the data allows it, or throttle to the
-// SlowLane cadence where it does not.
-type RetryPolicy struct {
-	Base     sim.Time // first backoff
-	Max      sim.Time // backoff ceiling
-	Budget   sim.Time // total backoff allowed before the degraded path
-	SlowLane sim.Time // retry cadence once the budget is spent
-}
+// a long disk fault every stuck request kept resubmitting every
+// RetryMax, and the retry storm itself became an interference source.
+// A Budget keeps the exact same exponential schedule (RetryBase
+// doubling to RetryMax) until the request has spent RetryBudget
+// waiting — its deadline budget, about seven attempts — and then forces
+// the caller onto its degraded path: fail over to a healthy disk where
+// the data allows it, or throttle to the RetrySlowLane cadence where it
+// does not.
+const (
+	RetryBase     = 5 * sim.Millisecond   // first backoff
+	RetryMax      = 80 * sim.Millisecond  // backoff ceiling
+	RetryBudget   = 320 * sim.Millisecond // total backoff allowed before the degraded path
+	RetrySlowLane = 160 * sim.Millisecond // retry cadence once the budget is spent
+)
 
-// DefaultRetryPolicy matches the old loops' 5 ms → 80 ms schedule and
-// adds a 320 ms budget (about seven attempts) with a 160 ms slow lane.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		Base:     5 * sim.Millisecond,
-		Max:      80 * sim.Millisecond,
-		Budget:   320 * sim.Millisecond,
-		SlowLane: 160 * sim.Millisecond,
-	}
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	d := DefaultRetryPolicy()
-	if p.Base <= 0 {
-		p.Base = d.Base
-	}
-	if p.Max <= 0 {
-		p.Max = d.Max
-	}
-	if p.Budget <= 0 {
-		p.Budget = d.Budget
-	}
-	if p.SlowLane <= 0 {
-		p.SlowLane = d.SlowLane
-	}
-	return p
-}
-
-// Budget tracks one request's retry spending against a policy. The
-// zero value is not usable; get one from NewBudget.
+// Budget tracks one request's retry spending. The zero value is not
+// usable; get one from NewBudget.
 type Budget struct {
-	p     RetryPolicy
 	spent sim.Time
 	next  sim.Time
 }
 
 // NewBudget starts a fresh budget for one request.
-func (p RetryPolicy) NewBudget() Budget {
-	p = p.withDefaults()
-	return Budget{p: p, next: p.Base}
-}
+func NewBudget() Budget { return Budget{next: RetryBase} }
 
 // Next returns how long to back off before the next attempt.
 // degraded=false means the budget still covers the attempt and wait
@@ -67,14 +36,14 @@ func (p RetryPolicy) NewBudget() Budget {
 // its degraded path (fail over, or keep retrying only at this bounded
 // rate).
 func (b *Budget) Next() (wait sim.Time, degraded bool) {
-	if b.spent >= b.p.Budget {
-		return b.p.SlowLane, true
+	if b.spent >= RetryBudget {
+		return RetrySlowLane, true
 	}
 	wait = b.next
-	if b.next < b.p.Max {
+	if b.next < RetryMax {
 		b.next *= 2
-		if b.next > b.p.Max {
-			b.next = b.p.Max
+		if b.next > RetryMax {
+			b.next = RetryMax
 		}
 	}
 	b.spent += wait
@@ -85,4 +54,4 @@ func (b *Budget) Next() (wait sim.Time, degraded bool) {
 func (b *Budget) Spent() sim.Time { return b.spent }
 
 // Exhausted reports whether the next attempt will be degraded.
-func (b *Budget) Exhausted() bool { return b.spent >= b.p.Budget }
+func (b *Budget) Exhausted() bool { return b.spent >= RetryBudget }

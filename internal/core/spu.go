@@ -206,24 +206,13 @@ func (s *SPU) Share() float64 {
 }
 
 // SetShare sets the dynamic share. Non-positive values panic: a
-// controller must keep every SPU above its floor, and "back to
-// static" is expressed by ClearShare, not by zero.
+// controller must keep every SPU above its floor.
 func (s *SPU) SetShare(v float64) {
 	if v <= 0 {
 		panic(fmt.Sprintf("core: SPU %q share set to non-positive %g", s.name, v))
 	}
 	s.share = v
 }
-
-// ClearShare reverts the SPU to its static weight.
-func (s *SPU) ClearShare() { s.share = 0 }
-
-// ShareSet reports whether a dynamic share is in effect.
-func (s *SPU) ShareSet() bool { return s.share > 0 }
-
-// Active reports whether the SPU is active (has or may have processes).
-// Suspended SPUs keep their identity but receive no resource division.
-func (s *SPU) Active() bool { return s.active }
 
 // Suspend marks the SPU inactive (§2.1: SPUs "could be suspended when
 // they have no active processes and awakened at a later time").

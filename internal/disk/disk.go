@@ -182,9 +182,6 @@ func (d *Disk) SectorsFor(id core.SPUID) int64 {
 // Busy reports whether a request is currently in service.
 func (d *Disk) Busy() bool { return d.busy }
 
-// HeadCylinder returns the cylinder the head is currently over.
-func (d *Disk) HeadCylinder() int { return d.headCyl }
-
 func (d *Disk) spuStats(id core.SPUID) *SPUStats {
 	s, ok := d.PerSPU[id]
 	if !ok {

@@ -314,8 +314,8 @@ func TestPickAllocatesNothing(t *testing.T) {
 func TestBlameChargesEachQueuedRequest(t *testing.T) {
 	for _, culprit := range []core.SPUID{spuA, spuB + 1, core.SharedID} {
 		d := deepQueue(NewPIso(0))
-		d.Profile = profile.New(d.eng, 0)
-		want := profile.New(d.eng, 0)
+		d.Profile = profile.New(d.eng)
+		want := profile.New(d.eng)
 		const total = 3*sim.Millisecond + 7
 		for _, q := range d.queue {
 			if q.SPU != culprit {

@@ -34,6 +34,9 @@ const (
 	// DefaultPageInsertHold is the time one cache-page insertion holds
 	// its page-insert-lock stripe.
 	DefaultPageInsertHold = 2 * sim.Microsecond
+	// FlushPeriod is how often the kernel runs the delayed-write flusher
+	// (FlushTick), IRIX's bdflush cadence.
+	FlushPeriod = 500 * sim.Millisecond
 )
 
 // Stats counts file-system activity.
@@ -100,11 +103,6 @@ type FileSystem struct {
 	// Metrics, when non-nil, receives per-SPU retry and backoff-time
 	// counters for degraded-disk resubmissions. Nil costs nothing.
 	Metrics *metrics.Registry
-	// Retry bounds the degraded-disk resubmission loop (zero fields
-	// take control.DefaultRetryPolicy). Cached file data lives on one
-	// disk, so there is no failover target: once a request's budget is
-	// spent its retries clamp to the policy's slow-lane cadence.
-	Retry control.RetryPolicy
 }
 
 // New creates a file system drawing cache frames from mm.
@@ -185,15 +183,15 @@ func (fs *FileSystem) withInsertLock(spu core.SPUID, f *File, idx int64, fn func
 // failed by an injected transient fault is resubmitted with exponential
 // backoff until it succeeds, and only then does the request's original
 // Done callback run. The backoff runs under a deadline-aware retry
-// budget (control.RetryPolicy): while it lasts the schedule matches the
+// budget (control.NewBudget): while it lasts the schedule matches the
 // old unbounded loop exactly, and once it is spent the request keeps
-// retrying only at the bounded slow-lane cadence — the data is pinned
-// to its disk, so throttling is the degraded path, and a long fault can
-// no longer turn the cache into a full-rate retry storm. Every
-// fs-originated request goes through here.
+// retrying only at the bounded slow-lane cadence — cached file data
+// lives on one disk, so throttling is the degraded path, and a long
+// fault can no longer turn the cache into a full-rate retry storm.
+// Every fs-originated request goes through here.
 func (fs *FileSystem) submit(d *disk.Disk, r *disk.Request) {
 	inner := r.Done
-	budget := fs.Retry.NewBudget()
+	budget := control.NewBudget()
 	r.Done = func(rr *disk.Request) {
 		if rr.Failed {
 			fs.Stat.Retries++
@@ -547,8 +545,8 @@ func (fs *FileSystem) clearDirty(cp *CachePage) {
 	cp.dirty = false
 }
 
-// FlushTick is the bdflush daemon entry point, called by the kernel on
-// its flush period.
+// FlushTick is the bdflush daemon entry point, called by the kernel
+// every FlushPeriod.
 func (fs *FileSystem) FlushTick() { fs.Flush() }
 
 // flushCluster writes one batch of dirty pages of one file as a single

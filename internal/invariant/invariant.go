@@ -177,14 +177,13 @@ func (a *Auditor) checkControl(boundary string) {
 	if c == nil || a.t.SPUs == nil {
 		return
 	}
-	cfg := c.Config()
 	const eps = 1e-9
 	var shares, weights, maxMove float64
 	for _, u := range a.t.SPUs.ActiveUsers() {
 		shares += u.Share()
 		weights += u.Weight()
-		maxMove += cfg.MaxTickFrac * u.Weight()
-		if floor := cfg.Floor * u.Weight(); u.Share() < floor-eps {
+		maxMove += control.MaxTickFrac * u.Weight()
+		if floor := control.Floor * u.Weight(); u.Share() < floor-eps {
 			a.report("control", u.ID(), boundary,
 				fmt.Errorf("share %g below minimum-guarantee floor %g (weight %g)",
 					u.Share(), floor, u.Weight()))

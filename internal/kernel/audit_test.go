@@ -35,8 +35,7 @@ func TestAuditorEnabledByDefault(t *testing.T) {
 	if got := k.Metrics().Counter(metrics.KeyInvariantChecks, metrics.NoSPU).Value(); got == 0 {
 		t.Fatal("invariant.checks metric not counted")
 	}
-	off := New(smallMachine(), core.PIso, Options{AuditDisabled: true, WatchdogDisabled: true})
-	if off.Auditor() != nil || off.Watchdog() != nil {
+	if off := New(smallMachine(), core.PIso, Options{AuditDisabled: true}); off.Auditor() != nil {
 		t.Fatal("opt-out ignored")
 	}
 }

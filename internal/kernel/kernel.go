@@ -39,9 +39,6 @@ type Options struct {
 	// BWThreshold is the PIso BW-difference threshold in sectors
 	// (disk.DefaultBWThreshold when zero).
 	BWThreshold float64
-	// DiskHalfLife is the bandwidth-usage decay half-life (500 ms when
-	// zero, per §3.3).
-	DiskHalfLife sim.Time
 	// DiskMerge enables adjacent-request coalescing in the disk driver
 	// (off by default: the paper's request counts assume the unmerged
 	// IRIX 5.3 driver).
@@ -83,20 +80,11 @@ type Options struct {
 	// MinLoanInterval rate-limits CPU lending after a revocation
 	// (§3.1's "more sophisticated" sharing policy sketch).
 	MinLoanInterval sim.Time
-	// Slice is the scheduler time slice (30 ms when zero).
-	Slice sim.Time
-	// PolicyPeriod is the memory sharing-policy period (100 ms when 0).
-	PolicyPeriod sim.Time
-	// FlushPeriod is the delayed-write flush period (500 ms when 0).
-	FlushPeriod sim.Time
 	// Seed seeds all deterministic randomness (file placement).
 	Seed uint64
 	// TraceCapacity, when positive, turns on decision tracing with a
 	// ring of that many events (see internal/trace).
 	TraceCapacity int
-	// TimelinePeriod, when positive, samples each user SPU's CPU and
-	// memory usage at that period into a Timeline (pisosim -timeline).
-	TimelinePeriod sim.Time
 	// MetricsPeriod, when positive, turns on the observability layer:
 	// a per-SPU metrics registry whose series (CPU, memory, disk usage
 	// per SPU) are sampled at this period on the simulation clock and
@@ -115,10 +103,6 @@ type Options struct {
 	// cross-SPU interference is attributed to its culprit SPU. Off by
 	// default; when off the hot paths pay only a nil check.
 	Profiled bool
-	// ProfileSpanCapacity bounds the profiler's span ring
-	// (profile.DefaultSpanCapacity when zero). Aggregates are unaffected
-	// by the cap; only the per-span log wraps.
-	ProfileSpanCapacity int
 	// Horizon aborts the simulation if processes are still alive after
 	// this much simulated time (default 3600 s) — a hang detector.
 	Horizon sim.Time
@@ -132,9 +116,6 @@ type Options struct {
 	// panicking on the first one — the soak harness uses this to survey
 	// a failure rather than die on its first symptom.
 	AuditCollect bool
-	// WatchdogDisabled turns off the livelock/event-storm watchdog that
-	// otherwise guards Run.
-	WatchdogDisabled bool
 	// Faults, when non-empty, schedules deterministic hardware faults
 	// (disk degradation, CPU stragglers/offlining, memory-frame loss)
 	// at boot; see internal/fault.ParsePlan for the spec syntax.
@@ -163,15 +144,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.BWThreshold <= 0 {
 		o.BWThreshold = disk.DefaultBWThreshold
-	}
-	if o.DiskHalfLife <= 0 {
-		o.DiskHalfLife = 500 * sim.Millisecond
-	}
-	if o.PolicyPeriod <= 0 {
-		o.PolicyPeriod = 100 * sim.Millisecond
-	}
-	if o.FlushPeriod <= 0 {
-		o.FlushPeriod = 500 * sim.Millisecond
 	}
 	if o.Seed == 0 {
 		o.Seed = 0x5eed
@@ -210,7 +182,6 @@ type Kernel struct {
 	tickers  []*sim.Ticker
 	booted   bool
 	tracer   *trace.Tracer
-	timeline *stats.Timeline
 	injector *fault.Injector
 	metrics  *metrics.Registry
 	latreg   *latency.Registry
@@ -228,7 +199,7 @@ func New(cfg machine.Config, scheme core.Scheme, opts Options) *Kernel {
 	opts = opts.withDefaults()
 	eng := sim.NewEngine()
 	if opts.SimObs {
-		eng.AttachObs(simobs.Config{}.ObsConfig())
+		eng.AttachObs(sim.ObsConfig{Classify: simobs.Classify})
 	}
 	spus := core.NewManager()
 	k := &Kernel{
@@ -242,7 +213,6 @@ func New(cfg machine.Config, scheme core.Scheme, opts Options) *Kernel {
 		swapNext: make(map[int]int64),
 	}
 	k.sch = sched.New(eng, spus, cfg.CPUs, sched.Options{
-		Slice:           opts.Slice,
 		IPIRevoke:       opts.IPIRevoke,
 		CacheReload:     opts.CacheReload,
 		MinLoanInterval: opts.MinLoanInterval,
@@ -273,7 +243,7 @@ func New(cfg machine.Config, scheme core.Scheme, opts Options) *Kernel {
 	k.locks.AddGates(k.sch.RunqLock.Gates)
 	k.locks.AddGates(k.mm.FrameLock.Gates)
 	for i, dp := range cfg.Disks {
-		d := disk.New(eng, dp, k.diskScheduler(), opts.DiskHalfLife)
+		d := disk.New(eng, dp, k.diskScheduler(), 0) // 0: the §3.3 500 ms half-life
 		// Per-disk completion-event names ("disk0.complete") give each
 		// disk its own resource domain in simulator telemetry. Set
 		// unconditionally so runs are byte-identical with and without an
@@ -303,7 +273,7 @@ func New(cfg machine.Config, scheme core.Scheme, opts Options) *Kernel {
 		k.ctl.Metrics = k.metrics
 	}
 	if opts.Profiled {
-		k.profiler = profile.New(eng, opts.ProfileSpanCapacity)
+		k.profiler = profile.New(eng)
 		for _, d := range k.disks {
 			d.Profile = k.profiler
 		}
@@ -328,9 +298,7 @@ func New(cfg machine.Config, scheme core.Scheme, opts Options) *Kernel {
 		k.sch.AuditHook = func(reason string) { k.auditor.CheckSched(reason) }
 		k.mm.AuditHook = func(reason string) { k.auditor.CheckMem(reason) }
 	}
-	if !opts.WatchdogDisabled {
-		k.watchdog = invariant.NewWatchdog()
-	}
+	k.watchdog = invariant.NewWatchdog()
 	k.mm.SetPageout(k.pageout)
 	// A little kernel memory: code and data pinned at boot (4 MB),
 	// charged to the kernel SPU so its cost falls on everyone (§2.2).
@@ -463,14 +431,9 @@ func (k *Kernel) Boot() {
 			k.eng.Every(sched.TickPeriod, "auditor.sweep", func() { a.CheckAll("tick") }))
 	}
 	k.tickers = append(k.tickers,
-		k.eng.Every(k.opts.PolicyPeriod, "kernel.mempolicy", k.mm.PolicyTick),
-		k.eng.Every(k.opts.FlushPeriod, "kernel.bdflush", k.fsys.FlushTick),
+		k.eng.Every(mem.PolicyPeriod, "kernel.mempolicy", k.mm.PolicyTick),
+		k.eng.Every(fs.FlushPeriod, "kernel.bdflush", k.fsys.FlushTick),
 	)
-	if k.opts.TimelinePeriod > 0 {
-		k.timeline = stats.NewTimeline()
-		k.tickers = append(k.tickers,
-			k.eng.Every(k.opts.TimelinePeriod, "kernel.timeline", k.sampleTimeline))
-	}
 	if k.metrics != nil {
 		k.registerSeries()
 		k.tickers = append(k.tickers,
@@ -478,7 +441,7 @@ func (k *Kernel) Boot() {
 	}
 	if k.ctl != nil {
 		k.tickers = append(k.tickers,
-			k.eng.Every(k.ctl.Config().Period, "kernel.control", k.ctl.Tick))
+			k.eng.Every(k.latreg.Window(), "kernel.control", k.ctl.Tick))
 	}
 	if !k.opts.Faults.Empty() {
 		k.injector = fault.NewInjector(k.eng, fault.Machine{
@@ -653,7 +616,7 @@ func (k *Kernel) WriteMetrics(w io.Writer) error {
 // per SPU from the sampled series, plus the decision tracer's events as
 // instant markers when tracing is on. A no-op when observability is off.
 func (k *Kernel) WriteChromeTrace(w io.Writer) error {
-	return k.metrics.WriteChromeTraceFull(w, k.tracer.Events(), k.MetricNames(), k.profileSpanEvents(), k.latencyTracks())
+	return k.metrics.WriteChromeTrace(w, k.tracer.Events(), k.MetricNames(), k.profileSpanEvents(), k.latencyTracks())
 }
 
 // WriteProfile writes the profiler's buckets and interference matrix as
@@ -722,17 +685,30 @@ func (k *Kernel) UsageTable() *stats.Table {
 // scheduled.
 func (k *Kernel) Injector() *fault.Injector { return k.injector }
 
-// sampleTimeline records each user SPU's instantaneous CPU occupancy
-// (in CPUs) and memory usage (in MB).
-func (k *Kernel) sampleTimeline() {
-	for _, s := range k.spus.Users() {
-		k.timeline.Record("cpu "+s.Name(), s.Used(core.CPU))
-		k.timeline.Record("mem "+s.Name(), s.Used(core.Memory)*mem.PageSize/float64(machine.MB))
+// Timeline renders the sampled per-SPU series as sparkline rows: each
+// user SPU's CPU occupancy (in CPUs) and memory usage (in MB), skipping
+// SPUs created after boot, which have no series. Nil when observability
+// is off.
+func (k *Kernel) Timeline() *stats.Timeline {
+	if k.metrics == nil {
+		return nil
 	}
+	tl := stats.NewTimeline()
+	for _, s := range k.spus.Users() {
+		cpu := k.metrics.FindSeries(metrics.KeyCPUUsed, s.ID())
+		res := k.metrics.FindSeries(metrics.KeyMemResident, s.ID())
+		if cpu == nil || res == nil {
+			continue
+		}
+		for _, v := range cpu.Values() {
+			tl.Record("cpu "+s.Name(), v)
+		}
+		for _, v := range res.Values() {
+			tl.Record("mem "+s.Name(), v*mem.PageSize/float64(machine.MB))
+		}
+	}
+	return tl
 }
-
-// Timeline returns the usage timeline, or nil when sampling is off.
-func (k *Kernel) Timeline() *stats.Timeline { return k.timeline }
 
 // Rebalance re-divides CPUs and memory among the currently active SPUs.
 // Call it after creating, suspending, or waking SPUs at runtime (§2.1:
@@ -839,12 +815,10 @@ func (k *Kernel) Run() sim.Time {
 		if !k.eng.Step() {
 			panic(fmt.Sprintf("kernel: event queue drained with %d processes alive", k.liveProcs))
 		}
-		if k.watchdog != nil {
-			if err := k.watchdog.Observe(k.eng.Now(), k.eng.Dispatched()); err != nil {
-				// Deliver by panic so a wedged simulation cannot also wedge
-				// the host; the soak harness recovers the *TripError.
-				panic(err)
-			}
+		if err := k.watchdog.Observe(k.eng.Now(), k.eng.Dispatched()); err != nil {
+			// Deliver by panic so a wedged simulation cannot also wedge
+			// the host; the soak harness recovers the *TripError.
+			panic(err)
 		}
 		if k.eng.Now() > k.opts.Horizon {
 			panic(fmt.Sprintf("kernel: horizon %v exceeded with %d processes alive", k.opts.Horizon, k.liveProcs))
@@ -928,7 +902,7 @@ func (k *Kernel) Auditor() *invariant.Auditor { return k.auditor }
 // namespace for reports, audits, and snapshots.
 func (k *Kernel) Locks() *lock.Table { return k.locks }
 
-// Watchdog returns the livelock watchdog, or nil when disabled.
+// Watchdog returns the livelock watchdog that guards Run.
 func (k *Kernel) Watchdog() *invariant.Watchdog { return k.watchdog }
 
 // pageout routes dirty evicted pages to backing store: cache pages to
@@ -1018,7 +992,7 @@ func (k *Kernel) SwapIn(spu core.SPUID, pages int, done func()) {
 
 // submitRetry issues a swap-region disk request, resubmitting transfers
 // failed by an injected fault with exponential backoff under a
-// deadline-aware retry budget (control.RetryPolicy). While the budget
+// deadline-aware retry budget (control.NewBudget). While the budget
 // lasts the schedule matches the old unbounded loop exactly; once it is
 // spent the request fails over to the circuit breaker's fallback disk
 // (when one is healthy) or keeps retrying only at the bounded slow-lane
@@ -1026,7 +1000,7 @@ func (k *Kernel) SwapIn(spu core.SPUID, pages int, done func()) {
 // full-rate retry storm. The original Done callback only ever sees a
 // successful request.
 func (k *Kernel) submitRetry(di int, r *disk.Request) {
-	budget := k.opts.Control.Retry.NewBudget()
+	budget := control.NewBudget()
 	inner := r.Done
 	r.Done = func(rr *disk.Request) {
 		if rr.Failed {

@@ -132,8 +132,8 @@ func TestKernelExports(t *testing.T) {
 	if tbl == nil || tbl.NumRows() != 2 {
 		t.Fatalf("usage table rows = %v", tbl)
 	}
-	tl := k.Metrics().UsageTimeline(k.MetricNames())
-	if len(tl.Labels()) != 6 { // cpu/mem/disk x 2 SPUs
+	tl := k.Timeline()
+	if len(tl.Labels()) != 4 { // cpu/mem x 2 SPUs
 		t.Fatalf("timeline labels = %v", tl.Labels())
 	}
 }

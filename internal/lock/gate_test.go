@@ -12,7 +12,7 @@ import (
 // untouched.
 func TestGateBusyWindowAccounting(t *testing.T) {
 	eng := sim.NewEngine()
-	p := profile.New(eng, 0)
+	p := profile.New(eng)
 	g := NewGate(eng, "t", 10*sim.Microsecond)
 	g.SetProfile(p)
 	g.Acquire(spuA) // opens a window [0, 10us)
@@ -79,7 +79,7 @@ func TestGateNilSafe(t *testing.T) {
 // impossible.
 func TestGateSetSharedVsPrivate(t *testing.T) {
 	eng := sim.NewEngine()
-	p := profile.New(eng, 0)
+	p := profile.New(eng)
 
 	shared := NewGateSet(eng, "s", 10*sim.Microsecond, true)
 	shared.SetProfile(p)

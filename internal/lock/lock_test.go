@@ -194,7 +194,7 @@ func TestZeroHoldAcquisitions(t *testing.T) {
 // delay is self-interference and is dropped.
 func TestContendedWaitFeedsInterferenceMatrix(t *testing.T) {
 	eng := sim.NewEngine()
-	p := profile.New(eng, 0)
+	p := profile.New(eng)
 	l := New(eng, "t", Mutex)
 	l.SetProfile(p)
 	l.Acquire(spuA, false, 10*sim.Millisecond, func() {})

@@ -18,7 +18,6 @@ package mem
 import (
 	"fmt"
 
-	"perfiso/internal/control"
 	"perfiso/internal/core"
 	"perfiso/internal/lock"
 	"perfiso/internal/metrics"
@@ -87,11 +86,6 @@ type Page struct {
 	heapIdx  int      // position in its SPU's reclaim heap, -1 when in none
 }
 
-// Dirty reports whether the page needs write-back before reuse. The flag
-// is set through Manager.MarkDirty / SetDirty so the manager's per-SPU
-// dirty counters stay exact.
-func (p *Page) Dirty() bool { return p.dirty }
-
 // Pinned reports whether the page is exempt from eviction (e.g. its
 // frame is the target of in-flight disk IO). Set through
 // Manager.SetPinned.
@@ -153,10 +147,6 @@ type Manager struct {
 	// Metrics, when non-nil, receives per-SPU reclaim, dirty-write, and
 	// pageout-retry counters. Nil costs nothing.
 	Metrics *metrics.Registry
-	// Retry bounds the failed-pageout resubmission loop (zero fields
-	// take control.DefaultRetryPolicy): exponential backoff while the
-	// budget lasts, slow-lane cadence after.
-	Retry control.RetryPolicy
 	// AuditHook, when non-nil, runs after loan revocations, policy
 	// ticks, and fault-driven frame-count changes so the invariant
 	// auditor can check frame conservation at every sharing boundary.

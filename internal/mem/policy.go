@@ -4,13 +4,14 @@ import (
 	"fmt"
 
 	"perfiso/internal/core"
+	"perfiso/internal/sim"
 	"perfiso/internal/trace"
 )
 
-// DefaultPolicyPeriod is how often the kernel runs the memory sharing
-// policy. The paper checks SPU page usage "periodically"; 100 ms is fine
-// grained enough to track the workloads' phase changes.
-const DefaultPolicyPeriod = 100 // milliseconds; the kernel owns the ticker
+// PolicyPeriod is how often the kernel runs the memory sharing policy.
+// The paper checks SPU page usage "periodically"; 100 ms is fine grained
+// enough to track the workloads' phase changes.
+const PolicyPeriod = 100 * sim.Millisecond
 
 // PolicyTick runs one round of the §3.2 sharing policy:
 //

@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 
+	"perfiso/internal/control"
 	"perfiso/internal/core"
 	"perfiso/internal/metrics"
 	"perfiso/internal/trace"
@@ -194,7 +195,7 @@ func (m *Manager) evictVictim(victim *Page) bool {
 		// throttle to the slow-lane cadence so a long disk fault cannot
 		// turn reclaim into a full-rate retry storm. (The pageout hook
 		// itself reroutes swap writes around breaker-open disks.)
-		budget := m.Retry.NewBudget()
+		budget := control.NewBudget()
 		var onDone func(ok bool)
 		onDone = func(ok bool) {
 			if !ok {

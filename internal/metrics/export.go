@@ -300,30 +300,22 @@ func pid(spu core.SPUID) int {
 func usec(t sim.Time) float64 { return float64(t) / float64(sim.Microsecond) }
 
 // WriteChromeTrace writes a Chrome trace-event JSON file openable in
-// Perfetto or chrome://tracing. Every registered series becomes a
-// counter track on its SPU's process, and the kernel tracer's events
-// (pass Tracer.Events(), or nil) become instant markers on the SPU they
-// concern. Output is one event per line for diffability and is
-// byte-deterministic for a given run.
-func (r *Registry) WriteChromeTrace(w io.Writer, events []trace.Event, names Names) error {
-	return r.WriteChromeTraceWithSpans(w, events, names, nil)
-}
-
-// WriteChromeTraceWithSpans is WriteChromeTrace plus profiler spans:
-// each span becomes a complete ("X") duration slice on a named thread
-// row of its SPU's process track, and flow arrows ("s"/"f") connect a
-// flow source (a disk service span) to the stalls it resolved. Spans
-// are rendered in the order given, which for the profiler is simulation
-// order, so output stays byte-deterministic.
-func (r *Registry) WriteChromeTraceWithSpans(w io.Writer, events []trace.Event, names Names, spans []SpanEvent) error {
-	return r.WriteChromeTraceFull(w, events, names, spans, nil)
-}
-
-// WriteChromeTraceFull is the complete exporter: series counter
-// tracks, external counter tracks (per-window latency percentiles),
-// tracer instants, and profiler spans, in that fixed order so output
-// stays byte-deterministic.
-func (r *Registry) WriteChromeTraceFull(w io.Writer, events []trace.Event, names Names, spans []SpanEvent, tracks []CounterTrack) error {
+// Perfetto or chrome://tracing, in a fixed order so output stays
+// byte-deterministic:
+//
+//   - every registered series becomes a counter track on its SPU's
+//     process, followed by the external counter tracks (per-window
+//     latency percentiles);
+//   - the kernel tracer's events (Tracer.Events(), or nil) become
+//     instant markers on the SPU they concern;
+//   - each profiler span becomes a complete ("X") duration slice on a
+//     named thread row of its SPU's process track, in the order given
+//     (simulation order, for the profiler), and flow arrows ("s"/"f")
+//     connect a flow source (a disk service span) to the stalls it
+//     resolved.
+//
+// Output is one event per line for diffability.
+func (r *Registry) WriteChromeTrace(w io.Writer, events []trace.Event, names Names, spans []SpanEvent, tracks []CounterTrack) error {
 	if r == nil {
 		return nil
 	}
@@ -454,38 +446,6 @@ func (r *Registry) WriteChromeTraceFull(w io.Writer, events []trace.Event, names
 	}
 	_, err := io.WriteString(w, "\n]}\n")
 	return err
-}
-
-// UsageTimeline builds the paper's figure-style per-SPU usage rows from
-// the sampled series: one "cpu", one "mem", and one "disk" row per SPU
-// that has the corresponding series. Disk rows are per-interval sector
-// deltas (bandwidth), not the cumulative count.
-func (r *Registry) UsageTimeline(names Names) *stats.Timeline {
-	tl := stats.NewTimeline()
-	if r == nil {
-		return tl
-	}
-	for _, id := range names.sorted() {
-		name := names[id]
-		if s := r.FindSeries(KeyCPUUsed, id); s != nil {
-			for _, v := range s.vs {
-				tl.Record("cpu "+name, v)
-			}
-		}
-		if s := r.FindSeries(KeyMemResident, id); s != nil {
-			for _, v := range s.vs {
-				tl.Record("mem "+name, v)
-			}
-		}
-		if s := r.FindSeries(KeyDiskSectors, id); s != nil {
-			prev := 0.0
-			for _, v := range s.vs {
-				tl.Record("disk "+name, v-prev)
-				prev = v
-			}
-		}
-	}
-	return tl
 }
 
 // UsageTable summarizes the sampled series per SPU: mean and peak CPUs

@@ -74,7 +74,7 @@ func TestExportsSanitizeNonFiniteValues(t *testing.T) {
 	}
 
 	var chrome bytes.Buffer
-	if err := r.WriteChromeTrace(&chrome, nil, Names{2: "u"}); err != nil {
+	if err := r.WriteChromeTrace(&chrome, nil, Names{2: "u"}, nil, nil); err != nil {
 		t.Fatalf("WriteChromeTrace errored on non-finite values: %v", err)
 	}
 	if !json.Valid(chrome.Bytes()) {

@@ -440,14 +440,6 @@ func (r *Registry) Counters() []*Counter {
 	return r.counters
 }
 
-// Gauges returns the registered gauges in registration order.
-func (r *Registry) Gauges() []*Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.gauges
-}
-
 // Distributions returns the registered distributions in registration order.
 func (r *Registry) Distributions() []*Distribution {
 	if r == nil {

@@ -38,11 +38,8 @@ func TestNilRegistryAndHandlesAreNoOps(t *testing.T) {
 	if err := r.WriteJSONL(&buf, nil); err != nil || buf.Len() != 0 {
 		t.Fatalf("nil WriteJSONL wrote %q, err %v", buf.String(), err)
 	}
-	if err := r.WriteChromeTrace(&buf, nil, nil); err != nil || buf.Len() != 0 {
+	if err := r.WriteChromeTrace(&buf, nil, nil, nil, nil); err != nil || buf.Len() != 0 {
 		t.Fatalf("nil WriteChromeTrace wrote %q, err %v", buf.String(), err)
-	}
-	if tl := r.UsageTimeline(nil); len(tl.Labels()) != 0 {
-		t.Fatal("nil UsageTimeline has rows")
 	}
 }
 
@@ -186,7 +183,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	tr.Emit(trace.Mem, "pager", "evict", "")
 
 	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf, tr.Events(), names); err != nil {
+	if err := r.WriteChromeTrace(&buf, tr.Events(), names, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid(buf.Bytes()) {
@@ -240,7 +237,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 
 	var again bytes.Buffer
-	if err := r.WriteChromeTrace(&again, tr.Events(), names); err != nil {
+	if err := r.WriteChromeTrace(&again, tr.Events(), names, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
@@ -248,9 +245,9 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
-// The usage timeline turns cumulative disk sectors into per-interval
-// deltas and keys rows by SPU name in id order.
-func TestUsageTimelineAndTable(t *testing.T) {
+// The usage table keys rows by SPU name and reports the CPU peak and
+// the cumulative disk sectors.
+func TestUsageTable(t *testing.T) {
 	eng := sim.NewEngine()
 	r := New(eng, 10*sim.Millisecond)
 	names := Names{2: "alice"}
@@ -261,18 +258,6 @@ func TestUsageTimelineAndTable(t *testing.T) {
 	ticker := eng.Every(r.Period(), "metrics", r.Sample)
 	eng.RunUntil(30 * sim.Millisecond)
 	ticker.Stop()
-
-	tl := r.UsageTimeline(names)
-	wantLabels := []string{"cpu alice", "mem alice", "disk alice"}
-	if got := tl.Labels(); len(got) != 3 || got[0] != wantLabels[0] || got[2] != wantLabels[2] {
-		t.Fatalf("labels = %v", got)
-	}
-	disk := tl.Samples("disk alice")
-	for i, v := range disk {
-		if v != 100 {
-			t.Fatalf("disk delta[%d] = %v, want 100 (cumulative not differenced)", i, v)
-		}
-	}
 
 	table := r.UsageTable(names)
 	if table.NumRows() != 1 || table.Cell(0, 0) != "alice" {

@@ -9,7 +9,7 @@ import (
 	"perfiso/internal/sim"
 )
 
-// WriteChromeTraceWithSpans renders each span as a complete slice on a
+// WriteChromeTrace renders each span as a complete slice on a
 // named thread row of its SPU's process, carries the culprit as an
 // argument, and connects flow sources to targets with "s"/"f" arrows.
 func TestWriteChromeTraceWithSpans(t *testing.T) {
@@ -27,7 +27,7 @@ func TestWriteChromeTraceWithSpans(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := r.WriteChromeTraceWithSpans(&buf, nil, names, spans); err != nil {
+	if err := r.WriteChromeTrace(&buf, nil, names, spans, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid(buf.Bytes()) {

@@ -19,7 +19,7 @@ import (
 // with a culprit label, and nothing else is in the profile.
 func TestPprofDecodes(t *testing.T) {
 	eng := sim.NewEngine()
-	p := New(eng, 0)
+	p := New(eng)
 
 	// Two tasks on different SPUs with distinct state mixes plus one
 	// theft cell, so the profile exercises both sample shapes.

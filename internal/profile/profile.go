@@ -179,7 +179,9 @@ type window struct {
 	spanID            int64
 }
 
-// DefaultSpanCapacity bounds the span ring when no capacity is given.
+// DefaultSpanCapacity bounds the span ring: the profiler keeps the most
+// recent spans. Aggregates are unaffected by the cap; only the per-span
+// log wraps.
 const DefaultSpanCapacity = 8192
 
 // maxViolations caps stored conservation-violation messages; a broken
@@ -208,17 +210,14 @@ type Profiler struct {
 	winActive bool
 }
 
-// New creates a profiler keeping the most recent spanCapacity spans
-// (DefaultSpanCapacity if <= 0).
-func New(eng *sim.Engine, spanCapacity int) *Profiler {
-	if spanCapacity <= 0 {
-		spanCapacity = DefaultSpanCapacity
-	}
+// New creates a profiler keeping the most recent DefaultSpanCapacity
+// spans.
+func New(eng *sim.Engine) *Profiler {
 	return &Profiler{
 		eng:   eng,
 		agg:   make(map[aggKey]sim.Time),
 		theft: make(map[theftKey]sim.Time),
-		ring:  make([]Span, spanCapacity),
+		ring:  make([]Span, DefaultSpanCapacity),
 	}
 }
 

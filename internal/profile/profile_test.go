@@ -17,7 +17,7 @@ const (
 // checks the telescoping identity: buckets sum to response time exactly.
 func TestTaskConservation(t *testing.T) {
 	eng := sim.NewEngine()
-	p := New(eng, 0)
+	p := New(eng)
 	task := p.Begin("job", spuA)
 
 	task.To(StateRunnable, spuB) // ready [0, 0) — zero, charges nothing
@@ -71,7 +71,7 @@ func TestTaskConservation(t *testing.T) {
 // completion window is split into queue, service, and backoff.
 func TestDiskWindowSplit(t *testing.T) {
 	eng := sim.NewEngine()
-	p := New(eng, 0)
+	p := New(eng)
 	task := p.Begin("io", spuA)
 	task.To(StateDiskWait, spuA)
 	eng.RunUntil(100 * sim.Millisecond)
@@ -118,7 +118,7 @@ func TestDiskWindowSplit(t *testing.T) {
 // page) the whole stall counts as queueing.
 func TestDiskWaitWithoutWindowIsQueueing(t *testing.T) {
 	eng := sim.NewEngine()
-	p := New(eng, 0)
+	p := New(eng)
 	task := p.Begin("io", spuA)
 	task.To(StateDiskWait, spuA)
 	eng.RunUntil(30 * sim.Millisecond)
@@ -131,7 +131,7 @@ func TestDiskWaitWithoutWindowIsQueueing(t *testing.T) {
 
 // TestAddTheftIgnoresSelf: self-inflicted waits are not theft.
 func TestAddTheftIgnoresSelf(t *testing.T) {
-	p := New(sim.NewEngine(), 0)
+	p := New(sim.NewEngine())
 	p.AddTheft(spuA, spuA, CPU, sim.Second)
 	p.AddTheft(spuA, spuB, CPU, 0)
 	p.AddTheft(spuA, spuB, CPU, -sim.Second)
@@ -168,16 +168,17 @@ func TestNilSinksAreSafe(t *testing.T) {
 // counts them.
 func TestSpanRingEvictsOldest(t *testing.T) {
 	eng := sim.NewEngine()
-	p := New(eng, 3)
-	for i := 0; i < 5; i++ {
+	p := New(eng)
+	for i := 0; i < DefaultSpanCapacity+2; i++ {
 		p.emit(Span{ID: int64(i + 1)})
 	}
 	spans := p.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("ring holds %d spans, want 3", len(spans))
+	if len(spans) != DefaultSpanCapacity {
+		t.Fatalf("ring holds %d spans, want %d", len(spans), DefaultSpanCapacity)
 	}
-	if spans[0].ID != 3 || spans[2].ID != 5 {
-		t.Fatalf("ring order = [%d..%d], want oldest-first [3..5]", spans[0].ID, spans[2].ID)
+	last := len(spans) - 1
+	if spans[0].ID != 3 || spans[last].ID != DefaultSpanCapacity+2 {
+		t.Fatalf("ring order = [%d..%d], want oldest-first [3..%d]", spans[0].ID, spans[last].ID, DefaultSpanCapacity+2)
 	}
 	if p.SpansDropped() != 2 {
 		t.Fatalf("dropped = %d, want 2", p.SpansDropped())
@@ -188,7 +189,7 @@ func TestSpanRingEvictsOldest(t *testing.T) {
 func TestWriteSpansDeterministic(t *testing.T) {
 	build := func() *Profiler {
 		eng := sim.NewEngine()
-		p := New(eng, 0)
+		p := New(eng)
 		task := p.Begin("job", spuA)
 		task.BeginStep("read")
 		task.To(StateDiskWait, spuA)
@@ -221,7 +222,7 @@ func TestWriteSpansDeterministic(t *testing.T) {
 // behind the task's back).
 func TestConservationViolationSurfaces(t *testing.T) {
 	eng := sim.NewEngine()
-	p := New(eng, 0)
+	p := New(eng)
 	task := p.Begin("bad", spuA)
 	task.To(StateRun, spuA)
 	eng.RunUntil(10 * sim.Millisecond)

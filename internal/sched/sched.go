@@ -49,12 +49,11 @@ type cpu struct {
 	lastThread  *Thread  // cache ownership: who ran here most recently
 	lastRevoke  sim.Time // when a loan was last revoked (rate limiter)
 	everRevoked bool
-	rehomed     sim.Time // when AssignHomes last changed this CPU's home
+	rehomed     sim.Time // when this CPU's home last changed or AssignHomes flagged its occupant a loan
 }
 
 // Options configures a Scheduler.
 type Options struct {
-	Slice sim.Time // 0 means DefaultSlice
 	// IPIRevoke revokes loaned CPUs immediately when a home thread
 	// wakes, instead of waiting for the next tick (§3.1's "send an
 	// inter-processor interrupt to get the processor back sooner").
@@ -143,9 +142,6 @@ type Scheduler struct {
 func New(eng *sim.Engine, spus *core.Manager, numCPUs int, opts Options) *Scheduler {
 	if numCPUs <= 0 || numCPUs > sliceCPUMask+1 {
 		panic(fmt.Sprintf("sched: numCPUs = %d", numCPUs))
-	}
-	if opts.Slice <= 0 {
-		opts.Slice = DefaultSlice
 	}
 	s := &Scheduler{
 		eng:         eng,
@@ -270,10 +266,13 @@ func (s *Scheduler) AssignHomes() {
 	// Re-homing a CPU that is running a now-foreign thread turns the
 	// occupancy into a loan, revoked by the normal tick path. This is
 	// what makes AssignHomes safe to re-run when SPUs are created,
-	// destroyed, or suspended dynamically (§2.1).
+	// destroyed, or suspended dynamically (§2.1). A CPU that becomes a
+	// loan here without changing home (a ShareAll home's foreign
+	// occupant) is stamped too: its revocation bound starts now.
 	for _, c := range s.cpus {
-		if c.cur != nil && c.cur.SPU != c.home && c.cur.SPU != core.KernelID {
+		if c.cur != nil && c.cur.SPU != c.home && c.cur.SPU != core.KernelID && !c.loan {
 			c.loan = true
+			c.rehomed = s.eng.Now()
 		}
 	}
 	for _, c := range claims {
@@ -665,7 +664,7 @@ func (s *Scheduler) dispatchOn(c *cpu, t *Thread, loan bool) {
 		}
 	}
 
-	run := s.opts.Slice
+	run := DefaultSlice
 	if t.Remaining < run {
 		run = t.Remaining
 	}

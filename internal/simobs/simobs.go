@@ -27,13 +27,6 @@ import (
 	"perfiso/internal/sim"
 )
 
-// Config tunes collection; zero values pick the sim defaults (stride 32,
-// 64Ki-event windows).
-type Config struct {
-	SampleStride int
-	WindowEvents int
-}
-
 // Classify is the kernel-aware event classifier: the prefix before the
 // first '.' names the module, and the domain is per-disk for labeled
 // disk events ("disk0.complete" → domain disk0), global otherwise. New
@@ -65,16 +58,6 @@ func isDigits(s string) bool {
 		}
 	}
 	return true
-}
-
-// ObsConfig builds the sim-level observer config for this package's
-// classifier, ready for Engine.AttachObs.
-func (c Config) ObsConfig() sim.ObsConfig {
-	return sim.ObsConfig{
-		Classify:     Classify,
-		SampleStride: c.SampleStride,
-		WindowEvents: c.WindowEvents,
-	}
 }
 
 // Report is one scenario's merged self-observability snapshot.

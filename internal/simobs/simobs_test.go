@@ -33,7 +33,7 @@ func TestClassify(t *testing.T) {
 func runScenario(t *testing.T) *Report {
 	t.Helper()
 	e := sim.NewEngine()
-	e.AttachObs(Config{SampleStride: 4, WindowEvents: 16}.ObsConfig())
+	e.AttachObs(sim.ObsConfig{Classify: Classify, SampleStride: 4, WindowEvents: 16})
 	var pump func()
 	n := 0
 	pump = func() {

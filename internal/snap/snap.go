@@ -8,8 +8,11 @@
 //
 // The encoder depends on nothing above the standard library so every
 // layer of the simulator (sim, sched, mem, disk, fault, kernel) can
-// implement Snapshotter without import cycles; times are passed as
-// int64 nanoseconds for the same reason.
+// write its own Snapshot(enc) method without import cycles; times are
+// passed as int64 nanoseconds for the same reason. Implementations must
+// be read-only and deterministic: iterate maps in sorted key order,
+// format floats with Encoder.Float, and never consult wall-clock time
+// or unforked randomness.
 package snap
 
 import (
@@ -19,14 +22,6 @@ import (
 	"sort"
 	"strconv"
 )
-
-// Snapshotter is implemented by every subsystem that contributes state
-// to a checkpoint. Implementations must be read-only and deterministic:
-// iterate maps in sorted key order, format floats with Encoder.Float,
-// and never consult wall-clock time or unforked randomness.
-type Snapshotter interface {
-	Snapshot(enc *Encoder)
-}
 
 // Encoder accumulates one snapshot document.
 type Encoder struct {
@@ -91,19 +86,4 @@ func (e *Encoder) Sum() string {
 	h := fnv.New64a()
 	h.Write(e.b.Bytes())
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// Take runs each snapshotter in order into a fresh encoder and returns
-// the document. Nil snapshotters are skipped so optional subsystems
-// (e.g. a fault injector that was never configured) need no caller-side
-// branching.
-func Take(parts ...Snapshotter) []byte {
-	enc := NewEncoder()
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		p.Snapshot(enc)
-	}
-	return enc.Bytes()
 }

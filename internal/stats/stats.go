@@ -222,9 +222,6 @@ func (h *Histogram) Mean() float64 { return h.sample.Mean() }
 // Bucket returns the count in bucket i.
 func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
 
-// NumBuckets returns the number of regular buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
 // Quantile returns an approximation of the q-quantile (0 <= q <= 1) from
 // the bucket boundaries; exact values for under/overflowed data degrade to
 // the range edges.

@@ -53,13 +53,6 @@ func (t *Table) NumRows() int { return len(t.rows) }
 // Cell returns the contents of row r, column c.
 func (t *Table) Cell(r, c int) string { return t.rows[r][c] }
 
-// Headers returns a copy of the column headers.
-func (t *Table) Headers() []string {
-	out := make([]string, len(t.headers))
-	copy(out, t.headers)
-	return out
-}
-
 // Row is one machine-readable headline quantity extracted from a
 // rendered table: the row's label, the column it came from, and the
 // numeric value. It is the unit the benchmark harness serializes for

@@ -27,7 +27,7 @@ const (
 	// the classic open-system model.
 	Poisson
 	// Bursty arrivals follow an on-off (interrupted Poisson) process:
-	// exponentially distributed on-phases of mean OnMean during which
+	// exponentially distributed on-phases of mean 10×Mean during which
 	// requests arrive BurstFactor times faster than Mean, separated by
 	// quiet phases sized closed-loop so the long-run rate stays pinned
 	// to one request per Mean.
@@ -72,14 +72,11 @@ type OpenServerParams struct {
 	// request per Mean on average, regardless of Pattern).
 	Mean    sim.Time
 	Pattern ArrivalPattern
-	// OnMean and BurstFactor shape the Bursty pattern; ignored
-	// otherwise. Zero values default to BurstFactor=4 and OnMean=
-	// 10*Mean. Quiet phases are sized closed-loop (each one repays the
-	// rate debt its burst accumulated), so the achieved rate is pinned
-	// to one request per Mean at any horizon; OffMean is retained for
-	// spec compatibility but no longer consulted.
-	OnMean      sim.Time
-	OffMean     sim.Time
+	// BurstFactor shapes the Bursty pattern (default 4); ignored
+	// otherwise. On-phases average 10×Mean, and quiet phases are sized
+	// closed-loop (each one repays the rate debt its burst
+	// accumulated), so the achieved rate is pinned to one request per
+	// Mean at any horizon.
 	BurstFactor float64
 	// DiurnalPeriod, DiurnalAmp, and DiurnalPhase shape the Diurnal
 	// pattern: the instantaneous arrival rate is
@@ -139,12 +136,9 @@ func (p OpenServerParams) Gaps() []sim.Time {
 			gaps[i] = rng.Exp(p.Mean)
 		}
 	case Bursty:
-		on, factor := p.OnMean, p.BurstFactor
+		on, factor := 10*p.Mean, p.BurstFactor
 		if factor <= 1 {
 			factor = 4
-		}
-		if on <= 0 {
-			on = 10 * p.Mean
 		}
 		// Interrupted Poisson: inside an on-phase arrivals come factor
 		// times faster than Mean; a draw that overruns the phase carries

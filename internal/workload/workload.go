@@ -113,7 +113,6 @@ type CopyParams struct {
 	Bytes      int64    // file size
 	ChunkBytes int64    // bytes per read/write loop iteration
 	ComputePer sim.Time // per-chunk CPU (buffer copy cost)
-	DiskIdx    int      // which disk holds both source and destination
 }
 
 // DefaultCopy returns the §4.5 large-copy shape: 64 KB chunks with a
@@ -124,10 +123,10 @@ func DefaultCopy(bytes int64) CopyParams {
 
 // Copy builds a process that copies a file of p.Bytes: sequential reads
 // of the source and delayed writes of the destination, both contiguous
-// on the same disk — the §4.5 stream that can lock out other SPUs under
-// position-only scheduling.
+// on the SPU's affinity disk — the §4.5 stream that can lock out other
+// SPUs under position-only scheduling.
 func Copy(k *kernel.Kernel, spu core.SPUID, name string, p CopyParams) *proc.Process {
-	al := k.Allocator(p.DiskIdx)
+	al := k.AffinityAllocator(spu)
 	src := al.NewFile(name+".src", p.Bytes, fs.Contiguous, 0)
 	dst := al.NewFile(name+".dst", p.Bytes, fs.Contiguous, 0)
 	var body []proc.Step

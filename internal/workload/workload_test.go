@@ -80,6 +80,30 @@ func TestCopyJobStreamsWholeFile(t *testing.T) {
 	}
 }
 
+// A copy's files live on its SPU's affinity disk: pinned to disk 1 of
+// a two-disk machine, it reads and writes only disk 1.
+func TestCopyUsesAffinityDisk(t *testing.T) {
+	k := kernel.New(machine.CPUIsolation(), core.PIso, kernel.Options{})
+	s := k.NewSPU("u", 1)
+	k.SetAffinity(s.ID(), 1)
+	k.Boot()
+	job := Copy(k, s.ID(), "cp", DefaultCopy(8*1024*1024)) // outlasts one flush period
+	k.Spawn(job)
+	k.Run()
+	if job.State() != proc.Exited {
+		t.Fatal("copy did not finish")
+	}
+	if n := k.Disk(0).Total.Requests; n != 0 {
+		t.Fatalf("disk 0 served %d requests; the copy belongs on disk 1", n)
+	}
+	if st := k.Disk(1).PerSPU[s.ID()]; st == nil || st.Sectors < 16384 {
+		t.Fatalf("disk 1 read sectors = %v, want >= 16384", st)
+	}
+	if sh := k.Disk(1).PerSPU[core.SharedID]; sh == nil || sh.Sectors < 2048 {
+		t.Fatalf("disk 1 shared write-back sectors missing: %v", sh)
+	}
+}
+
 func TestOceanGangFinishesTogether(t *testing.T) {
 	k, us := boot(core.PIso, 1)
 	p := DefaultOcean()
