@@ -8,7 +8,7 @@
 //	pisosim -workload tenants -latency latency.jsonl   # per-tenant tail latency + SLO artifact
 //	pisosim -workload tenants -adaptive -controller ctl.jsonl   # closed-loop SLO entitlement control
 //	pisosim -faults disk-fail:0:1s:2s:0.3,cpu-off:1:500ms:0s   # inject deterministic faults
-//	pisosim -simobs simobs.jsonl         # simulator self-observability telemetry (event census, queue stats, feasibility)
+//	pisosim -simobs simobs.jsonl         # simulator self-observability telemetry (event census, queue stats, host time)
 //	pisosim -spec scenario.json          # declarative scenario, JSON result
 package main
 
@@ -50,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	chromePath := fs.String("chrometrace", "", "write a Chrome trace-event file (open in Perfetto or chrome://tracing)")
 	profilePath := fs.String("profile", "", "write the simulated-time profile as gzipped pprof protobuf to this file")
 	spansPath := fs.String("spans", "", "write per-request span trees as JSONL to this file")
-	simobsPath := fs.String("simobs", "", "observe the simulator itself: write event-core telemetry (JSONL) to this file and print the feasibility report")
+	simobsPath := fs.String("simobs", "", "observe the simulator itself: write event-core telemetry (JSONL) to this file and print the event census and host-time report")
 	faultSpec := fs.String("faults", "", "inject deterministic faults: kind:target:at:duration[:severity],...\n(kinds: disk-slow, disk-fail, cpu-slow, cpu-off, mem-loss; duration 0s = permanent)")
 	specPath := fs.String("spec", "", "run a declarative JSON scenario and print a JSON result")
 	if err := fs.Parse(args); err != nil {

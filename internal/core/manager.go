@@ -120,32 +120,17 @@ func (m *Manager) TotalShare() float64 {
 	return w
 }
 
-// Divide splits total units of a resource among the active user SPUs in
-// proportion to their effective shares (static weights unless a
-// controller retuned them), setting each SPU's entitled and allowed
-// levels. It implements the machine's sharing contract (§2.1). Resources
-// already consumed by the kernel and shared SPUs should be subtracted by
-// the caller before dividing, so that their cost is borne by everyone
-// (§2.2).
-func (m *Manager) Divide(r Resource, total float64) {
-	users := m.ActiveUsers()
-	tw := m.TotalShare()
-	if tw == 0 {
-		return
-	}
-	for _, s := range users {
-		share := total * s.Share() / tw
-		s.levels[r].Entitled = share
-		s.levels[r].Allowed = share
-	}
-}
-
 // DivideIntegral splits an integral resource (such as whole pages or
-// whole CPUs) among active user SPUs by weight, distributing remainder
-// units one each to the SPUs with the largest fractional parts (largest
-// remainder method), earlier-created SPUs first on ties. The shares sum
-// exactly to total. The returned slice is manager-owned scratch, valid
-// until the next DivideIntegral call.
+// whole CPUs) among the active user SPUs in proportion to their
+// effective shares (static weights unless a controller retuned them),
+// setting each SPU's entitled and allowed levels: the machine's sharing
+// contract (§2.1). Remainder units go one each to the SPUs with the
+// largest fractional parts (largest remainder method), earlier-created
+// SPUs first on ties, so the shares sum exactly to total. The caller
+// subtracts what the kernel and shared SPUs already consume before
+// dividing, so that their cost is borne by everyone (§2.2). The returned
+// slice is manager-owned scratch, valid until the next DivideIntegral
+// call.
 func (m *Manager) DivideIntegral(r Resource, total int) []int {
 	users := m.ActiveUsers()
 	tw := m.TotalShare()

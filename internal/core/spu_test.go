@@ -159,7 +159,7 @@ func TestDivideEqualShares(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.NewSPU("u", 1, ShareIdle)
 	}
-	m.Divide(Memory, 1000)
+	m.DivideIntegral(Memory, 1000)
 	for _, s := range m.Users() {
 		if s.Entitled(Memory) != 250 || s.Allowed(Memory) != 250 {
 			t.Fatalf("SPU %d entitled %g allowed %g", s.ID(), s.Entitled(Memory), s.Allowed(Memory))
@@ -172,7 +172,7 @@ func TestDivideUnequalShares(t *testing.T) {
 	m := NewManager()
 	a := m.NewSPU("A", 1, ShareIdle)
 	b := m.NewSPU("B", 2, ShareIdle)
-	m.Divide(CPU, 9)
+	m.DivideIntegral(CPU, 9)
 	if a.Entitled(CPU) != 3 || b.Entitled(CPU) != 6 {
 		t.Fatalf("entitled = %g, %g", a.Entitled(CPU), b.Entitled(CPU))
 	}

@@ -71,12 +71,6 @@ type Disk struct {
 	active []spuUsage
 	blamed []spuCount
 
-	// completeName labels this disk's completion events. SetLabel gives
-	// each disk a distinct name ("disk0.complete") so the simulator
-	// observability layer (internal/simobs) can tag completions with a
-	// per-disk resource domain; the default is the shared "disk.complete".
-	completeName string
-
 	// Profile, when non-nil, receives request span trees, the
 	// queue-theft blame pass, and the completion windows that let
 	// waiters split their stalls into queue/service/backoff time. Nil
@@ -92,19 +86,13 @@ type Disk struct {
 // usage decay (0 means the paper's 500 ms).
 func New(eng *sim.Engine, p Params, sched Scheduler, halfLife sim.Time) *Disk {
 	return &Disk{
-		eng:          eng,
-		params:       p,
-		sched:        sched,
-		usage:        newUsageTable(halfLife),
-		completeName: "disk.complete",
-		PerSPU:       make(map[core.SPUID]*SPUStats),
+		eng:    eng,
+		params: p,
+		sched:  sched,
+		usage:  newUsageTable(halfLife),
+		PerSPU: make(map[core.SPUID]*SPUStats),
 	}
 }
-
-// SetLabel names the disk; its completion events become "<label>.complete"
-// so each disk is its own resource domain in simulator telemetry. Call
-// before the first request is submitted.
-func (d *Disk) SetLabel(label string) { d.completeName = label + ".complete" }
 
 // Params returns the disk's mechanical parameters.
 func (d *Disk) Params() Params { return d.params }
@@ -318,7 +306,7 @@ func (d *Disk) startNext() {
 		d.blame(r, total)
 	}
 
-	d.eng.CallAfter(total, d.completeName, func() { d.complete(r) })
+	d.eng.CallAfter(total, "disk.complete", func() { d.complete(r) })
 	// The head ends up over the last cylinder touched by the transfer.
 	d.headCyl = d.params.CylinderOf(r.Sector + int64(r.Count) - 1)
 	d.lastEnd = r.Sector + int64(r.Count)

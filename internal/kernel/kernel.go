@@ -122,10 +122,9 @@ type Options struct {
 	Faults *fault.Plan
 	// SimObs attaches the simulator self-observability layer
 	// (internal/simobs) to this kernel's engine: an event-class census,
-	// calendar-queue telemetry, sampled host-time attribution, and the
-	// per-domain causality counters behind the parallelism-feasibility
-	// report. Off (the default) the engine pays one nil check per
-	// schedule and per dispatch and the results are byte-identical; see
+	// calendar-queue telemetry and sampled host-time attribution. Off
+	// (the default) the engine pays one nil check per schedule and per
+	// dispatch and the results are byte-identical; see
 	// Kernel.SimObsReport for reading the data back.
 	SimObs bool
 	// Control configures the closed-loop SLO entitlement controller
@@ -199,7 +198,7 @@ func New(cfg machine.Config, scheme core.Scheme, opts Options) *Kernel {
 	opts = opts.withDefaults()
 	eng := sim.NewEngine()
 	if opts.SimObs {
-		eng.AttachObs(sim.ObsConfig{Classify: simobs.Classify})
+		eng.AttachObs()
 	}
 	spus := core.NewManager()
 	k := &Kernel{
@@ -242,13 +241,8 @@ func New(cfg machine.Config, scheme core.Scheme, opts Options) *Kernel {
 	k.locks.AddLocks(func() []*lock.Lock { return k.fsys.PageInsertLocks().Locks() })
 	k.locks.AddGates(k.sch.RunqLock.Gates)
 	k.locks.AddGates(k.mm.FrameLock.Gates)
-	for i, dp := range cfg.Disks {
+	for _, dp := range cfg.Disks {
 		d := disk.New(eng, dp, k.diskScheduler(), 0) // 0: the §3.3 500 ms half-life
-		// Per-disk completion-event names ("disk0.complete") give each
-		// disk its own resource domain in simulator telemetry. Set
-		// unconditionally so runs are byte-identical with and without an
-		// observer attached.
-		d.SetLabel(fmt.Sprintf("disk%d", i))
 		d.Merge = opts.DiskMerge
 		k.disks = append(k.disks, d)
 		k.allocs = append(k.allocs, fs.NewAllocator(d, k.rng.Fork()))
@@ -368,11 +362,16 @@ func (k *Kernel) NumDisks() int { return len(k.disks) }
 func (k *Kernel) Allocator(i int) *fs.Allocator { return k.allocs[i] }
 
 // NewSPU creates a user SPU whose sharing policy follows the machine's
-// scheme, with the given relative weight.
+// scheme, with the given relative weight. An SPU created after Boot
+// (§2.1 dynamic SPUs) gets its sampled series at once; call Rebalance to
+// give it resources.
 func (k *Kernel) NewSPU(name string, weight float64) *core.SPU {
 	s := k.spus.NewSPU(name, weight, k.scheme.Policy())
 	// Default disk affinity: spread SPUs across disks round-robin.
 	k.affinity[s.ID()] = (int(s.ID()) - int(core.FirstUserID)) % len(k.disks)
+	if k.booted && k.metrics != nil {
+		k.registerSPUSeries(s)
+	}
 	return s
 }
 
@@ -460,40 +459,7 @@ func (k *Kernel) Boot() {
 // reads machine state, so sampling never perturbs simulation results.
 func (k *Kernel) registerSeries() {
 	for _, s := range k.spus.Users() {
-		s := s
-		id := s.ID()
-		k.metrics.Series(metrics.KeyCPUUsed, id, func() float64 {
-			return s.Used(core.CPU)
-		})
-		k.metrics.Series(metrics.KeyCPUTime, id, func() float64 {
-			if pt := k.sch.PerSPUTime[id]; pt != nil {
-				return pt.Seconds()
-			}
-			return 0
-		})
-		k.metrics.Series(metrics.KeyMemResident, id, func() float64 {
-			return s.Used(core.Memory)
-		})
-		k.metrics.Series(metrics.KeyMemLoaned, id, func() float64 {
-			if loan := s.Allowed(core.Memory) - s.Entitled(core.Memory); loan > 0 {
-				return loan
-			}
-			return 0
-		})
-		k.metrics.Series(metrics.KeyDiskQueue, id, func() float64 {
-			n := 0
-			for _, d := range k.disks {
-				n += d.QueuedFor(id)
-			}
-			return float64(n)
-		})
-		k.metrics.Series(metrics.KeyDiskSectors, id, func() float64 {
-			var n int64
-			for _, d := range k.disks {
-				n += d.SectorsFor(id)
-			}
-			return float64(n)
-		})
+		k.registerSPUSeries(s)
 	}
 	k.metrics.Gauge(metrics.KeyMemFree, metrics.NoSPU, func() float64 {
 		return float64(k.mm.FreePages())
@@ -511,6 +477,44 @@ func (k *Kernel) registerSeries() {
 			w += d.Total.Service.Mean()
 		}
 		return w / float64(len(k.disks))
+	})
+}
+
+// registerSPUSeries installs one user SPU's sampled series: at boot for
+// the SPUs that exist then, and from NewSPU for SPUs created later.
+func (k *Kernel) registerSPUSeries(s *core.SPU) {
+	id := s.ID()
+	k.metrics.Series(metrics.KeyCPUUsed, id, func() float64 {
+		return s.Used(core.CPU)
+	})
+	k.metrics.Series(metrics.KeyCPUTime, id, func() float64 {
+		if pt := k.sch.PerSPUTime[id]; pt != nil {
+			return pt.Seconds()
+		}
+		return 0
+	})
+	k.metrics.Series(metrics.KeyMemResident, id, func() float64 {
+		return s.Used(core.Memory)
+	})
+	k.metrics.Series(metrics.KeyMemLoaned, id, func() float64 {
+		if loan := s.Allowed(core.Memory) - s.Entitled(core.Memory); loan > 0 {
+			return loan
+		}
+		return 0
+	})
+	k.metrics.Series(metrics.KeyDiskQueue, id, func() float64 {
+		n := 0
+		for _, d := range k.disks {
+			n += d.QueuedFor(id)
+		}
+		return float64(n)
+	})
+	k.metrics.Series(metrics.KeyDiskSectors, id, func() float64 {
+		var n int64
+		for _, d := range k.disks {
+			n += d.SectorsFor(id)
+		}
+		return float64(n)
 	})
 }
 
@@ -686,12 +690,16 @@ func (k *Kernel) UsageTable() *stats.Table {
 func (k *Kernel) Injector() *fault.Injector { return k.injector }
 
 // Timeline renders the sampled per-SPU series as sparkline rows: each
-// user SPU's CPU occupancy (in CPUs) and memory usage (in MB), skipping
-// SPUs created after boot, which have no series. Nil when observability
-// is off.
+// user SPU's CPU occupancy (in CPUs) and memory usage (in MB). An SPU
+// created after boot reads zero before its first sample, so every row
+// spans the same sample instants. Nil when observability is off.
 func (k *Kernel) Timeline() *stats.Timeline {
 	if k.metrics == nil {
 		return nil
+	}
+	samples := 0
+	for _, s := range k.metrics.AllSeries() {
+		samples = max(samples, s.Len())
 	}
 	tl := stats.NewTimeline()
 	for _, s := range k.spus.Users() {
@@ -699,6 +707,12 @@ func (k *Kernel) Timeline() *stats.Timeline {
 		res := k.metrics.FindSeries(metrics.KeyMemResident, s.ID())
 		if cpu == nil || res == nil {
 			continue
+		}
+		// The render stretches each row over the full width, so a late
+		// SPU's row needs leading zeros to line up in time.
+		for i := cpu.Len(); i < samples; i++ {
+			tl.Record("cpu "+s.Name(), 0)
+			tl.Record("mem "+s.Name(), 0)
 		}
 		for _, v := range cpu.Values() {
 			tl.Record("cpu "+s.Name(), v)
@@ -885,7 +899,7 @@ func (k *Kernel) Snapshot() []byte {
 	return enc.Bytes()
 }
 
-// SimObsReport merges this kernel's engine telemetry into a simulator
+// SimObsReport reads this kernel's engine telemetry into a simulator
 // self-observability report, or returns nil when Options.SimObs was off.
 func (k *Kernel) SimObsReport(scenario string) *simobs.Report {
 	if k.eng.Obs() == nil {

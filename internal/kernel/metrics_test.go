@@ -161,3 +161,57 @@ func TestMetricsDoNotPerturbSimulation(t *testing.T) {
 		t.Fatalf("metrics perturbed the simulation: makespan %v (off) vs %v (on)", off, on)
 	}
 }
+
+// §2.1: an SPU created after Boot (NewSPU + Rebalance) gets the same
+// sampled series as the SPUs that existed at boot, so it shows up in the
+// metrics JSONL, the usage table and the timeline.
+func TestLateSPUGetsSeries(t *testing.T) {
+	k := New(smallMachine(), core.PIso, Options{MetricsPeriod: 50 * sim.Millisecond})
+	k.NewSPU("a", 1)
+	b := k.NewSPU("b", 1)
+	k.Boot()
+	k.Spawn(proc.New(k, b.ID(), "bg", []proc.Step{proc.Compute{D: 600 * sim.Millisecond}}))
+	k.Engine().At(100*sim.Millisecond, "grow", func() {
+		late := k.NewSPU("late", 1)
+		k.Rebalance()
+		k.Spawn(proc.New(k, late.ID(), "job", []proc.Step{proc.Compute{D: 300 * sim.Millisecond}}))
+	})
+	k.Run()
+
+	var jl bytes.Buffer
+	if err := k.WriteMetrics(&jl); err != nil {
+		t.Fatal(err)
+	}
+	var cpuUsed bool
+	for _, line := range strings.Split(strings.TrimSpace(jl.String()), "\n") {
+		var rec struct {
+			Type    string    `json:"type"`
+			Name    string    `json:"name"`
+			SPUName string    `json:"spu_name"`
+			V       []float64 `json:"v"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad JSONL line %q: %v", line, err)
+		}
+		if rec.Type == "series" && rec.Name == metrics.KeyCPUUsed && rec.SPUName == "late" {
+			cpuUsed = len(rec.V) > 0
+		}
+	}
+	if !cpuUsed {
+		t.Fatalf("no sampled cpu.used series for the late SPU:\n%.600s", jl.String())
+	}
+	tbl := k.UsageTable()
+	if tbl.NumRows() != 3 || !strings.Contains(tbl.String(), "late") {
+		t.Fatalf("usage table lacks the late SPU:\n%s", tbl)
+	}
+	tl := k.Timeline()
+	if labels := strings.Join(tl.Labels(), ","); labels != "cpu a,mem a,cpu b,mem b,cpu late,mem late" {
+		t.Fatalf("timeline labels = %s", labels)
+	}
+	// The late rows are zero-padded to the boot-time rows' sample
+	// instants: 100 ms at 50 ms per sample is two leading zeros.
+	a, late := tl.Samples("cpu a"), tl.Samples("cpu late")
+	if len(late) != len(a) || late[0] != 0 || late[1] != 0 {
+		t.Fatalf("late cpu row %v does not line up with %d boot-time samples", late, len(a))
+	}
+}

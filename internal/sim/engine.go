@@ -135,7 +135,7 @@ func (e *Engine) alloc(t Time, name string, fn func(), fnU func(uint64), arg uin
 	*ev = Event{at: t, seq: e.seq, fn: fn, fnU: fnU, arg: arg, name: name, index: -1, pooled: pooled}
 	e.seq++
 	if e.obs != nil {
-		e.obs.onSchedule(ev, e.now)
+		ev.class = e.obs.classOf(name)
 	}
 	e.q.push(ev)
 	return ev
@@ -292,9 +292,6 @@ func (e *Engine) Step() bool {
 			fnU(arg)
 		} else {
 			fn()
-		}
-		if e.obs != nil {
-			e.obs.endDispatch()
 		}
 		return true
 	}

@@ -69,37 +69,6 @@ type WidthChange struct {
 	Events  int
 }
 
-// Merge folds another queue's stats into s (summing counters, keeping
-// structural maxima), for reports that aggregate every engine a
-// scenario built.
-func (s *QueueStats) Merge(o QueueStats) {
-	if s.Kind == "" {
-		s.Kind = o.Kind
-	}
-	s.Len += o.Len
-	if o.Buckets > s.Buckets {
-		s.Buckets = o.Buckets
-	}
-	if o.Width > s.Width {
-		s.Width = o.Width
-	}
-	s.Pushes += o.Pushes
-	s.Collisions += o.Collisions
-	s.Rebuilds += o.Rebuilds
-	s.Grows += o.Grows
-	s.Shrinks += o.Shrinks
-	if o.MaxDepth > s.MaxDepth {
-		s.MaxDepth = o.MaxDepth
-	}
-	for len(s.Occupancy) < len(o.Occupancy) {
-		s.Occupancy = append(s.Occupancy, 0)
-	}
-	for i, n := range o.Occupancy {
-		s.Occupancy[i] += n
-	}
-	s.WidthLog = append(s.WidthLog, o.WidthLog...)
-}
-
 // CollisionRate is the fraction of pushes that hit an occupied bucket.
 func (s QueueStats) CollisionRate() float64 {
 	if s.Pushes == 0 {

@@ -11,7 +11,7 @@ import (
 // nanosecond fields depend on the machine:
 //
 //	deterministic: simobs_scenario, simobs_queue, simobs_width,
-//	               simobs_class, simobs_edge
+//	               simobs_class
 //	host:          simobs_host, simobs_window
 //
 // Downstream tools filter on the prefix; HostLineTypes lists the
@@ -22,18 +22,10 @@ import (
 var HostLineTypes = map[string]bool{"simobs_host": true, "simobs_window": true}
 
 type scenarioLine struct {
-	Type          string   `json:"type"`
-	Scenario      string   `json:"scenario"`
-	Engines       int      `json:"engines"`
-	Events        uint64   `json:"events"`
-	Intra         uint64   `json:"intra"`
-	Cross         uint64   `json:"cross"`
-	External      uint64   `json:"external"`
-	CrossFraction float64  `json:"cross_fraction"`
-	MeanLookahead int64    `json:"mean_lookahead_ns"`
-	MinLookahead  int64    `json:"min_lookahead_ns"`
-	Domains       []string `json:"domains"`
-	Samples       uint64   `json:"samples"`
+	Type     string `json:"type"`
+	Scenario string `json:"scenario"`
+	Events   uint64 `json:"events"`
+	Samples  uint64 `json:"samples"`
 }
 
 type queueLine struct {
@@ -66,18 +58,7 @@ type classLine struct {
 	Scenario string `json:"scenario"`
 	Name     string `json:"name"`
 	Module   string `json:"module"`
-	Domain   string `json:"domain"`
 	Count    uint64 `json:"count"`
-}
-
-type edgeLine struct {
-	Type          string `json:"type"`
-	Scenario      string `json:"scenario"`
-	From          string `json:"from"`
-	To            string `json:"to"`
-	Count         uint64 `json:"count"`
-	MeanLookahead int64  `json:"mean_lookahead_ns"`
-	MinLookahead  int64  `json:"min_lookahead_ns"`
 }
 
 type hostLine struct {
@@ -103,11 +84,8 @@ type windowLine struct {
 func (r *Report) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(scenarioLine{
-		Type: "simobs_scenario", Scenario: r.Scenario, Engines: r.Engines,
-		Events: r.Events, Intra: r.Intra, Cross: r.Cross, External: r.External,
-		CrossFraction: r.CrossFraction(),
-		MeanLookahead: int64(r.MeanLookahead()), MinLookahead: int64(r.MinLookahead()),
-		Domains: r.Domains, Samples: r.Samples,
+		Type: "simobs_scenario", Scenario: r.Scenario,
+		Events: r.Events, Samples: r.Samples,
 	}); err != nil {
 		return err
 	}
@@ -132,20 +110,7 @@ func (r *Report) WriteJSONL(w io.Writer) error {
 	for _, c := range r.Classes {
 		if err := enc.Encode(classLine{
 			Type: "simobs_class", Scenario: r.Scenario,
-			Name: c.Name, Module: c.Module, Domain: c.Domain, Count: c.Count,
-		}); err != nil {
-			return err
-		}
-	}
-	for _, e := range r.Edges {
-		mean := int64(0)
-		if e.Count > 0 {
-			mean = int64(e.SumLookahead) / int64(e.Count)
-		}
-		if err := enc.Encode(edgeLine{
-			Type: "simobs_edge", Scenario: r.Scenario,
-			From: e.From, To: e.To, Count: e.Count,
-			MeanLookahead: mean, MinLookahead: int64(e.MinLookahead),
+			Name: c.Name, Module: c.Module, Count: c.Count,
 		}); err != nil {
 			return err
 		}

@@ -4,26 +4,21 @@ import (
 	"fmt"
 	"strings"
 
-	"perfiso/internal/sim"
 	"perfiso/internal/stats"
 )
 
 // String renders the full self-observability report for one scenario:
-// queue internals, the event census, sampled host-time attribution, and
-// the parallelism-feasibility section.
+// queue internals, the event census, and sampled host-time attribution.
 func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== simobs: %s ==\n", r.Scenario)
-	fmt.Fprintf(&b, "events dispatched: %d across %d engine(s); host samples: %d\n\n",
-		r.Events, r.Engines, r.Samples)
+	fmt.Fprintf(&b, "events dispatched: %d; host samples: %d\n\n", r.Events, r.Samples)
 
 	b.WriteString(r.queueSection())
 	b.WriteString("\n")
 	b.WriteString(r.censusTable().String())
 	b.WriteString("\n")
 	b.WriteString(r.hostSection())
-	b.WriteString("\n")
-	b.WriteString(r.FeasibilitySection())
 	return b.String()
 }
 
@@ -62,13 +57,13 @@ func (r *Report) queueSection() string {
 
 // censusTable renders the per-callback-site event census.
 func (r *Report) censusTable() *stats.Table {
-	t := stats.NewTable("event census", "event", "module", "domain", "count", "events%")
+	t := stats.NewTable("event census", "event", "module", "count", "events%")
 	for _, c := range r.Classes {
 		pct := 0.0
 		if r.Events > 0 {
 			pct = 100 * float64(c.Count) / float64(r.Events)
 		}
-		t.Addf(c.Name, c.Module, c.Domain, fmt.Sprintf("%d", c.Count), pct)
+		t.Addf(c.Name, c.Module, fmt.Sprintf("%d", c.Count), pct)
 	}
 	return t
 }
@@ -92,37 +87,6 @@ func (r *Report) hostSection() string {
 		fmt.Fprintf(&b, "gc windows: %d windows over %d events, %.1f ms host, %d gc cycles, %.3f allocs/event (%.1f B/event)\n",
 			len(r.Windows), w.Events, float64(w.HostNS)/1e6, w.GCCycles,
 			perEvent, float64(w.AllocBytes)/float64(w.Events))
-	}
-	return b.String()
-}
-
-// FeasibilitySection renders the parallelism-feasibility numbers for one
-// scenario: the domain split, cross-domain fraction, and lookahead — the
-// inputs that decide whether a conservative parallel core is worth
-// building and at what window size.
-func (r *Report) FeasibilitySection() string {
-	var b strings.Builder
-	b.WriteString("-- parallelism feasibility --\n")
-	fmt.Fprintf(&b, "domains (%d): %s\n", len(r.Domains), strings.Join(r.Domains, ", "))
-	chained := r.Intra + r.Cross
-	fmt.Fprintf(&b, "schedules: %d intra-domain, %d cross-domain, %d external\n",
-		r.Intra, r.Cross, r.External)
-	if chained > 0 {
-		fmt.Fprintf(&b, "cross-domain fraction: %.2f%% of chained schedules\n", 100*r.CrossFraction())
-	}
-	if len(r.Edges) > 0 {
-		fmt.Fprintf(&b, "lookahead: mean %.1fus, min %.1fus\n",
-			r.MeanLookahead().Microseconds(), r.MinLookahead().Microseconds())
-		t := stats.NewTable("cross-domain edges", "from", "to", "count", "mean la us", "min la us")
-		for _, e := range r.Edges {
-			mean := sim.Time(0)
-			if e.Count > 0 {
-				mean = e.SumLookahead / sim.Time(e.Count)
-			}
-			t.Addf(e.From, e.To, fmt.Sprintf("%d", e.Count),
-				mean.Microseconds(), e.MinLookahead.Microseconds())
-		}
-		b.WriteString(t.String())
 	}
 	return b.String()
 }

@@ -9,37 +9,19 @@ import (
 	"perfiso/internal/sim"
 )
 
-func TestClassify(t *testing.T) {
-	cases := []struct{ name, module, domain string }{
-		{"kernel.tick", "kernel", "global"},
-		{"sched.slice", "sched", "global"},
-		{"disk.complete", "disk", "global"},
-		{"disk0.complete", "disk", "disk0"},
-		{"disk12.complete", "disk", "disk12"},
-		{"diskette.jam", "diskette", "global"},
-		{"lock.release", "lock", "global"},
-		{"bare", "bare", "global"},
-	}
-	for _, c := range cases {
-		m, d := Classify(c.name)
-		if m != c.module || d != c.domain {
-			t.Errorf("Classify(%q) = %s/%s, want %s/%s", c.name, m, d, c.module, c.domain)
-		}
-	}
-}
-
-// runScenario drives a small two-disk workload on an observed engine and
-// returns its report.
+// runScenario drives a small disk-and-kernel event loop on an observed
+// engine and returns its report.
 func runScenario(t *testing.T) *Report {
 	t.Helper()
 	e := sim.NewEngine()
-	e.AttachObs(sim.ObsConfig{Classify: Classify, SampleStride: 4, WindowEvents: 16})
+	e.AttachObs()
 	var pump func()
 	n := 0
 	pump = func() {
-		// Intra-domain chain plus two cross-domain hops per round.
-		e.CallAfter(3*sim.Microsecond, "disk0.complete", func() {})
-		e.CallAfter(5*sim.Microsecond, "disk1.complete", func() {
+		// Each round completes two disk requests, one of which wakes the
+		// kernel.
+		e.CallAfter(3*sim.Microsecond, "disk.complete", func() {})
+		e.CallAfter(5*sim.Microsecond, "disk.complete", func() {
 			e.CallAfter(2*sim.Microsecond, "kernel.wakeup", func() {})
 		})
 		if n++; n < 100 {
@@ -53,40 +35,26 @@ func runScenario(t *testing.T) *Report {
 
 func TestBuildReport(t *testing.T) {
 	r := runScenario(t)
-	if r.Scenario != "unit" || r.Engines != 1 {
+	if r.Scenario != "unit" {
 		t.Fatalf("report header = %+v", r)
 	}
-	// 100 ticks (1 initial + 99 re-armed), 100 disk0, 100 disk1, 100 wakeups.
+	// 100 ticks (1 initial + 99 re-armed), 200 disk completions, 100 wakeups.
 	if r.Events != 400 {
 		t.Fatalf("events = %d", r.Events)
 	}
-	wantDomains := []string{"disk0", "disk1", "global"}
-	if strings.Join(r.Domains, ",") != strings.Join(wantDomains, ",") {
-		t.Fatalf("domains = %v", r.Domains)
+	counts := map[string]uint64{}
+	for _, c := range r.Classes {
+		counts[c.Name] = c.Count
 	}
-	// Cross edges: global->disk0 (100), global->disk1 (100), disk1->global
-	// (100). Intra: tick re-arms (99). External: the initial Call.
-	if r.Cross != 300 || r.Intra != 99 || r.External != 1 {
-		t.Fatalf("intra/cross/external = %d/%d/%d", r.Intra, r.Cross, r.External)
-	}
-	if f := r.CrossFraction(); f < 0.74 || f > 0.76 {
-		t.Fatalf("cross fraction = %v", f)
-	}
-	if la := r.MinLookahead(); la != 2*sim.Microsecond {
-		t.Fatalf("min lookahead = %v", la)
-	}
-	if la := r.MeanLookahead(); la < 3*sim.Microsecond || la > 4*sim.Microsecond {
-		t.Fatalf("mean lookahead = %v", la)
-	}
-	if len(r.Edges) != 3 {
-		t.Fatalf("edges = %+v", r.Edges)
+	if counts["kernel.tick"] != 100 || counts["disk.complete"] != 200 || counts["kernel.wakeup"] != 100 {
+		t.Fatalf("census = %v", counts)
 	}
 	if r.Queue.Pushes == 0 || r.Queue.Kind == "" {
 		t.Fatalf("queue stats missing: %+v", r.Queue)
 	}
 	// The text report must mention every section.
 	s := r.String()
-	for _, want := range []string{"event census", "parallelism feasibility", "cross-domain fraction", "host-time attribution", "event queue"} {
+	for _, want := range []string{"event census", "host-time attribution", "event queue"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("report missing %q:\n%s", want, s)
 		}
@@ -120,7 +88,7 @@ func TestJSONLDeterministicSubset(t *testing.T) {
 	if a != b {
 		t.Fatalf("deterministic JSONL subset differs between runs:\n--- a ---\n%s\n--- b ---\n%s", a, b)
 	}
-	for _, want := range []string{`"type":"simobs_scenario"`, `"type":"simobs_queue"`, `"type":"simobs_class"`, `"type":"simobs_edge"`} {
+	for _, want := range []string{`"type":"simobs_scenario"`, `"type":"simobs_queue"`, `"type":"simobs_class"`} {
 		if !strings.Contains(a, want) {
 			t.Fatalf("JSONL missing %s", want)
 		}
