@@ -4,24 +4,24 @@
 // registry in internal/experiment and run across a bounded worker pool
 // (-parallel); output order is always the registry order, so parallel
 // runs print byte-identical tables. With -short it skips the ablations;
-// -json writes a machine-readable benchmark report, and -metrics writes
-// the per-experiment observability artifact (JSONL, deterministic at
-// any -parallel level). -eventq flips every engine the run builds onto
-// the binary-heap fallback for differential testing.
+// -out DIR writes the run's artifacts: bench.json, a machine-readable
+// benchmark report, and the per-experiment metrics, attribution, latency
+// and controller JSONL files (deterministic at any -parallel level).
+// -eventq flips every engine the run builds onto the binary-heap
+// fallback for differential testing.
 //
 // The simulator's own speed is measured by the benchmark module, not
 // here: bash benchmark/run.sh, then bash benchmark/run.sh -compare.
 //
 // Usage:
 //
-//	pisobench [-short] [-markdown] [-only ID] [-parallel N] [-json PATH] [-metrics PATH] [-latency PATH] [-controller PATH] [-eventq calendar|heap]
+//	pisobench [-short] [-markdown] [-only ID] [-parallel N] [-out DIR] [-eventq calendar|heap]
 //	pisobench -diff OLD.json NEW.json
 //	pisobench -soak [-soak-runs N] [-soak-seed S] [-soak-case K] [-soak-faults SPEC]
 //	pisobench -list
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -30,6 +30,7 @@ import (
 	"strings"
 	"time"
 
+	"perfiso/internal/artifact"
 	"perfiso/internal/experiment"
 	"perfiso/internal/fault"
 	"perfiso/internal/sim"
@@ -40,25 +41,21 @@ import (
 // config holds the parsed flag values so the dispatch logic is testable
 // without re-executing the binary.
 type config struct {
-	short       bool
-	markdown    bool
-	compare     bool
-	list        bool
-	only        string
-	parallel    int
-	jsonPath    string
-	metricsPath string
-	profilePath string
-	latencyPath string
-	controlPath string
-	eventq      string
-	diff        bool
-	diffArgs    []string
-	soak        bool
-	soakRuns    int
-	soakSeed    uint64
-	soakCase    int
-	soakFaults  string
+	short      bool
+	markdown   bool
+	compare    bool
+	list       bool
+	only       string
+	parallel   int
+	outDir     string
+	eventq     string
+	diff       bool
+	diffArgs   []string
+	soak       bool
+	soakRuns   int
+	soakSeed   uint64
+	soakCase   int
+	soakFaults string
 }
 
 func main() {
@@ -69,11 +66,7 @@ func main() {
 	flag.BoolVar(&cfg.compare, "compare", false, "print only the paper-vs-measured comparison")
 	flag.BoolVar(&cfg.list, "list", false, "list registered experiment ids and exit")
 	flag.IntVar(&cfg.parallel, "parallel", runtime.GOMAXPROCS(0), "experiments to run concurrently")
-	flag.StringVar(&cfg.jsonPath, "json", "", "write a machine-readable benchmark report to this path")
-	flag.StringVar(&cfg.metricsPath, "metrics", "", "write the per-experiment metrics artifact (JSONL) to this path")
-	flag.StringVar(&cfg.profilePath, "profile", "", "write the per-experiment attribution artifact (JSONL: latency breakdowns, interference matrix, spans) to this path")
-	flag.StringVar(&cfg.latencyPath, "latency", "", "write the per-experiment tail-latency artifact (JSONL: percentiles, SLO attainment, window timelines) to this path")
-	flag.StringVar(&cfg.controlPath, "controller", "", "write the per-experiment controller artifact (JSONL: decision logs of every closed-loop run) to this path")
+	flag.StringVar(&cfg.outDir, "out", "", "write the run's artifacts into this directory: bench.json (machine-readable report) and the\nper-experiment metrics.jsonl, attribution.jsonl, latency.jsonl and controller.jsonl")
 	flag.BoolVar(&cfg.diff, "diff", false, "compare two pisobench JSON reports: pisobench -diff old.json new.json")
 	flag.StringVar(&cfg.eventq, "eventq", "", "event queue implementation: calendar (default) or heap")
 	flag.BoolVar(&cfg.soak, "soak", false, "run the chaos-soak harness instead of the evaluation suite")
@@ -227,57 +220,8 @@ func run(cfg config, stdout, stderr io.Writer) int {
 	}
 
 	bench := experiment.BenchReport(results, cfg.parallel, cfg.short, wall)
-	if cfg.jsonPath != "" {
-		data, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.jsonPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-	if cfg.metricsPath != "" {
-		var buf strings.Builder
-		if err := experiment.MetricsJSONL(results, &buf); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.metricsPath, []byte(buf.String()), 0o644); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-	if cfg.profilePath != "" {
-		var buf strings.Builder
-		if err := experiment.ProfileJSONL(results, &buf); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.profilePath, []byte(buf.String()), 0o644); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-	if cfg.latencyPath != "" {
-		var buf strings.Builder
-		if err := experiment.LatencyJSONL(results, &buf); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.latencyPath, []byte(buf.String()), 0o644); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-	if cfg.controlPath != "" {
-		var buf strings.Builder
-		if err := experiment.ControllerJSONL(results, &buf); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.controlPath, []byte(buf.String()), 0o644); err != nil {
+	if cfg.outDir != "" {
+		if err := artifact.WriteDir(cfg.outDir, experiment.Artifacts(results, bench)); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,9 +50,9 @@ func TestRunShortParallelWritesJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full short suite")
 	}
-	path := filepath.Join(t.TempDir(), "BENCH_pisobench.json")
+	dir := t.TempDir()
 	var out, errOut strings.Builder
-	code := run(config{short: true, parallel: 2, jsonPath: path}, &out, &errOut)
+	code := run(config{short: true, parallel: 2, outDir: dir}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit code %d, stderr: %s", code, errOut.String())
 	}
@@ -62,7 +63,7 @@ func TestRunShortParallelWritesJSON(t *testing.T) {
 		t.Fatalf("stderr missing -short note: %q", errOut.String())
 	}
 
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join(dir, "bench.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,24 +150,36 @@ func TestRunOnlyAliasPrintsOneSection(t *testing.T) {
 	}
 }
 
-// -only open-arrival with -latency and -json: the latency artifact and
-// the bench report's embedded latency summaries both materialize.
+// -only open-arrival with -out: the directory holds exactly the bench
+// report and the four JSONL artifacts, the latency artifact and the
+// bench report's embedded latency summaries both materialize, and the
+// open-arrival experiment leaves the controller artifact empty.
 func TestRunOpenArrivalWritesLatencyArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the open-arrival experiment")
 	}
 	dir := t.TempDir()
-	latPath := filepath.Join(dir, "latency.jsonl")
-	jsonPath := filepath.Join(dir, "bench.json")
 	var out, errOut strings.Builder
-	cfg := config{only: "open-arrival", parallel: 1, latencyPath: latPath, jsonPath: jsonPath}
+	cfg := config{only: "open-arrival", parallel: 1, outDir: dir}
 	if code := run(cfg, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
 	if !strings.Contains(out.String(), "open-arrival tail latency") {
 		t.Fatalf("stdout missing the tenant table:\n%s", out.String())
 	}
-	data, err := os.ReadFile(latPath)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	want := []string{"attribution.jsonl", "bench.json", "controller.jsonl", "latency.jsonl", "metrics.jsonl"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("-out wrote %v, want %v", names, want)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "latency.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +188,11 @@ func TestRunOpenArrivalWritesLatencyArtifact(t *testing.T) {
 			t.Fatalf("latency artifact missing %s lines", want)
 		}
 	}
+	if ctl, err := os.ReadFile(filepath.Join(dir, "controller.jsonl")); err != nil || len(ctl) != 0 {
+		t.Fatalf("controller artifact: %d bytes, err %v; open-arrival runs no controller", len(ctl), err)
+	}
 	var b experiment.Bench
-	raw, err := os.ReadFile(jsonPath)
+	raw, err := os.ReadFile(filepath.Join(dir, "bench.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

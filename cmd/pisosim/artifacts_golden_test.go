@@ -13,21 +13,21 @@ import (
 // ciFaultPlan is the fault plan of the CI fault smoke step.
 const ciFaultPlan = "disk-fail:0:500ms:2s:0.5,cpu-off:0:1s:2s,mem-loss:0:1s:1s:0.2"
 
-// goldenArtifacts holds, per flagged pisosim run, the SHA-256 of stdout
-// (with the artifact directory replaced by "$DIR") and of every file the
-// run writes. The tenants run pins the controller's defaults-only header
+// goldenArtifacts holds, per pisosim -out run, the SHA-256 of stdout
+// (with the output directory replaced by "$DIR") and of every file the
+// run writes there. The tenants run pins the controller's defaults-only header
 // (step, decay, floor, burn thresholds); both runs pin the -timeline
 // sparkline next to the sampled usage table.
 var goldenArtifacts = map[string]map[string]string{
 	"pmake8/SMP/faults": {
-		"stdout":        "4333dd6e82269862f1012db54c0af0b2e0544e1ca2943a08347306088926d85a",
+		"stdout":        "ad591659c1c37e12dc552fc0edd6e58a76fb544d22d41dde38327e1fb624da00",
 		"metrics.jsonl": "54cf81f13b453e99a6382d0be8e196b0331d4df4c8a7d70126231eed1af38b65",
 		"trace.json":    "5e9ad0cad14e6348f59ba86dc427263f4e7231637aa3d7b601f242c498539a98",
 		"profile.pb.gz": "e23b543d0cbe88992f7b21164dcb6184b3811bf31d4fa9c898b919ae7faad296",
 		"spans.jsonl":   "d8fd6b136106529825812ff566043d6fa9891ddb5300569ca5571203af7658af",
 	},
 	"tenants/PIso/adaptive": {
-		"stdout":           "4147570beda4c2a825739e9f01bfe9910c84af2fb78105c405c8ed2c54a551f9",
+		"stdout":           "d04664c333e2dd31cabb7af6f190180991a85e378bf8c19712118f602e2b70b8",
 		"controller.jsonl": "8a9338953b1dddb202e8eca4bba4d54be94089bfc1eabec3688507c3be7d9ce1",
 		"latency.jsonl":    "904dfb5cb67098256dccf414c267a16f84fe5ebde0a7c640f2e9998e187843bf",
 		"metrics.jsonl":    "bdc8e66c181d9a9ca50695cab22c51768475933d22f44fb0a9fa4ad78eabfa37",
@@ -37,18 +37,13 @@ var goldenArtifacts = map[string]map[string]string{
 	},
 }
 
-// artifactRuns lists each golden run's arguments; "$DIR/" prefixes an
-// output file name.
+// artifactRuns lists each golden run's arguments; "$DIR" is the run's
+// output directory.
 var artifactRuns = map[string][]string{
 	"tenants/PIso/adaptive": {"-workload", "tenants", "-scheme", "PIso", "-adaptive",
-		"-controller", "$DIR/controller.jsonl", "-latency", "$DIR/latency.jsonl",
-		"-metrics", "$DIR/metrics.jsonl", "-chrometrace", "$DIR/trace.json",
-		"-profile", "$DIR/profile.pb.gz", "-spans", "$DIR/spans.jsonl",
-		"-timeline", "-trace", "50"},
+		"-out", "$DIR", "-timeline", "-trace", "50"},
 	"pmake8/SMP/faults": {"-workload", "pmake8", "-scheme", "SMP", "-faults", ciFaultPlan,
-		"-metrics", "$DIR/metrics.jsonl", "-chrometrace", "$DIR/trace.json",
-		"-profile", "$DIR/profile.pb.gz", "-spans", "$DIR/spans.jsonl",
-		"-timeline"},
+		"-out", "$DIR", "-timeline"},
 }
 
 func TestGoldenArtifacts(t *testing.T) {

@@ -5,8 +5,9 @@
 // Usage:
 //
 //	pisosim -workload pmake8|cpu|mem|disk|tenants -scheme SMP|Quo|PIso [-disksched Pos|Iso|PIso]
-//	pisosim -workload tenants -latency latency.jsonl   # per-tenant tail latency + SLO artifact
-//	pisosim -workload tenants -adaptive -controller ctl.jsonl   # closed-loop SLO entitlement control
+//	pisosim -workload mem -out DIR       # write the run's artifacts (metrics, Chrome trace, pprof profile, spans) into DIR
+//	pisosim -workload tenants -out DIR   # adds latency.jsonl: per-tenant tail latency and SLO attainment
+//	pisosim -workload tenants -adaptive -out DIR   # closed-loop SLO entitlement control; adds controller.jsonl
 //	pisosim -faults disk-fail:0:1s:2s:0.3,cpu-off:1:500ms:0s   # inject deterministic faults
 //	pisosim -simobs simobs.jsonl         # simulator self-observability telemetry (event census, queue stats, host time)
 //	pisosim -spec scenario.json          # declarative scenario, JSON result
@@ -20,6 +21,7 @@ import (
 	"strings"
 
 	"perfiso"
+	"perfiso/internal/artifact"
 	"perfiso/internal/profile"
 	"perfiso/internal/scenario"
 	"perfiso/internal/trace"
@@ -43,13 +45,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceKind := fs.String("trace-kind", "", "restrict -trace output to these kinds (comma-separated: sched,mem,disk,fs,proc,policy,fault,audit)")
 	traceSPU := fs.Int("trace-spu", -1, "restrict -trace output to events concerning this SPU id")
 	timeline := fs.Bool("timeline", false, "render per-SPU usage sparklines and the sampled usage table")
-	metricsPath := fs.String("metrics", "", "write per-SPU metrics as JSONL to this file")
-	latencyPath := fs.String("latency", "", "write per-tenant tail-latency summaries, SLO attainment, and window timelines as JSONL to this file")
 	adaptive := fs.Bool("adaptive", false, "close the loop: retune SPU entitlements from SLO burn (admission control, retry budgets, disk breakers)")
-	controllerPath := fs.String("controller", "", "write the controller's decision log as JSONL to this file (implies -adaptive)")
-	chromePath := fs.String("chrometrace", "", "write a Chrome trace-event file (open in Perfetto or chrome://tracing)")
-	profilePath := fs.String("profile", "", "write the simulated-time profile as gzipped pprof protobuf to this file")
-	spansPath := fs.String("spans", "", "write per-request span trees as JSONL to this file")
+	outDir := fs.String("out", "", "write the run's artifacts into this directory; turns on metrics and the profiler\n(metrics.jsonl, trace.json, profile.pb.gz, spans.jsonl; latency.jsonl when the workload tracks latency, controller.jsonl with -adaptive)")
 	simobsPath := fs.String("simobs", "", "observe the simulator itself: write event-core telemetry (JSONL) to this file and print the event census and host-time report")
 	faultSpec := fs.String("faults", "", "inject deterministic faults: kind:target:at:duration[:severity],...\n(kinds: disk-slow, disk-fail, cpu-slow, cpu-off, mem-loss; duration 0s = permanent)")
 	specPath := fs.String("spec", "", "run a declarative JSON scenario and print a JSON result")
@@ -99,29 +96,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		spuFilter = fmt.Sprintf("spu%d", *traceSPU)
 	}
 
-	opts := perfiso.Options{DiskSched: *diskSched, TraceCapacity: *traceN}
-	if *timeline || *metricsPath != "" || *chromePath != "" {
+	opts := perfiso.Options{DiskSched: *diskSched, TraceCapacity: *traceN,
+		Profiled: *outDir != "", SimObs: *simobsPath != ""}
+	if *timeline || *outDir != "" {
 		opts.MetricsPeriod = 100 * perfiso.Millisecond
 	}
-	if *latencyPath != "" {
-		opts.LatencyWindow = 500 * perfiso.Millisecond
-	}
-	if *controllerPath != "" {
-		*adaptive = true
-	}
 	if *adaptive {
-		// The controller's only sensor is the windowed SLO burn, so the
-		// closed loop always brings the latency registry with it.
-		if opts.LatencyWindow == 0 {
-			opts.LatencyWindow = 500 * perfiso.Millisecond
-		}
+		// The kernel brings the latency registry along: the windowed
+		// SLO burn is the controller's only sensor.
 		opts.Control = perfiso.ControlConfig{Enabled: true}
-	}
-	if *profilePath != "" || *spansPath != "" {
-		opts.Profiled = true
-	}
-	if *simobsPath != "" {
-		opts.SimObs = true
 	}
 	if *faultSpec != "" {
 		plan, err := perfiso.ParseFaults(*faultSpec)
@@ -142,71 +125,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "disk: mean wait %.1fms, mean positioning %.2fms\n", wait*1000, pos*1000)
 	}
 	report(sys, stdout, *timeline, kinds, spuFilter)
-	if *latencyPath != "" {
-		if err := writeExport(*latencyPath, sys.WriteLatency); err != nil {
+	if *outDir != "" {
+		if err := sys.WriteArtifacts(*outDir); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "\nlatency written to %s\n", *latencyPath)
-	}
-	if *controllerPath != "" {
-		if err := writeExport(*controllerPath, sys.WriteController); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "controller decisions written to %s\n", *controllerPath)
-	}
-	if *metricsPath != "" {
-		if err := writeExport(*metricsPath, sys.WriteMetrics); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "\nmetrics written to %s\n", *metricsPath)
-	}
-	if *chromePath != "" {
-		if err := writeExport(*chromePath, sys.WriteChromeTrace); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "chrome trace written to %s (open in Perfetto)\n", *chromePath)
-	}
-	if *profilePath != "" {
-		if err := writeExport(*profilePath, sys.WriteProfile); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "profile written to %s (view with `go tool pprof`)\n", *profilePath)
-	}
-	if *spansPath != "" {
-		if err := writeExport(*spansPath, sys.WriteSpans); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "spans written to %s\n", *spansPath)
+		fmt.Fprintf(stdout, "\nartifacts written to %s\n", *outDir)
 	}
 	if *simobsPath != "" {
 		rep := sys.Kernel().SimObsReport(w.Name)
-		if err := writeExport(*simobsPath, rep.WriteJSONL); err != nil {
+		if err := artifact.WriteFile(*simobsPath, rep.WriteJSONL); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		fmt.Fprintf(stdout, "\n%s\nsimulator telemetry written to %s\n", rep, *simobsPath)
 	}
 	return 0
-}
-
-// writeExport creates path and streams one of the System export methods
-// into it.
-func writeExport(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func parseScheme(name string) (perfiso.Scheme, bool) {

@@ -67,21 +67,24 @@ func TestRunBadFaultSpecFails(t *testing.T) {
 	}
 }
 
-// A spec naming a disk the machine lacks is a clean usage error, not a
-// kernel panic.
+// A spec naming a disk the machine lacks, or copying a file larger than
+// its disk, is a clean usage error, not a kernel panic.
 func TestRunSpecBadDiskFails(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad-disk.json")
-	doc := `{"machine":"memory-isolation","spus":[{"name":"a","disk":2}],"jobs":[{"type":"pmake","spu":"a","name":"j"}]}`
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errOut strings.Builder
-	if code := run([]string{"-spec", path}, &out, &errOut); code != 1 {
-		t.Fatalf("exit code %d, want 1", code)
-	}
-	want := `scenario: SPU "a" disk 2 out of range (memory-isolation has 2 disks)`
-	if !strings.Contains(errOut.String(), want) || strings.Contains(errOut.String(), "panic:") {
-		t.Fatalf("stderr = %q, want %q", errOut.String(), want)
+	for doc, want := range map[string]string{
+		`{"machine":"memory-isolation","spus":[{"name":"a","disk":2}],"jobs":[{"type":"pmake","spu":"a","name":"j"}]}`:              `scenario: SPU "a" disk 2 out of range (memory-isolation has 2 disks)`,
+		`{"machine":"memory-isolation","spus":[{"name":"a"}],"jobs":[{"type":"copy","spu":"a","name":"big","bytes":100000000000}]}`: `scenario: copy job "big" of 100000000000 bytes does not fit on disk 0 of memory-isolation`,
+	} {
+		path := filepath.Join(t.TempDir(), "bad-disk.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errOut strings.Builder
+		if code := run([]string{"-spec", path}, &out, &errOut); code != 1 {
+			t.Fatalf("%s: exit code %d, want 1", doc, code)
+		}
+		if !strings.Contains(errOut.String(), want) || strings.Contains(errOut.String(), "panic:") {
+			t.Fatalf("stderr = %q, want %q", errOut.String(), want)
+		}
 	}
 }
 
@@ -137,5 +140,27 @@ func TestRunDiskWorkload(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("stdout missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// -out naming an existing regular file is an I/O error (exit 1) reported
+// after the run, not a panic.
+func TestRunOutOnRegularFileFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a full simulation")
+	}
+	path := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut strings.Builder
+	if code := run([]string{"-workload", "mem", "-out", path}, &out, &errOut); code != 1 {
+		t.Fatalf("exit code %d, want 1; stderr: %s", code, errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "not a directory") || strings.Contains(errOut.String(), "panic:") {
+		t.Fatalf("stderr = %q", errOut.String())
+	}
+	if strings.Contains(out.String(), "artifacts written") {
+		t.Fatalf("stdout claims artifacts were written:\n%s", out.String())
 	}
 }

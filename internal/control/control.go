@@ -111,7 +111,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Action is one controller decision, kept for the -controller JSONL
+// Action is one controller decision, kept for the controller.jsonl
 // artifact and tests that assert why a run adapted.
 type Action struct {
 	At     sim.Time

@@ -69,10 +69,10 @@ type AttributionSummary struct {
 	// resource. Under PIso an isolated SPU's victim rows are ~0.
 	Theft []TheftRow `json:"theft,omitempty"`
 
-	// spans renders the run's span JSONL for the -profile artifact on
-	// demand — serializing thousands of spans costs more than some whole
-	// runs, so it only happens when the artifact is actually written.
-	// Unexported so bench JSON stays a summary.
+	// spans renders the run's span JSONL for the attribution.jsonl
+	// artifact on demand — serializing thousands of spans costs more than
+	// some whole runs, so it only happens when the artifact is actually
+	// written. Unexported so bench JSON stays a summary.
 	spans func() string
 }
 
@@ -137,7 +137,8 @@ func spuDisplay(names map[int]string, id core.SPUID) string {
 }
 
 // attributionHeader introduces one configuration's block in the
-// -profile artifact. Fixed field order keeps the bytes deterministic.
+// attribution.jsonl artifact. Fixed field order keeps the bytes
+// deterministic.
 type attributionHeader struct {
 	Type                   string `json:"type"`
 	Experiment             string `json:"experiment"`
@@ -159,7 +160,7 @@ type attributionTheftLine struct {
 // ProfileJSONL writes the per-experiment attribution artifact: for every
 // profiled configuration, one "experiment" header line, one "proc" line
 // per finished process, one "theft" line per interference-matrix cell,
-// and then the run's span JSONL (the same lines pisosim -spans writes).
+// and then the run's span JSONL (the lines of pisosim's spans.jsonl).
 // Results appear in registry order and every value is integer simulated
 // time, so the artifact is byte-identical at any -parallel level.
 func ProfileJSONL(results []Result, w io.Writer) error {

@@ -194,7 +194,8 @@ func (r SLOControllerResult) FrontierTable() *stats.Table {
 }
 
 // ControllerSummary is one configuration's controller activity, with
-// the full decision-log export embedded for the -controller artifact.
+// the full decision-log export embedded for the controller.jsonl
+// artifact.
 type ControllerSummary struct {
 	// Config names the run within its experiment.
 	Config string `json:"config"`
@@ -222,7 +223,7 @@ func summarizeController(k *kernel.Kernel, config string) (ControllerSummary, bo
 }
 
 // controllerHeader introduces one configuration's block in the
-// -controller artifact.
+// controller.jsonl artifact.
 type controllerHeader struct {
 	Type       string `json:"type"`
 	Experiment string `json:"experiment"`
@@ -232,7 +233,7 @@ type controllerHeader struct {
 // ControllerJSONL writes the per-experiment controller artifact: for
 // every configuration that ran with the closed loop on, one
 // "experiment" header line followed by that run's full decision-log
-// export (the same lines pisosim -controller writes). Deterministic at
+// export (the lines of pisosim's controller.jsonl). Deterministic at
 // any -parallel level and on either event-queue implementation.
 func ControllerJSONL(results []Result, w io.Writer) error {
 	enc := json.NewEncoder(w)

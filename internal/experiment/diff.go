@@ -8,7 +8,7 @@ import (
 	"perfiso/internal/stats"
 )
 
-// Diff compares two pisobench evaluation reports (pisobench -json) and
+// Diff compares two pisobench evaluation reports (bench.json) and
 // renders a textual comparison. Both files must carry "suite":"pisobench".
 // The diff is report-only — it never declares a regression, it shows
 // what moved so the reader can. Deterministic quantities (simulation

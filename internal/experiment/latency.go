@@ -42,8 +42,8 @@ type LatencySummary struct {
 	Tenants []TenantLatency `json:"tenants"`
 
 	// jsonl holds the run's full latency export (summary, SLO, and
-	// window timeline lines) for the -latency artifact; unexported so
-	// bench JSON stays a summary.
+	// window timeline lines) for the latency.jsonl artifact; unexported
+	// so bench JSON stays a summary.
 	jsonl string
 }
 
@@ -93,8 +93,9 @@ func summarizeLatency(k *kernel.Kernel, config string) (LatencySummary, bool) {
 	return s, true
 }
 
-// latencyHeader introduces one configuration's block in the -latency
-// artifact. Fixed field order keeps the bytes deterministic.
+// latencyHeader introduces one configuration's block in the
+// latency.jsonl artifact. Fixed field order keeps the bytes
+// deterministic.
 type latencyHeader struct {
 	Type       string `json:"type"`
 	Experiment string `json:"experiment"`
@@ -104,8 +105,8 @@ type latencyHeader struct {
 
 // LatencyJSONL writes the per-experiment latency artifact: for every
 // configuration that ran with latency tracking on, one "experiment"
-// header line followed by that run's full latency export (the same
-// lines pisosim -latency writes). Results appear in registry order and
+// header line followed by that run's full latency export (the lines of
+// pisosim's latency.jsonl). Results appear in registry order and
 // every duration is integer simulated nanoseconds, so the artifact is
 // byte-identical at any -parallel level and on either event-queue
 // implementation.

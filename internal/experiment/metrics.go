@@ -38,7 +38,7 @@ type MetricSummary struct {
 	// CPUShare is each user SPU's fraction of the total user CPU time.
 	CPUShare map[string]float64 `json:"cpu_share"`
 
-	// jsonl holds the run's full registry export for the -metrics
+	// jsonl holds the run's full registry export for the metrics.jsonl
 	// artifact; unexported so bench JSON stays a summary.
 	jsonl string
 }
@@ -108,8 +108,9 @@ func summarizeMetrics(k *kernel.Kernel, config string) (MetricSummary, bool) {
 	return s, true
 }
 
-// metricsHeader introduces one configuration's block in the -metrics
-// artifact. Fixed field order keeps the bytes deterministic.
+// metricsHeader introduces one configuration's block in the
+// metrics.jsonl artifact. Fixed field order keeps the bytes
+// deterministic.
 type metricsHeader struct {
 	Type            string             `json:"type"`
 	Experiment      string             `json:"experiment"`
@@ -122,8 +123,8 @@ type metricsHeader struct {
 
 // MetricsJSONL writes the per-experiment metrics artifact: for every
 // instrumented configuration, one "experiment" header line carrying the
-// summary, followed by that run's full registry export (the same lines
-// pisosim -metrics writes). Results appear in registry order and no
+// summary, followed by that run's full registry export (the lines of
+// pisosim's metrics.jsonl). Results appear in registry order and no
 // wall-clock value is included, so the artifact is byte-identical at
 // any -parallel level.
 func MetricsJSONL(results []Result, w io.Writer) error {

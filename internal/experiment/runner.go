@@ -1,11 +1,14 @@
 package experiment
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"runtime/debug"
 	"sync"
 	"time"
 
+	"perfiso/internal/artifact"
 	"perfiso/internal/stats"
 )
 
@@ -77,7 +80,7 @@ func (s Spec) Matches(id string) bool {
 
 // Registry returns every experiment of the paper's evaluation plus the
 // ablations, in the canonical presentation order (the order pisobench
-// prints and BENCH_pisobench.json records).
+// prints and bench.json records).
 func Registry() []Spec {
 	return []Spec{
 		{
@@ -313,7 +316,7 @@ func RunAll(specs []Spec, parallel int) []Result {
 	return results
 }
 
-// Bench is the machine-readable benchmark report pisobench -json writes:
+// Bench is the machine-readable benchmark report (pisobench's bench.json):
 // per-experiment wall-clock, event throughput, and the headline result
 // rows, for perf and regression tracking across configurations.
 type Bench struct {
@@ -382,4 +385,31 @@ func BenchReport(results []Result, parallel int, short bool, wall time.Duration)
 		b.Experiments = append(b.Experiments, e)
 	}
 	return b
+}
+
+// Artifacts lists the files of one suite run in a fixed order: the bench
+// report and the four per-experiment JSONL artifacts. All five are
+// always listed; a JSONL file is empty when no experiment of the run
+// exported its kind.
+func Artifacts(results []Result, bench Bench) []artifact.File {
+	jsonl := func(write func([]Result, io.Writer) error) func(io.Writer) error {
+		return func(w io.Writer) error { return write(results, w) }
+	}
+	return []artifact.File{
+		{Name: "bench.json", Write: bench.writeJSON},
+		{Name: "metrics.jsonl", Write: jsonl(MetricsJSONL)},
+		{Name: "attribution.jsonl", Write: jsonl(ProfileJSONL)},
+		{Name: "latency.jsonl", Write: jsonl(LatencyJSONL)},
+		{Name: "controller.jsonl", Write: jsonl(ControllerJSONL)},
+	}
+}
+
+// writeJSON writes the report as indented JSON ending in a newline.
+func (b Bench) writeJSON(w io.Writer) error {
+	data, err := json.MarshalIndent(b, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(data, '\n'))
+	return err
 }

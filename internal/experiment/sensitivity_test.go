@@ -11,7 +11,7 @@ import (
 // the test fast; RunSensitivity defaults to 1-3 for the harness.)
 func TestSensitivitySweepShape(t *testing.T) {
 	r := RunSensitivity([]int{1, 2})
-	smp := r.Victim[core.SMP].Sorted()
+	smp := r.Victim[core.SMP].Points // in load order
 	for i := 1; i < len(smp); i++ {
 		if smp[i].Y < smp[i-1].Y-2 {
 			t.Errorf("SMP victim improved with more load: %v", smp)

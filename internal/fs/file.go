@@ -100,12 +100,23 @@ func NewAllocator(d *disk.Disk, rng *sim.RNG) *Allocator {
 	return &Allocator{d: d, next: d.Params().SectorsPerCylinder(), rng: rng}
 }
 
+// MaxFileBytes is the largest file a disk with these parameters holds:
+// its data area, every cylinder but the first (kept for metadata), in
+// whole pages.
+func MaxFileBytes(p disk.Params) int64 {
+	return (p.TotalSectors() - p.SectorsPerCylinder()) / mem.SectorsPerPage * mem.PageSize
+}
+
 // NewFile creates and places a file. Scattered files are broken into
 // fragments of at most fragPages pages each, placed at pseudo-random
-// cylinders; pass 0 for the default of 2 pages.
+// cylinders; pass 0 for the default of 2 pages. A file larger than the
+// disk's data area (MaxFileBytes) panics.
 func (a *Allocator) NewFile(name string, size int64, layout Layout, fragPages int64) *File {
 	if size <= 0 {
 		panic(fmt.Sprintf("fs: file %q with size %d", name, size))
+	}
+	if max := MaxFileBytes(a.d.Params()); size > max {
+		panic(fmt.Sprintf("fs: file %q of %d bytes exceeds the %d-byte data area of its disk", name, size, max))
 	}
 	f := &File{Name: name, Size: size, Disk: a.d, seq: a.seq}
 	a.seq++

@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"strings"
 	"testing"
 
 	"perfiso/internal/core"
@@ -77,6 +78,24 @@ func TestAllocatorRejectsEmptyFile(t *testing.T) {
 		}
 	}()
 	r.al.NewFile("empty", 0, Contiguous, 0)
+}
+
+// A file that fits the data area exactly lays out inside the disk; one
+// byte more panics with the file's name instead of handing out sectors
+// past the last one.
+func TestAllocatorRejectsFileLargerThanDisk(t *testing.T) {
+	r := newRig(100)
+	max := MaxFileBytes(r.d.Params())
+	f := r.al.NewFile("fits", max, Contiguous, 0)
+	if last := f.SectorOfPage(f.NumPages()-1) + mem.SectorsPerPage; last > r.d.Params().TotalSectors() {
+		t.Fatalf("largest file ends at sector %d, past the disk's %d", last, r.d.Params().TotalSectors())
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, `"huge"`) {
+			t.Fatalf("panic %q does not name the file", msg)
+		}
+	}()
+	r.al.NewFile("huge", max+1, Contiguous, 0)
 }
 
 func TestSectorOfPageBeyondEOFPanics(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 
+	"perfiso/internal/artifact"
 	"perfiso/internal/control"
 	"perfiso/internal/core"
 	"perfiso/internal/disk"
@@ -608,6 +609,30 @@ func (k *Kernel) MetricNames() metrics.Names {
 		names[s.ID()] = s.Name()
 	}
 	return names
+}
+
+// Artifacts lists one file per export of the enabled observers, in a
+// fixed order: metrics.jsonl and trace.json with metrics on,
+// profile.pb.gz and spans.jsonl with the profiler, latency.jsonl with a
+// latency registry, controller.jsonl with the controller. An observer
+// that is off has no entry, so every listed writer succeeds.
+func (k *Kernel) Artifacts() []artifact.File {
+	var set []artifact.File
+	if k.metrics != nil {
+		set = append(set, artifact.File{Name: "metrics.jsonl", Write: k.WriteMetrics},
+			artifact.File{Name: "trace.json", Write: k.WriteChromeTrace})
+	}
+	if k.profiler != nil {
+		set = append(set, artifact.File{Name: "profile.pb.gz", Write: k.WriteProfile},
+			artifact.File{Name: "spans.jsonl", Write: k.WriteSpans})
+	}
+	if k.latreg != nil {
+		set = append(set, artifact.File{Name: "latency.jsonl", Write: k.WriteLatency})
+	}
+	if k.ctl != nil {
+		set = append(set, artifact.File{Name: "controller.jsonl", Write: k.WriteController})
+	}
+	return set
 }
 
 // WriteMetrics writes the registry as deterministic JSONL (one metric

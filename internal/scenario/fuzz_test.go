@@ -14,6 +14,7 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))
 	f.Add([]byte(`[1,2,3]`))
+	f.Add([]byte(oversizedCopySpec))
 	for doc := range badDiskSpecs {
 		f.Add([]byte(doc))
 	}

@@ -29,6 +29,7 @@ import (
 	"fmt"
 
 	"perfiso/internal/core"
+	"perfiso/internal/fs"
 	"perfiso/internal/kernel"
 	"perfiso/internal/machine"
 	"perfiso/internal/sim"
@@ -122,29 +123,36 @@ func (s *Spec) validate() error {
 	if len(s.SPUs) == 0 {
 		return fmt.Errorf("scenario: no SPUs declared")
 	}
-	names := make(map[string]bool)
-	for _, sp := range s.SPUs {
+	// disks maps each SPU to the disk its files go on: its declared
+	// affinity, or the kernel's round-robin default in declaration order.
+	disks := make(map[string]int)
+	for i, sp := range s.SPUs {
 		if sp.Name == "" {
 			return fmt.Errorf("scenario: SPU with empty name")
 		}
-		if names[sp.Name] {
+		if _, dup := disks[sp.Name]; dup {
 			return fmt.Errorf("scenario: duplicate SPU %q", sp.Name)
 		}
-		names[sp.Name] = true
-		if n := len(cfg.Disks); sp.Disk != nil && (*sp.Disk < 0 || *sp.Disk >= n) {
-			unit := "disks"
-			if n == 1 {
-				unit = "disk"
+		d := i % len(cfg.Disks)
+		if sp.Disk != nil {
+			if n := len(cfg.Disks); *sp.Disk < 0 || *sp.Disk >= n {
+				unit := "disks"
+				if n == 1 {
+					unit = "disk"
+				}
+				return fmt.Errorf("scenario: SPU %q disk %d out of range (%s has %d %s)",
+					sp.Name, *sp.Disk, cfg.Name, n, unit)
 			}
-			return fmt.Errorf("scenario: SPU %q disk %d out of range (%s has %d %s)",
-				sp.Name, *sp.Disk, cfg.Name, n, unit)
+			d = *sp.Disk
 		}
+		disks[sp.Name] = d
 	}
 	if len(s.Jobs) == 0 {
 		return fmt.Errorf("scenario: no jobs declared")
 	}
 	for _, j := range s.Jobs {
-		if !names[j.SPU] {
+		d, ok := disks[j.SPU]
+		if !ok {
 			return fmt.Errorf("scenario: job %q references unknown SPU %q", j.Name, j.SPU)
 		}
 		switch j.Type {
@@ -154,6 +162,10 @@ func (s *Spec) validate() error {
 		}
 		if j.Type == "copy" && j.Bytes <= 0 {
 			return fmt.Errorf("scenario: copy job %q needs bytes > 0", j.Name)
+		}
+		if max := fs.MaxFileBytes(cfg.Disks[d]); j.Type == "copy" && j.Bytes > max {
+			return fmt.Errorf("scenario: copy job %q of %d bytes does not fit on disk %d of %s (at most %d bytes per file)",
+				j.Name, j.Bytes, d, cfg.Name, max)
 		}
 	}
 	return nil

@@ -93,6 +93,7 @@ func TestValidationErrors(t *testing.T) {
 		"unknown spu":     `{"spus": [{"name":"u"}], "jobs":[{"type":"vcs","spu":"x","name":"v"}]}`,
 		"unknown type":    `{"spus": [{"name":"u"}], "jobs":[{"type":"quake","spu":"u","name":"v"}]}`,
 		"copy no bytes":   `{"spus": [{"name":"u"}], "jobs":[{"type":"copy","spu":"u","name":"v"}]}`,
+		"copy too big":    oversizedCopySpec,
 	}
 	for label, doc := range cases {
 		if _, err := Parse([]byte(doc)); err == nil {
@@ -102,6 +103,10 @@ func TestValidationErrors(t *testing.T) {
 		}
 	}
 }
+
+// oversizedCopySpec copies a file larger than any disk of its machine;
+// the kernel would panic submitting sectors past the disk's end.
+const oversizedCopySpec = `{"machine":"memory-isolation","spus":[{"name":"a"}],"jobs":[{"type":"copy","spu":"a","name":"big","bytes":100000000000}]}`
 
 // badDiskSpecs name a disk the machine does not have; the kernel would
 // panic on them, so Parse must refuse them.

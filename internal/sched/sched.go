@@ -646,7 +646,6 @@ func (s *Scheduler) dispatchOn(c *cpu, t *Thread, loan bool) {
 	if t.Prof != nil {
 		t.Prof.To(profile.StateRun, t.SPU)
 	}
-	t.WaitTime.AddTime(now - t.readySince)
 	c.cur = t
 	c.loan = loan
 	c.started = now

@@ -282,18 +282,6 @@ func TestFractionalEntitlementRotor(t *testing.T) {
 	}
 }
 
-func TestWaitTimeRecorded(t *testing.T) {
-	eng, _, s, us := schedRig(1, core.ShareIdle, 1)
-	t1 := burst(s, us[0].ID(), "t1", 60*sim.Millisecond, nil, eng)
-	t2 := burst(s, us[0].ID(), "t2", 60*sim.Millisecond, nil, eng)
-	s.Wake(t1)
-	s.Wake(t2)
-	runTicks(eng, s, sim.Second)
-	if t2.WaitTime.N() == 0 || t2.WaitTime.Sum() == 0 {
-		t.Fatal("queued thread recorded no wait time")
-	}
-}
-
 func TestWakeExitedThreadPanics(t *testing.T) {
 	eng, _, s, us := schedRig(1, core.ShareIdle, 1)
 	th := burst(s, us[0].ID(), "t", 10*sim.Millisecond, nil, eng)

@@ -22,7 +22,6 @@ import (
 	"perfiso/internal/core"
 	"perfiso/internal/profile"
 	"perfiso/internal/sim"
-	"perfiso/internal/stats"
 )
 
 // Thread is one schedulable entity. The process model sets Remaining to
@@ -50,8 +49,7 @@ type Thread struct {
 	gang       *Gang // non-nil when gang scheduled; placed only en bloc
 
 	// Statistics.
-	CPUTime  sim.Time     // total CPU time consumed
-	WaitTime stats.Sample // runnable -> running latencies, seconds
+	CPUTime sim.Time // total CPU time consumed
 
 	// Prof, when non-nil, receives the thread's run/runnable transitions
 	// (with the culprit SPU holding the CPU on waits). Nil costs nothing:

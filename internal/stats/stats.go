@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"perfiso/internal/sim"
 )
@@ -262,14 +261,6 @@ type Series struct {
 // Add appends a point.
 func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{x, y}) }
 
-// Sorted returns the points sorted by X.
-func (s *Series) Sorted() []Point {
-	out := make([]Point, len(s.Points))
-	copy(out, s.Points)
-	sort.Slice(out, func(i, j int) bool { return out[i].X < out[j].X })
-	return out
-}
-
 // YAt returns the Y value for the point whose X matches x, or ok=false
 // if absent. Matching tolerates float rounding (a relative epsilon), so
 // sweep points computed through division — e.g. thresholds built as
@@ -291,33 +282,9 @@ func (s *Series) YAt(x float64) (y float64, ok bool) {
 	return y, true
 }
 
-// Ratio is a convenience for "normalized to baseline" reporting: it
-// returns 100*v/base, the percentage form used throughout the paper's
-// figures, or 0 if base is 0.
-func Ratio(v, base float64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return 100 * v / base
-}
-
 // FormatPercent renders a percentage (negative values keep their sign,
 // marking deltas like "-39%").
 func FormatPercent(v float64) string { return fmt.Sprintf("%.0f%%", v) }
 
 // FormatRatio renders a multiplicative ratio.
 func FormatRatio(v float64) string { return fmt.Sprintf("%.2fx", v) }
-
-// FormatSeconds renders a duration in seconds with sensible precision.
-func FormatSeconds(s float64) string {
-	switch {
-	case s == 0:
-		return "0"
-	case math.Abs(s) < 0.001:
-		return fmt.Sprintf("%.2fms", s*1000)
-	case math.Abs(s) < 1:
-		return fmt.Sprintf("%.1fms", s*1000)
-	default:
-		return fmt.Sprintf("%.2fs", s)
-	}
-}

@@ -245,38 +245,11 @@ func TestSeries(t *testing.T) {
 	s.Add(3, 30)
 	s.Add(1, 10)
 	s.Add(2, 20)
-	sorted := s.Sorted()
-	if sorted[0].X != 1 || sorted[2].X != 3 {
-		t.Fatalf("Sorted = %v", sorted)
-	}
 	if y, ok := s.YAt(2); !ok || y != 20 {
 		t.Fatalf("YAt(2) = %g,%v", y, ok)
 	}
 	if _, ok := s.YAt(99); ok {
 		t.Fatal("YAt(99) should miss")
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(150, 100) != 150 {
-		t.Fatal("Ratio(150,100)")
-	}
-	if Ratio(1, 0) != 0 {
-		t.Fatal("Ratio with zero base")
-	}
-}
-
-func TestFormatSeconds(t *testing.T) {
-	cases := map[float64]string{
-		0:      "0",
-		0.0005: "0.50ms",
-		0.25:   "250.0ms",
-		1.5:    "1.50s",
-	}
-	for in, want := range cases {
-		if got := FormatSeconds(in); got != want {
-			t.Errorf("FormatSeconds(%g) = %q, want %q", in, got, want)
-		}
 	}
 }
 

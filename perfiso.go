@@ -31,9 +31,9 @@
 package perfiso
 
 import (
-	"io"
 	"runtime"
 
+	"perfiso/internal/artifact"
 	"perfiso/internal/control"
 	"perfiso/internal/core"
 	"perfiso/internal/disk"
@@ -308,41 +308,15 @@ func (s *System) DiskStats(i int) (requests int64, meanWait, meanPos float64) {
 	return d.Total.Requests, d.Total.Wait.Mean(), d.Total.Pos.Mean()
 }
 
-// WriteMetrics writes the run's metrics registry as deterministic JSONL,
-// one metric per line. Enable collection with Options.MetricsPeriod; a
-// no-op when observability is off.
-func (s *System) WriteMetrics(w io.Writer) error { return s.k.WriteMetrics(w) }
-
-// WriteChromeTrace writes the run as a Chrome trace-event file openable
-// in Perfetto or chrome://tracing, one counter track per SPU. Enable
-// collection with Options.MetricsPeriod; a no-op when observability is
-// off.
-func (s *System) WriteChromeTrace(w io.Writer) error { return s.k.WriteChromeTrace(w) }
-
-// WriteLatency writes the run's tail-latency registry as deterministic
-// JSONL: one summary line and one SLO line per tracked stream, plus a
-// windowed percentile timeline. Enable collection with
-// Options.LatencyWindow; an error when latency tracking is off.
-func (s *System) WriteLatency(w io.Writer) error { return s.k.WriteLatency(w) }
-
-// WriteController writes the closed-loop controller's decision log as
-// deterministic JSONL: one header line with the effective config and
-// activity totals, then one line per retune, shed-cap, or breaker
-// action in decision order. Enable the loop with Options.Control; an
-// error when it is off.
-func (s *System) WriteController(w io.Writer) error { return s.k.WriteController(w) }
-
-// WriteProfile writes the run's simulated-time profile as a gzipped
-// pprof protobuf: one sample per (SPU, resource, state) bucket with the
-// folded stack spu;resource;state, plus one "stolen" sample per
-// interference-matrix cell labelled with the culprit SPU. Enable
-// collection with Options.Profiled; an error when profiling is off.
-func (s *System) WriteProfile(w io.Writer) error { return s.k.WriteProfile(w) }
-
-// WriteSpans writes the run's per-request span trees as deterministic
-// JSONL. Enable collection with Options.Profiled; an error when
-// profiling is off.
-func (s *System) WriteSpans(w io.Writer) error { return s.k.WriteSpans(w) }
+// WriteArtifacts writes the run's artifact set into dir, creating it
+// when missing: one file per export of the enabled observers (see
+// kernel.Kernel.Artifacts). Options.MetricsPeriod adds metrics.jsonl and
+// the Chrome trace trace.json, Options.Profiled the pprof profile
+// profile.pb.gz and spans.jsonl, Options.LatencyWindow latency.jsonl and
+// Options.Control controller.jsonl.
+func (s *System) WriteArtifacts(dir string) error {
+	return artifact.WriteDir(dir, s.k.Artifacts())
+}
 
 // HP97560 exposes the paper's disk model parameters.
 var HP97560 = disk.HP97560
