@@ -7,15 +7,13 @@
 // -out DIR writes the run's artifacts: bench.json, a machine-readable
 // benchmark report, and the per-experiment metrics, attribution, latency
 // and controller JSONL files (deterministic at any -parallel level).
-// -eventq flips every engine the run builds onto the binary-heap
-// fallback for differential testing.
 //
 // The simulator's own speed is measured by the benchmark module, not
 // here: bash benchmark/run.sh, then bash benchmark/run.sh -compare.
 //
 // Usage:
 //
-//	pisobench [-short] [-markdown] [-only ID] [-parallel N] [-out DIR] [-eventq calendar|heap]
+//	pisobench [-short] [-markdown] [-only ID] [-parallel N] [-out DIR]
 //	pisobench -diff OLD.json NEW.json
 //	pisobench -soak [-soak-runs N] [-soak-seed S] [-soak-case K] [-soak-faults SPEC]
 //	pisobench -list
@@ -33,7 +31,6 @@ import (
 	"perfiso/internal/artifact"
 	"perfiso/internal/experiment"
 	"perfiso/internal/fault"
-	"perfiso/internal/sim"
 	"perfiso/internal/soak"
 	"perfiso/internal/stats"
 )
@@ -48,7 +45,6 @@ type config struct {
 	only       string
 	parallel   int
 	outDir     string
-	eventq     string
 	diff       bool
 	diffArgs   []string
 	soak       bool
@@ -68,7 +64,6 @@ func main() {
 	flag.IntVar(&cfg.parallel, "parallel", runtime.GOMAXPROCS(0), "experiments to run concurrently")
 	flag.StringVar(&cfg.outDir, "out", "", "write the run's artifacts into this directory: bench.json (machine-readable report) and the\nper-experiment metrics.jsonl, attribution.jsonl, latency.jsonl and controller.jsonl")
 	flag.BoolVar(&cfg.diff, "diff", false, "compare two pisobench JSON reports: pisobench -diff old.json new.json")
-	flag.StringVar(&cfg.eventq, "eventq", "", "event queue implementation: calendar (default) or heap")
 	flag.BoolVar(&cfg.soak, "soak", false, "run the chaos-soak harness instead of the evaluation suite")
 	flag.IntVar(&cfg.soakRuns, "soak-runs", 16, "soak: number of generated cases to run")
 	flag.Uint64Var(&cfg.soakSeed, "soak-seed", 1, "soak: sweep seed; every case derives from it deterministically")
@@ -145,13 +140,6 @@ func run(cfg config, stdout, stderr io.Writer) int {
 		} else {
 			fmt.Fprintln(stdout, t)
 		}
-	}
-
-	if kind, err := sim.ParseQueueKind(cfg.eventq); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	} else {
-		sim.SetDefaultQueue(kind)
 	}
 
 	if cfg.soak {

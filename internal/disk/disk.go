@@ -306,7 +306,7 @@ func (d *Disk) startNext() {
 		d.blame(r, total)
 	}
 
-	d.eng.CallAfter(total, "disk.complete", func() { d.complete(r) })
+	d.eng.After(total, "disk.complete", func() { d.complete(r) })
 	// The head ends up over the last cylinder touched by the transfer.
 	d.headCyl = d.params.CylinderOf(r.Sector + int64(r.Count) - 1)
 	d.lastEnd = r.Sector + int64(r.Count)

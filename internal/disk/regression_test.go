@@ -19,7 +19,7 @@ func TestTrackBufferHitExpiresAfterIdleGap(t *testing.T) {
 		var second *Request
 		d.Submit(req(spuA, 1000, 8, nil))
 		eng.Run()
-		eng.CallAfter(gap, "resume-stream", func() {
+		eng.After(gap, "resume-stream", func() {
 			// The model's spindle position is a pure function of time,
 			// so the full rotational delay the continuation *should*
 			// pay is computable up front.

@@ -234,7 +234,7 @@ type controllerHeader struct {
 // every configuration that ran with the closed loop on, one
 // "experiment" header line followed by that run's full decision-log
 // export (the lines of pisosim's controller.jsonl). Deterministic at
-// any -parallel level and on either event-queue implementation.
+// any -parallel level.
 func ControllerJSONL(results []Result, w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, r := range results {

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"perfiso/internal/sim"
 )
 
 // TestSLOControllerSeparation is the acceptance gate for the closed
@@ -104,28 +102,5 @@ func TestControllerArtifactDeterministicAcrossParallel(t *testing.T) {
 	}
 	if strings.Contains(seq, "wall") {
 		t.Fatal("controller artifact mentions wall time")
-	}
-}
-
-// The artifact is also byte-identical across event-queue
-// implementations — the control loop reads simulated time only.
-func TestControllerArtifactDeterministicAcrossQueues(t *testing.T) {
-	s, ok := Lookup("slo-controller")
-	if !ok {
-		t.Fatal("missing spec slo-controller")
-	}
-	render := func(kind sim.QueueKind) string {
-		old := sim.SetDefaultQueue(kind)
-		defer sim.SetDefaultQueue(old)
-		var buf bytes.Buffer
-		if err := ControllerJSONL(RunAll([]Spec{s}, 1), &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	cal := render(sim.QueueCalendar)
-	heap := render(sim.QueueHeap)
-	if cal != heap {
-		t.Fatalf("controller artifact differs between calendar and heap queues:\n--- calendar ---\n%.600s\n--- heap ---\n%.600s", cal, heap)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"perfiso/internal/sim"
 )
 
 // The latency artifact is part of the harness determinism contract:
@@ -55,28 +53,5 @@ func TestLatencyArtifactDeterministicAcrossParallel(t *testing.T) {
 	// Wall-clock never leaks into the artifact.
 	if strings.Contains(seq, "wall") {
 		t.Fatal("latency artifact mentions wall time")
-	}
-}
-
-// The artifact is also byte-identical across event-queue
-// implementations — simulated time only, no tie-break leakage.
-func TestLatencyArtifactDeterministicAcrossQueues(t *testing.T) {
-	s, ok := Lookup("open-arrival")
-	if !ok {
-		t.Fatal("missing spec open-arrival")
-	}
-	render := func(kind sim.QueueKind) string {
-		old := sim.SetDefaultQueue(kind)
-		defer sim.SetDefaultQueue(old)
-		var buf bytes.Buffer
-		if err := LatencyJSONL(RunAll([]Spec{s}, 1), &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	cal := render(sim.QueueCalendar)
-	heap := render(sim.QueueHeap)
-	if cal != heap {
-		t.Fatalf("latency artifact differs between calendar and heap queues:\n--- calendar ---\n%.600s\n--- heap ---\n%.600s", cal, heap)
 	}
 }

@@ -76,9 +76,9 @@ func NewInjector(eng *sim.Engine, m Machine, plan *Plan, rng *sim.RNG) *Injector
 		// removed carries state from injection to recovery (MemLoss
 		// must restore exactly the frames it took).
 		removed := new(int)
-		eng.Call(ev.At, "fault.inject", func() { in.apply(&ev, removed) })
+		eng.At(ev.At, "fault.inject", func() { in.apply(&ev, removed) })
 		if ev.Duration > 0 {
-			eng.Call(ev.At+ev.Duration, "fault.revert", func() { in.revert(&ev, removed) })
+			eng.At(ev.At+ev.Duration, "fault.revert", func() { in.revert(&ev, removed) })
 		}
 	}
 	return in

@@ -13,7 +13,7 @@ func TestReadRetriesFailedTransfersWithBackoff(t *testing.T) {
 	done := sim.Time(-1)
 	r.fs.Read(spuA, f, 0, 16*1024, func() { done = r.eng.Now() })
 	// Heal the disk after 100 ms; the read must complete via retries.
-	r.eng.CallAfter(100*sim.Millisecond, "heal", func() { r.d.SetFault(0, nil) })
+	r.eng.After(100*sim.Millisecond, "heal", func() { r.d.SetFault(0, nil) })
 	r.eng.Run()
 	if done < 0 {
 		t.Fatal("read never completed after the disk healed")
@@ -35,7 +35,7 @@ func TestMetaUpdateRetriesFailedWrite(t *testing.T) {
 	r.d.SetFault(1.0, sim.NewRNG(4).Fork())
 	done := sim.Time(-1)
 	r.fs.MetaUpdate(spuA, f, func() { done = r.eng.Now() })
-	r.eng.CallAfter(50*sim.Millisecond, "heal", func() { r.d.SetFault(0, nil) })
+	r.eng.After(50*sim.Millisecond, "heal", func() { r.d.SetFault(0, nil) })
 	r.eng.Run()
 	if done < 50*sim.Millisecond {
 		t.Fatalf("meta write done at %v, want after the disk healed", done)
@@ -56,7 +56,7 @@ func TestFlushRetriesUntilCleanPagesStayConsistent(t *testing.T) {
 	}
 	r.d.SetFault(1.0, sim.NewRNG(5).Fork())
 	r.fs.Flush()
-	r.eng.CallAfter(60*sim.Millisecond, "heal", func() { r.d.SetFault(0, nil) })
+	r.eng.After(60*sim.Millisecond, "heal", func() { r.d.SetFault(0, nil) })
 	r.eng.Run()
 	if got := r.fs.DirtyPages(); got != 0 {
 		t.Fatalf("%d pages still dirty after flush retries", got)

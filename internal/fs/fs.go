@@ -203,7 +203,7 @@ func (fs *FileSystem) submit(d *disk.Disk, r *disk.Request) {
 			fs.Metrics.Counter(metrics.KeyFSRetries, rr.SPU).Inc()
 			fs.Metrics.Counter(metrics.KeyFSBackoffNS, rr.SPU).AddTime(wait)
 			rr.Backoff += wait // profiled separately from genuine queueing
-			fs.eng.CallAfter(wait, "fs.retry", func() { d.Submit(rr) })
+			fs.eng.After(wait, "fs.retry", func() { d.Submit(rr) })
 			return
 		}
 		if inner != nil {
@@ -241,7 +241,7 @@ func (fs *FileSystem) Lookup(spu core.SPUID, done func()) {
 	fs.Stat.Lookups++
 	shard := fs.inodes[int(spu)%len(fs.inodes)]
 	shard.Acquire(spu, true, fs.LookupHold, func() {
-		fs.eng.CallAfter(fs.LookupHold, "fs.lookup", done)
+		fs.eng.After(fs.LookupHold, "fs.lookup", done)
 	})
 }
 

@@ -123,7 +123,7 @@ type Options struct {
 	Faults *fault.Plan
 	// SimObs attaches the simulator self-observability layer
 	// (internal/simobs) to this kernel's engine: an event-class census,
-	// calendar-queue telemetry and sampled host-time attribution. Off
+	// event-queue telemetry and sampled host-time attribution. Off
 	// (the default) the engine pays one nil check per schedule and per
 	// dispatch and the results are byte-identical; see
 	// Kernel.SimObsReport for reading the data back.
@@ -176,7 +176,6 @@ type Kernel struct {
 	affinity map[core.SPUID]int
 	swapNext map[int]int64
 
-	procs     []*proc.Process
 	liveProcs int
 
 	tickers  []*sim.Ticker
@@ -614,8 +613,10 @@ func (k *Kernel) MetricNames() metrics.Names {
 // Artifacts lists one file per export of the enabled observers, in a
 // fixed order: metrics.jsonl and trace.json with metrics on,
 // profile.pb.gz and spans.jsonl with the profiler, latency.jsonl with a
-// latency registry, controller.jsonl with the controller. An observer
-// that is off has no entry, so every listed writer succeeds.
+// latency registry holding at least one stream, controller.jsonl with
+// the controller. An observer that is off (or, for latency, has no
+// stream to export) has no entry, so every listed writer succeeds and
+// writes something.
 func (k *Kernel) Artifacts() []artifact.File {
 	var set []artifact.File
 	if k.metrics != nil {
@@ -626,7 +627,7 @@ func (k *Kernel) Artifacts() []artifact.File {
 		set = append(set, artifact.File{Name: "profile.pb.gz", Write: k.WriteProfile},
 			artifact.File{Name: "spans.jsonl", Write: k.WriteSpans})
 	}
-	if k.latreg != nil {
+	if len(k.latreg.Trackers()) > 0 {
 		set = append(set, artifact.File{Name: "latency.jsonl", Write: k.WriteLatency})
 	}
 	if k.ctl != nil {
@@ -818,20 +819,13 @@ func (k *Kernel) WriteController(w io.Writer) error {
 	return control.WriteJSONL(w, k.ctl)
 }
 
-// Spawn registers and starts a process.
+// Spawn registers a process with the kernel's liveness accounting and
+// starts it. Only roots need registering: children created with
+// proc.Fork are covered by their parent's WaitChildren step.
 func (k *Kernel) Spawn(p *proc.Process) {
 	if !k.booted {
 		panic("kernel: Spawn before Boot")
 	}
-	k.Track(p)
-	p.Start()
-}
-
-// Track registers a process with the kernel's liveness accounting
-// without starting it. Only roots need tracking: children created with
-// proc.Fork are covered by their parent's WaitChildren step.
-func (k *Kernel) Track(p *proc.Process) {
-	k.procs = append(k.procs, p)
 	k.liveProcs++
 	prev := p.OnExit
 	p.OnExit = func(pp *proc.Process) {
@@ -840,6 +834,7 @@ func (k *Kernel) Track(p *proc.Process) {
 			prev(pp)
 		}
 	}
+	p.Start()
 }
 
 // Run drives the simulation until every tracked process has exited,
@@ -1065,7 +1060,7 @@ func (k *Kernel) submitRetry(di int, r *disk.Request) {
 			rr.Backoff += wait // profiled separately from genuine queueing
 			k.tracer.Emitf(trace.Fault, fmt.Sprintf("spu%d", rr.SPU), "swap-retry",
 				"%s of %d sectors failed, retrying in %v", rr.Kind, rr.Count, wait)
-			k.eng.CallAfter(wait, "kernel.swap-retry", func() { k.disks[di].Submit(rr) })
+			k.eng.After(wait, "kernel.swap-retry", func() { k.disks[di].Submit(rr) })
 			return
 		}
 		if inner != nil {

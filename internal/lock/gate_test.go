@@ -42,7 +42,7 @@ func TestGateWindowExpires(t *testing.T) {
 	eng := sim.NewEngine()
 	g := NewGate(eng, "t", 10*sim.Microsecond)
 	g.Acquire(spuA)
-	eng.CallAfter(sim.Millisecond, "later", func() { g.Acquire(spuB) })
+	eng.After(sim.Millisecond, "later", func() { g.Acquire(spuB) })
 	eng.Run()
 	if g.Contended != 0 {
 		t.Fatal("acquisition after the window expired counted as contended")

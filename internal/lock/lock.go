@@ -241,7 +241,7 @@ func (l *Lock) scheduleRelease(w waiter, now sim.Time) {
 	if due := now + w.hold; due > l.releaseDue {
 		l.releaseDue = due
 	}
-	l.eng.CallAfterU64(w.hold, "lock.release", l.relFn, uint64(w.spu)<<1|b2u(w.shared))
+	l.eng.AfterU64(w.hold, "lock.release", l.relFn, uint64(w.spu)<<1|b2u(w.shared))
 }
 
 // release returns a hold and drains the queue. Only the scheduled

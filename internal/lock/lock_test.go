@@ -159,7 +159,7 @@ func TestWriterNotStarvedByReaderStream(t *testing.T) {
 	l.Acquire(spuB, false, sim.Millisecond, func() { writerAt = eng.Now() })
 	// Readers keep arriving every 2 ms while the writer is queued.
 	for i := 0; i < 20; i++ {
-		eng.CallAfter(sim.Time(i)*2*sim.Millisecond, "reader", func() {
+		eng.After(sim.Time(i)*2*sim.Millisecond, "reader", func() {
 			l.Acquire(spuA, true, sim.Millisecond, func() {})
 		})
 	}

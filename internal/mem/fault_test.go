@@ -88,7 +88,7 @@ func TestPageoutRetriesFailedWriteback(t *testing.T) {
 	m.SetPageout(func(pg *Page, done func(ok bool)) {
 		attempts++
 		ok := attempts > 2 // fail twice, then succeed
-		eng.CallAfter(sim.Millisecond, "writeback", func() { done(ok) })
+		eng.After(sim.Millisecond, "writeback", func() { done(ok) })
 	})
 	var got *Page
 	m.Request(us[0].ID(), Anon, o, func(np *Page) { got = np })

@@ -211,7 +211,7 @@ func (m *Manager) evictVictim(victim *Page) bool {
 					m.Trace.Emitf(trace.Mem, fmt.Sprintf("spu%d", victim.SPU), "pageout-retry",
 						"write-back failed, retrying in %v", wait)
 				}
-				m.eng.CallAfter(wait, "mem.pageout-retry", func() { m.pageout(victim, onDone) })
+				m.eng.After(wait, "mem.pageout-retry", func() { m.pageout(victim, onDone) })
 				return
 			}
 			m.inFlight--

@@ -28,7 +28,7 @@ func TestExportsSanitizeNonFiniteValues(t *testing.T) {
 	i := 0
 	s := r.Series("mixed.series", 2, func() float64 { v := vals[i]; i++; return v })
 	for range vals {
-		eng.Call(eng.Now()+r.Period(), "sample", r.Sample)
+		eng.At(eng.Now()+r.Period(), "sample", r.Sample)
 		eng.Run()
 	}
 	if s.Len() != len(vals) {
@@ -140,7 +140,7 @@ func TestSeriesLinesMatchStructEncoding(t *testing.T) {
 	i := 0
 	r.Series("odd<&>\"name\"", 2, func() float64 { v := vals[i]; i++; return v })
 	for _, at := range []sim.Time{0, 1, 7*sim.Millisecond + 333, sim.Second, 3*sim.Second + 1, 90 * sim.Second} {
-		eng.Call(at, "sample", r.Sample)
+		eng.At(at, "sample", r.Sample)
 		eng.Run()
 	}
 	r.Series("empty", NoSPU, func() float64 { return 0 })

@@ -160,7 +160,7 @@ func (l *Link) startNext() {
 	l.busy = true
 	p.Started = l.eng.Now()
 	d := l.PerPacket + sim.Time(float64(p.Bytes)/l.BytesPerSec*float64(sim.Second))
-	l.eng.CallAfter(d, "netbw.tx", func() { l.complete(p) })
+	l.eng.After(d, "netbw.tx", func() { l.complete(p) })
 }
 
 func (l *Link) complete(p *Packet) {

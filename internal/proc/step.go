@@ -154,7 +154,7 @@ type Sleep struct {
 
 func (s Sleep) run(p *Process) {
 	p.prof.To(profile.StateSleep, p.SPU)
-	p.env.Engine().CallAfter(s.D, "proc.sleep", p.nextFn)
+	p.env.Engine().After(s.D, "proc.sleep", p.nextFn)
 }
 
 // Barrier synchronizes a gang of processes: each arrival blocks until

@@ -31,9 +31,9 @@ type cpu struct {
 	fixed bool       // integral assignment (not rotated)
 	cur   *Thread
 	// sliceSeq stamps the pending slice-end event; bumping it (preempt,
-	// re-dispatch) turns any in-flight slice event into a no-op, which
-	// lets slice events use the engine's pooled fire-and-forget path
-	// instead of allocating a cancellable handle per dispatch.
+	// re-dispatch) turns any in-flight slice event into a no-op, so a
+	// dispatch schedules its slice end without keeping a Handle to
+	// cancel it.
 	sliceSeq uint64
 	started  sim.Time // when cur was dispatched
 	loan     bool     // cur belongs to a foreign SPU
@@ -677,7 +677,7 @@ func (s *Scheduler) dispatchOn(c *cpu, t *Thread, loan bool) {
 		}
 	}
 	c.sliceSeq++
-	s.eng.CallAfterU64(wall, "sched.slice", s.sliceFn,
+	s.eng.AfterU64(wall, "sched.slice", s.sliceFn,
 		(c.sliceSeq&sliceSeqMask)<<sliceCPUBits|uint64(c.idx))
 }
 

@@ -4,54 +4,38 @@ import (
 	"fmt"
 )
 
-// Event is a scheduled callback. Events are created through Engine.At /
-// Engine.After and can be cancelled until they fire.
-type Event struct {
+// event is a scheduled callback. Every event is pooled: its allocation
+// is recycled the moment it fires or is dropped as cancelled, and the
+// Handle returned at scheduling time is the only way to reach it.
+type event struct {
 	at        Time
 	seq       uint64 // tie-breaker for same-time events; preserves FIFO order
 	fn        func()
 	fnU       func(uint64) // closure-free callback form; arg carries the operand
 	arg       uint64
 	name      string
-	index     int    // queue position marker, -1 when not queued
+	index     int    // heap position, -1 when not queued
 	class     uint16 // observer class id, stamped at schedule time (see Obs)
 	cancelled bool
-	pooled    bool // fire-and-forget event; recycled after it fires
 }
 
-// At returns the instant the event is scheduled to fire.
-func (ev *Event) At() Time { return ev.at }
-
-// Name returns the diagnostic label given at scheduling time.
-func (ev *Event) Name() string { return ev.name }
-
-// Cancel prevents the event from firing. Cancelling an event that has
-// already fired or was already cancelled is a no-op. Cancelled events are
-// dropped lazily when they surface at the head of the queue.
-func (ev *Event) Cancel() { ev.cancelled = true }
-
-// Cancelled reports whether Cancel has been called on the event.
-func (ev *Event) Cancelled() bool { return ev.cancelled }
-
-// Pending reports whether the event is still queued and will fire.
-func (ev *Event) Pending() bool { return ev.index >= 0 && !ev.cancelled }
-
-// Handle cancels a pooled (Call/CallAfter) event. Pooled events are
-// recycled the moment they fire, so a bare *Event would dangle: the same
-// allocation may already be some other subsystem's event. The handle
-// captures the scheduling sequence number and goes inert the instant the
-// underlying allocation is reused, so a stale Cancel can never kill an
-// unrelated event. The zero Handle is valid and inert.
+// Handle cancels a scheduled event. Events are recycled the moment they
+// fire, so a bare *event would dangle: the same allocation may already
+// be some other subsystem's event. The handle captures the scheduling
+// sequence number and goes inert the instant the underlying allocation
+// is reused, so a stale Cancel can never kill an unrelated event. The
+// zero Handle is valid and inert.
 type Handle struct {
-	ev  *Event
+	ev  *event
 	seq uint64
 }
 
 // Cancel prevents the event from firing, returning true if it was still
 // pending. Cancelling an event that already fired (or a zero Handle) is
-// an inert no-op, even if the allocation has been recycled.
+// an inert no-op, even if the allocation has been recycled. Cancelled
+// events are dropped lazily when they surface at the head of the queue.
 func (h Handle) Cancel() bool {
-	if h.ev == nil || h.ev.seq != h.seq || h.ev.index < 0 || h.ev.cancelled {
+	if !h.Pending() {
 		return false
 	}
 	h.ev.cancelled = true
@@ -71,13 +55,11 @@ func (h Handle) Pending() bool {
 type Engine struct {
 	now        Time
 	seq        uint64
-	q          evqueue
-	kind       QueueKind
-	free       []*Event // recycled pool for fire-and-forget events
-	arena      []Event  // current allocation chunk; events are carved from it
+	q          eventHeap
+	free       []*event // recycled events
+	arena      []event  // current allocation chunk; events are carved from it
 	arenaPos   int
 	dispatched uint64
-	running    bool
 	stop       bool
 	obs        *Obs // nil unless AttachObs was called; one nil check per hot path
 }
@@ -88,139 +70,88 @@ type Engine struct {
 const arenaChunk = 128
 
 // NewEngine returns an engine with the clock at zero and no events
-// queued, using the process-default queue implementation (see
-// SetDefaultQueue).
-func NewEngine() *Engine {
-	k := defaultQueue
-	return &Engine{q: newQueue(k), kind: k}
+// queued.
+func NewEngine() *Engine { return &Engine{} }
+
+// QueueStats snapshots the event queue's telemetry.
+func (e *Engine) QueueStats() QueueStats {
+	return QueueStats{Len: len(e.q.q), Pushes: e.seq}
 }
-
-// QueueStats snapshots the event queue's internal telemetry.
-func (e *Engine) QueueStats() QueueStats { return e.q.stats() }
-
-// QueueKind reports which event-queue implementation this engine uses.
-func (e *Engine) QueueKind() QueueKind { return e.kind }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of events currently queued (including events
 // that were cancelled but not yet dropped).
-func (e *Engine) Pending() int { return e.q.size() }
+func (e *Engine) Pending() int { return len(e.q.q) }
 
 // Dispatched returns the total number of events that have fired.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
-// eventLess orders events by time, breaking ties by scheduling order so
-// same-time events fire FIFO.
-func eventLess(a, b *Event) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
-// alloc builds an event, drawing from the recycle pool, then the current
-// arena chunk, and queues it.
-func (e *Engine) alloc(t Time, name string, fn func(), fnU func(uint64), arg uint64, pooled bool) *Event {
-	var ev *Event
+// schedule validates and queues an event, drawing its allocation from
+// the recycle pool, then the current arena chunk. Scheduling in the
+// past or without a callback is a programming error in the machine
+// model and panics loudly rather than silently corrupting causality.
+func (e *Engine) schedule(t Time, name string, fn func(), fnU func(uint64), arg uint64) Handle {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: event %q scheduled at %s, before now (%s)", name, t, e.now))
+	}
+	if fn == nil && fnU == nil {
+		panic(fmt.Sprintf("sim: event %q has nil callback", name))
+	}
+	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
 		if e.arenaPos == len(e.arena) {
-			e.arena = make([]Event, arenaChunk)
+			e.arena = make([]event, arenaChunk)
 			e.arenaPos = 0
 		}
 		ev = &e.arena[e.arenaPos]
 		e.arenaPos++
 	}
-	*ev = Event{at: t, seq: e.seq, fn: fn, fnU: fnU, arg: arg, name: name, index: -1, pooled: pooled}
+	*ev = event{at: t, seq: e.seq, fn: fn, fnU: fnU, arg: arg, name: name, index: -1}
 	e.seq++
 	if e.obs != nil {
 		ev.class = e.obs.classOf(name)
 	}
 	e.q.push(ev)
-	return ev
+	return Handle{ev: ev, seq: ev.seq}
 }
 
-// checkSchedule validates scheduling time. Scheduling in the past is a
-// programming error in the machine model and panics loudly rather than
-// silently corrupting causality.
-func (e *Engine) checkSchedule(t Time, name string) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: event %q scheduled at %s, before now (%s)", name, t, e.now))
-	}
-}
-
-// At schedules fn to run at absolute time t and returns a cancellable
-// handle. Handles are never recycled: callers may retain them after the
-// event fires. High-rate fire-and-forget callers should prefer Call,
-// which pools its allocations.
-func (e *Engine) At(t Time, name string, fn func()) *Event {
-	e.checkSchedule(t, name)
-	if fn == nil {
-		panic(fmt.Sprintf("sim: event %q has nil callback", name))
-	}
-	return e.alloc(t, name, fn, nil, 0, false)
+// At schedules fn to run at absolute time t. The event's allocation is
+// recycled the moment it fires, so steady-state traffic — disk
+// completions, semaphore releases, process sleeps, scheduler slices —
+// allocates nothing. The returned Handle cancels the event and goes
+// inert once it fires.
+func (e *Engine) At(t Time, name string, fn func()) Handle {
+	return e.schedule(t, name, fn, nil, 0)
 }
 
 // After schedules fn to run d after the current time. Negative delays are
 // clamped to "now" so callers computing small time deltas from float math
 // do not trip the past-scheduling panic on a -1 ns rounding artifact.
-func (e *Engine) After(d Time, name string, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now+d, name, fn)
+func (e *Engine) After(d Time, name string, fn func()) Handle {
+	return e.schedule(e.now+max(d, 0), name, fn, nil, 0)
 }
 
-// Call schedules fn at absolute time t like At, but the event's
-// allocation is recycled the moment it fires, so steady-state
-// fire-and-forget traffic — disk completions, semaphore releases, process
-// sleeps, scheduler slices — allocates nothing. The returned Handle is
-// the only safe way to cancel such an event; it goes inert once the
-// event fires.
-func (e *Engine) Call(t Time, name string, fn func()) Handle {
-	e.checkSchedule(t, name)
-	if fn == nil {
-		panic(fmt.Sprintf("sim: event %q has nil callback", name))
-	}
-	ev := e.alloc(t, name, fn, nil, 0, true)
-	return Handle{ev: ev, seq: ev.seq}
-}
-
-// CallAfter schedules fn to run d after the current time, with Call's
-// pooled fire-and-forget semantics. Negative delays clamp to "now" like
-// After.
-func (e *Engine) CallAfter(d Time, name string, fn func()) Handle {
-	if d < 0 {
-		d = 0
-	}
-	return e.Call(e.now+d, name, fn)
-}
-
-// CallU64 is Call for a callback taking a uint64 operand. Passing the
+// AtU64 is At for a callback taking a uint64 operand. Passing the
 // operand through the event instead of closing over it lets hot callers
 // (the scheduler's slice-expiry guard) schedule with a single long-lived
 // func value and no per-event closure allocation.
-func (e *Engine) CallU64(t Time, name string, fn func(uint64), arg uint64) Handle {
-	e.checkSchedule(t, name)
-	if fn == nil {
-		panic(fmt.Sprintf("sim: event %q has nil callback", name))
-	}
-	ev := e.alloc(t, name, nil, fn, arg, true)
-	return Handle{ev: ev, seq: ev.seq}
+func (e *Engine) AtU64(t Time, name string, fn func(uint64), arg uint64) Handle {
+	return e.schedule(t, name, nil, fn, arg)
 }
 
-// CallAfterU64 is CallAfter for a callback taking a uint64 operand.
-func (e *Engine) CallAfterU64(d Time, name string, fn func(uint64), arg uint64) Handle {
-	if d < 0 {
-		d = 0
-	}
-	return e.CallU64(e.now+d, name, fn, arg)
+// AfterU64 is After for a callback taking a uint64 operand.
+func (e *Engine) AfterU64(d Time, name string, fn func(uint64), arg uint64) Handle {
+	return e.schedule(e.now+max(d, 0), name, nil, fn, arg)
 }
 
 // Ticker fires a callback at a fixed period until cancelled. The callback
 // runs for the first time one full period after creation. Each arming
-// uses a pooled event and the one fire closure allocated at creation, so
+// uses a recycled event and the one fire closure allocated at creation, so
 // a steady ticker contributes nothing to allocation traffic.
 type Ticker struct {
 	engine *Engine
@@ -244,10 +175,10 @@ func (e *Engine) Every(period Time, name string, fn func()) *Ticker {
 		}
 		t.fn()
 		if !t.done { // fn may have stopped us
-			t.h = t.engine.CallAfter(t.period, t.name, t.fire)
+			t.h = t.engine.After(t.period, t.name, t.fire)
 		}
 	}
-	t.h = e.CallAfter(period, name, t.fire)
+	t.h = e.After(period, name, t.fire)
 	return t
 }
 
@@ -266,9 +197,7 @@ func (e *Engine) Step() bool {
 			return false
 		}
 		if ev.cancelled {
-			if ev.pooled {
-				e.recycle(ev)
-			}
+			e.recycle(ev)
 			continue
 		}
 		if ev.at < e.now {
@@ -277,14 +206,10 @@ func (e *Engine) Step() bool {
 		e.now = ev.at
 		e.dispatched++
 		// Read the callback (and, when observed, the class stamped at
-		// schedule time) before recycling: a pooled event's allocation may
-		// be reused by a schedule issued from inside its own callback.
+		// schedule time), then recycle before firing: an event scheduled
+		// from inside the callback reuses the hot allocation.
 		fn, fnU, arg, class := ev.fn, ev.fnU, ev.arg, ev.class
-		if ev.pooled {
-			// Recycle before firing so an event scheduled from inside fn
-			// reuses the hot allocation.
-			e.recycle(ev)
-		}
+		e.recycle(ev)
 		if e.obs != nil {
 			e.obs.beginDispatch(class)
 		}
@@ -297,8 +222,8 @@ func (e *Engine) Step() bool {
 	}
 }
 
-// recycle returns a pooled event to the free list.
-func (e *Engine) recycle(ev *Event) {
+// recycle returns an event to the free list.
+func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
 	ev.fnU = nil
 	e.free = append(e.free, ev)
@@ -308,10 +233,9 @@ func (e *Engine) recycle(ev *Event) {
 // the number of events dispatched by this call.
 func (e *Engine) Run() uint64 {
 	start := e.dispatched
-	e.running, e.stop = true, false
+	e.stop = false
 	for !e.stop && e.Step() {
 	}
-	e.running = false
 	return e.dispatched - start
 }
 
@@ -321,7 +245,7 @@ func (e *Engine) Run() uint64 {
 // time the run never reached must not silently elapse.
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	start := e.dispatched
-	e.running, e.stop = true, false
+	e.stop = false
 	for !e.stop {
 		// Peek past cancelled events without firing anything late.
 		next := e.peek()
@@ -335,7 +259,6 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 		}
 		e.Step()
 	}
-	e.running = false
 	return e.dispatched - start
 }
 
@@ -345,18 +268,12 @@ func (e *Engine) Stop() { e.stop = true }
 
 // peek returns the earliest non-cancelled event without firing it,
 // discarding (and recycling) cancelled events it passes over.
-func (e *Engine) peek() *Event {
+func (e *Engine) peek() *event {
 	for {
 		ev := e.q.min()
-		if ev == nil {
-			return nil
-		}
-		if !ev.cancelled {
+		if ev == nil || !ev.cancelled {
 			return ev
 		}
-		e.q.pop()
-		if ev.pooled {
-			e.recycle(ev)
-		}
+		e.recycle(e.q.pop())
 	}
 }

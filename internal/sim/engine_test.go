@@ -89,13 +89,15 @@ func TestCancelPreventsFiring(t *testing.T) {
 	e := NewEngine()
 	ran := false
 	ev := e.At(10, "victim", func() { ran = true })
-	ev.Cancel()
+	if !ev.Cancel() {
+		t.Fatal("Cancel = false for a pending event")
+	}
+	if ev.Pending() || ev.Cancel() {
+		t.Fatal("cancelled event still pending")
+	}
 	e.Run()
 	if ran {
 		t.Fatal("cancelled event fired")
-	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
 	}
 }
 
@@ -320,68 +322,55 @@ func TestRunUntilStoppedEarlyDoesNotAdvanceToDeadline(t *testing.T) {
 	}
 }
 
-func TestCallAfterFiresInOrderWithHandles(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	e.After(20, "handle", func() { order = append(order, "handle") })
-	e.CallAfter(10, "pooled", func() { order = append(order, "pooled") })
-	e.Call(5, "at", func() { order = append(order, "at") })
-	e.Run()
-	want := []string{"at", "pooled", "handle"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-// Pooled events may be recycled the moment they fire; scheduling from
-// inside a pooled callback must not corrupt the event being dispatched.
-func TestCallAfterRescheduleFromCallback(t *testing.T) {
+// Events are recycled the moment they fire; scheduling from inside a
+// callback must not corrupt the event being dispatched.
+func TestRescheduleFromCallback(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	var tick func()
 	tick = func() {
 		count++
 		if count < 100 {
-			e.CallAfter(Millisecond, "tick", tick)
+			e.After(Millisecond, "tick", tick)
 		}
 	}
-	e.CallAfter(Millisecond, "tick", tick)
+	e.After(Millisecond, "tick", tick)
 	e.Run()
 	if count != 100 {
-		t.Fatalf("pooled chain fired %d times, want 100", count)
+		t.Fatalf("rescheduling chain fired %d times, want 100", count)
 	}
 	if e.Now() != 100*Millisecond {
 		t.Fatalf("Now() = %v, want 100ms", e.Now())
 	}
 }
 
-// The free list must actually recycle: a long chain of pooled events
-// should keep the engine's backing storage flat.
-func TestPooledEventsAreRecycled(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 1000; i++ {
-		e.CallAfter(Microsecond, "n", func() {})
-		e.Step()
-	}
-	if got := len(e.free); got != 1 {
-		t.Fatalf("free list holds %d events after steady-state chain, want 1", got)
-	}
-}
-
-// Handles returned by At/After must never be recycled — a caller may
-// retain one and Cancel it long after it fired; that must stay a no-op
-// on an inert event rather than corrupting a recycled one.
+// A caller may keep a Handle and Cancel it long after its event fired;
+// that must stay a no-op rather than cancel the live event scheduled
+// since, which may occupy the recycled allocation.
 func TestStaleHandleCancelIsInert(t *testing.T) {
 	e := NewEngine()
 	stale := e.At(1, "old", func() {})
 	e.Run()
 	fired := false
-	e.CallAfter(Microsecond, "live", func() { fired = true })
-	stale.Cancel() // must not touch the pooled live event
+	e.After(Microsecond, "live", func() { fired = true })
+	if stale.Cancel() {
+		t.Fatal("Cancel on a stale fired handle returned true")
+	}
 	e.Run()
 	if !fired {
-		t.Fatal("Cancel on a stale fired handle killed an unrelated pooled event")
+		t.Fatal("Cancel on a stale fired handle killed an unrelated event")
+	}
+}
+
+// The free list must actually recycle: a long chain of events should
+// keep the engine's backing storage flat.
+func TestPooledEventsAreRecycled(t *testing.T) {
+	e := NewEngine()
+	for i := 0; i < 1000; i++ {
+		e.After(Microsecond, "n", func() {})
+		e.Step()
+	}
+	if got := len(e.free); got != 1 {
+		t.Fatalf("free list holds %d events after steady-state chain, want 1", got)
 	}
 }

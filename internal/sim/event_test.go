@@ -2,20 +2,6 @@ package sim
 
 import "testing"
 
-func TestEventAccessors(t *testing.T) {
-	e := NewEngine()
-	ev := e.At(42*Millisecond, "probe", func() {})
-	if ev.At() != 42*Millisecond {
-		t.Fatalf("At() = %v", ev.At())
-	}
-	if ev.Name() != "probe" {
-		t.Fatalf("Name() = %q", ev.Name())
-	}
-	if ev.Cancelled() {
-		t.Fatal("fresh event reports cancelled")
-	}
-}
-
 func TestNilCallbackPanics(t *testing.T) {
 	e := NewEngine()
 	defer func() {

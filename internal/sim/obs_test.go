@@ -7,12 +7,12 @@ import "testing"
 func TestObsCensus(t *testing.T) {
 	e := NewEngine()
 	obs := e.AttachObs()
-	e.Call(10, "kernel.tick", func() {
-		e.CallAfter(5, "kernel.tick2", func() {})
-		e.CallAfter(7, "disk.complete", func() {
-			e.CallAfter(2, "kernel.tick3", func() {})
+	e.At(10, "kernel.tick", func() {
+		e.After(5, "kernel.tick2", func() {})
+		e.After(7, "disk.complete", func() {
+			e.After(2, "kernel.tick3", func() {})
 		})
-		e.CallAfter(3, "disk.complete", func() {})
+		e.After(3, "disk.complete", func() {})
 	})
 	e.Run()
 
@@ -36,8 +36,8 @@ func TestObsCensus(t *testing.T) {
 func TestObsDefaultClassifier(t *testing.T) {
 	e := NewEngine()
 	obs := e.AttachObs()
-	e.Call(1, "mem.scan", func() {})
-	e.Call(2, "bare", func() {})
+	e.At(1, "mem.scan", func() {})
+	e.At(2, "bare", func() {})
 	e.Run()
 	for _, c := range obs.Classes() {
 		if want := map[string]string{"mem.scan": "mem", "bare": "bare"}[c.Name]; c.Module != want {
@@ -46,16 +46,16 @@ func TestObsDefaultClassifier(t *testing.T) {
 	}
 }
 
-// TestObsRecycledClassStamp checks that a pooled event scheduled from
+// TestObsRecycledClassStamp checks that an event scheduled from
 // inside the callback of the event whose allocation it reuses still gets
 // its own class (the dispatch path must read the stamp before recycling).
 func TestObsRecycledClassStamp(t *testing.T) {
 	e := NewEngine()
 	obs := e.AttachObs()
 	var fired int
-	e.Call(1, "a.first", func() {
+	e.At(1, "a.first", func() {
 		// Reuses the just-recycled allocation of a.first.
-		e.CallAfter(1, "b.second", func() { fired++ })
+		e.After(1, "b.second", func() { fired++ })
 	})
 	e.Run()
 	if fired != 1 {
@@ -75,7 +75,7 @@ func TestObsRecycledClassStamp(t *testing.T) {
 // those events would carry unclassified (zero) class stamps.
 func TestObsAttachLate(t *testing.T) {
 	e := NewEngine()
-	e.Call(1, "x", func() {})
+	e.At(1, "x", func() {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("AttachObs after scheduling did not panic")
@@ -95,10 +95,10 @@ func TestObsWindows(t *testing.T) {
 	n := 0
 	tick = func() {
 		if n++; n < total {
-			e.CallAfter(1, "w.tick", tick)
+			e.After(1, "w.tick", tick)
 		}
 	}
-	e.Call(1, "w.tick", tick)
+	e.At(1, "w.tick", tick)
 	e.Run()
 	w := obs.Windows()
 	if len(w) != 5 {
@@ -114,57 +114,19 @@ func TestObsWindows(t *testing.T) {
 	}
 }
 
-// TestQueueStatsCalendar checks the calendar queue's counters see traffic
-// and the occupancy histogram sums to the bucket count.
-func TestQueueStatsCalendar(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 2000; i++ {
-		e.Call(Time(i%7), "q.ev", func() {})
-	}
-	s := e.QueueStats()
-	if s.Kind != "calendar" {
-		t.Fatalf("kind = %q", s.Kind)
-	}
-	if s.Pushes < 2000 {
-		t.Fatalf("pushes = %d", s.Pushes)
-	}
-	if s.Collisions == 0 {
-		t.Fatal("no collisions recorded despite same-time bursts")
-	}
-	if s.Len != 2000 {
-		t.Fatalf("len = %d", s.Len)
-	}
-	var total int
-	for _, n := range s.Occupancy {
-		total += n
-	}
-	if total != s.Buckets {
-		t.Fatalf("occupancy sums to %d, buckets = %d", total, s.Buckets)
-	}
-	if s.MaxDepth == 0 {
-		t.Fatal("max depth zero with 2000 queued events")
-	}
-	e.Run()
-	s = e.QueueStats()
-	if s.Len != 0 {
-		t.Fatalf("len after drain = %d", s.Len)
-	}
-	if s.Rebuilds == 0 || s.Grows == 0 {
-		t.Fatalf("expected rebuilds after 2000-event burst: %+v", s)
-	}
-	if s.CollisionRate() <= 0 {
-		t.Fatal("collision rate zero")
-	}
-}
-
-// TestQueueStatsHeap checks the heap fallback reports its kind and size.
+// TestQueueStatsHeap checks the queue reports its size and counts every
+// schedule, cancelled or fired, as a push.
 func TestQueueStatsHeap(t *testing.T) {
-	prev := SetDefaultQueue(QueueHeap)
-	defer SetDefaultQueue(prev)
 	e := NewEngine()
-	e.Call(1, "h.ev", func() {})
-	s := e.QueueStats()
-	if s.Kind != "heap" || s.Len != 1 {
-		t.Fatalf("heap stats = %+v", s)
+	e.At(1, "h.ev", func() {})
+	h := e.After(2, "h.cancelled", func() {})
+	if s := e.QueueStats(); s.Len != 2 || s.Pushes != 2 || s.Collisions != 0 {
+		t.Fatalf("stats with two queued = %+v", s)
+	}
+	h.Cancel()
+	e.Run()
+	e.At(3, "h.late", func() {})
+	if s := e.QueueStats(); s.Len != 1 || s.Pushes != 3 {
+		t.Fatalf("stats after drain and one more = %+v", s)
 	}
 }

@@ -1,47 +1,45 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 )
 
-// eachQueueKind runs a subtest under both event-queue implementations,
-// restoring the process default afterwards.
-func eachQueueKind(t *testing.T, fn func(t *testing.T)) {
+// onHeap runs fn as the subtest "heap", named for the engine's binary-heap
+// queue. The tests that use it ran once per queue while a calendar queue
+// existed; the subtest keeps their names stable.
+func onHeap(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
-	for _, k := range []QueueKind{QueueCalendar, QueueHeap} {
-		old := SetDefaultQueue(k)
-		t.Run(k.String(), fn)
-		SetDefaultQueue(old)
-	}
+	t.Run("heap", fn)
 }
 
-// Regression: a pooled (Call/CallAfter) event cancelled before firing
-// used to leak — the dispatch loop dropped cancelled events without
-// returning pooled ones to the free list, so every cancelled timer
-// (scheduler slices invalidated by preemption, ticker stops) cost a
-// fresh allocation forever after. Both the pop path (Run) and the peek
-// path (RunUntil's deadline check) must recycle.
+// Regression: an event cancelled before firing used to leak — the
+// dispatch loop dropped cancelled events without returning them to the
+// free list, so every cancelled timer (scheduler slices invalidated by
+// preemption, ticker stops) cost a fresh allocation forever after. Both
+// the pop path (Run) and the peek path (RunUntil's deadline check) must
+// recycle.
 func TestCancelledPooledEventIsRecycled(t *testing.T) {
-	eachQueueKind(t, func(t *testing.T) {
+	onHeap(t, func(t *testing.T) {
 		e := NewEngine()
-		h := e.CallAfter(Millisecond, "victim", func() { t.Error("cancelled event fired") })
+		h := e.After(Millisecond, "victim", func() { t.Error("cancelled event fired") })
 		if !h.Cancel() {
 			t.Fatal("Cancel returned false for a pending event")
 		}
 		e.Run()
 		if len(e.free) != 1 {
-			t.Fatalf("free pool holds %d events after Run, want 1 (cancelled pooled event leaked)", len(e.free))
+			t.Fatalf("free pool holds %d events after Run, want 1 (cancelled event leaked)", len(e.free))
 		}
 		recycled := e.free[0]
-		h2 := e.CallAfter(Millisecond, "reuse", func() {})
+		h2 := e.After(Millisecond, "reuse", func() {})
 		if h2.ev != recycled {
-			t.Fatal("next Call did not reuse the recycled allocation")
+			t.Fatal("next schedule did not reuse the recycled allocation")
 		}
 		h2.Cancel()
 
 		// Peek path: RunUntil must also recycle cancelled events it skips.
 		e2 := NewEngine()
-		h3 := e2.CallAfter(Millisecond, "victim2", func() { t.Error("cancelled event fired") })
+		h3 := e2.After(Millisecond, "victim2", func() { t.Error("cancelled event fired") })
 		h3.Cancel()
 		e2.RunUntil(2 * Millisecond)
 		if len(e2.free) != 1 {
@@ -54,17 +52,17 @@ func TestCancelledPooledEventIsRecycled(t *testing.T) {
 // sequence stamp changes on reuse, so the stale Cancel cannot kill the
 // unrelated event now occupying the same memory.
 func TestStaleHandleAfterRecycleCannotCancelSuccessor(t *testing.T) {
-	eachQueueKind(t, func(t *testing.T) {
+	onHeap(t, func(t *testing.T) {
 		e := NewEngine()
-		stale := e.CallAfter(Millisecond, "first", func() {})
+		stale := e.At(Millisecond, "first", func() {})
 		e.Run() // fires; allocation returns to the pool
 		fired := false
-		fresh := e.CallAfter(Millisecond, "second", func() { fired = true })
+		fresh := e.After(Millisecond, "second", func() { fired = true })
 		if stale.ev != fresh.ev {
 			t.Fatal("test setup: allocation was not reused")
 		}
-		if stale.Cancel() {
-			t.Fatal("stale handle claimed to cancel")
+		if stale.Pending() || stale.Cancel() {
+			t.Fatal("stale handle claimed a pending event")
 		}
 		e.Run()
 		if !fired {
@@ -80,7 +78,7 @@ func TestStaleHandleAfterRecycleCannotCancelSuccessor(t *testing.T) {
 // invariant auditor's checkpoint/replay comparisons rely on straight
 // runs and resumed runs counting the same ticks.
 func TestTickerRunUntilExactHorizonBoundary(t *testing.T) {
-	eachQueueKind(t, func(t *testing.T) {
+	onHeap(t, func(t *testing.T) {
 		e := NewEngine()
 		var fires []Time
 		tk := e.Every(10*Millisecond, "tick", func() { fires = append(fires, e.Now()) })
@@ -111,103 +109,87 @@ func TestTickerRunUntilExactHorizonBoundary(t *testing.T) {
 	})
 }
 
-// Differential check: both queue implementations dispatch any schedule —
-// including heavy same-time contention — in the identical (at, seq)
-// order. The calendar queue is only a valid default because this holds.
-func TestCalendarMatchesHeapDispatchOrder(t *testing.T) {
+// Order oracle: whatever the scheduling entry point, the engine
+// dispatches exactly the schedule stably sorted by time — same-time
+// events in scheduling order — minus the events cancelled through their
+// handles. The schedule is tie-heavy so FIFO among equal times carries
+// most of the check.
+func TestDispatchOrderIsStableSortOfSchedule(t *testing.T) {
 	type rec struct {
 		at Time
 		id int
 	}
-	run := func(kind QueueKind) []rec {
-		old := SetDefaultQueue(kind)
-		defer SetDefaultQueue(old)
-		e := NewEngine()
-		rng := NewRNG(7)
-		var got []rec
-		for i := 0; i < 2000; i++ {
-			id := i
-			// Coarse quantization forces many exact ties; occasional huge
-			// offsets force calendar-year wraparound.
-			at := Time(rng.Int63n(50)) * Millisecond
-			if rng.Intn(20) == 0 {
-				at += Time(rng.Int63n(4)) * 40 * Second
-			}
-			e.At(at, "ev", func() { got = append(got, rec{e.Now(), id}) })
+	e := NewEngine()
+	rng := NewRNG(7)
+	var schedule, got []rec
+	var handles []Handle
+	fired := func(id int) { got = append(got, rec{e.Now(), id}) }
+	firedU := func(id uint64) { fired(int(id)) }
+	for i := 0; i < 2000; i++ {
+		id := i
+		// Coarse quantization forces many exact ties; occasional large
+		// offsets spread the schedule over minutes.
+		at := Time(rng.Int63n(50)) * Millisecond
+		if rng.Intn(20) == 0 {
+			at += Time(rng.Int63n(4)) * 40 * Second
 		}
-		e.Run()
-		return got
+		var h Handle
+		switch i % 3 {
+		case 0:
+			h = e.At(at, "at", func() { fired(id) })
+		case 1:
+			h = e.After(at, "after", func() { fired(id) }) // the clock is at 0
+		default:
+			h = e.AtU64(at, "atU64", firedU, uint64(id))
+		}
+		schedule = append(schedule, rec{at, id})
+		handles = append(handles, h)
 	}
-	cal, heap := run(QueueCalendar), run(QueueHeap)
-	if len(cal) != len(heap) {
-		t.Fatalf("dispatch counts differ: calendar %d, heap %d", len(cal), len(heap))
+	cancelled := map[int]bool{}
+	for _, id := range rng.Perm(len(handles))[:len(handles)/10] {
+		if !handles[id].Cancel() {
+			t.Fatalf("Cancel of pending event %d returned false", id)
+		}
+		cancelled[id] = true
 	}
-	for i := range cal {
-		if cal[i] != heap[i] {
-			t.Fatalf("dispatch %d differs: calendar %+v, heap %+v", i, cal[i], heap[i])
+
+	sort.SliceStable(schedule, func(i, j int) bool { return schedule[i].at < schedule[j].at })
+	var want []rec
+	for _, r := range schedule {
+		if !cancelled[r.id] {
+			want = append(want, r)
+		}
+	}
+	e.Run()
+	if len(got) != len(want) {
+		t.Fatalf("dispatched %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("dispatch %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
 
-// Same-time FIFO must survive bucket rollover: two events a whole
-// calendar "year" apart share a bucket slot, and a late-pushed earlier
-// event must still pop first; same-instant events pop in seq order no
-// matter which order they entered the bucket.
-func TestCalQueueFIFOAcrossBucketRollover(t *testing.T) {
-	c := newCalQueue()
-	year := Time(int64(len(c.buckets)) * int64(c.width))
-	mk := func(at Time, seq uint64) *Event { return &Event{at: at, seq: seq, index: -1} }
-
-	// Same slot, different years, pushed out of time order.
-	late := mk(year+c.width/2, 1)
-	early := mk(c.width/2, 2)
-	c.push(late)
-	c.push(early)
-	if got := c.pop(); got != early {
-		t.Fatalf("popped %v first, want the earlier-year event", got.at)
-	}
-	if got := c.pop(); got != late {
-		t.Fatalf("popped %v second, want the later-year event", got.at)
-	}
-
-	// Same instant, seq order, interleaved with a year-later neighbor in
-	// the same slot and pushed in scrambled order.
-	a := mk(year+c.width/4, 10)
-	b := mk(year+c.width/4, 11)
-	d := mk(2*year+c.width/4, 12)
-	for _, ev := range []*Event{d, b, a} {
-		c.push(ev)
-	}
-	for i, want := range []*Event{a, b, d} {
-		if got := c.pop(); got != want {
-			t.Fatalf("pop %d: got (at=%v seq=%d), want (at=%v seq=%d)",
-				i, got.at, got.seq, want.at, want.seq)
-		}
-	}
-	if c.pop() != nil {
-		t.Fatal("queue should be empty")
-	}
-}
-
-// The steady-state fire-and-forget path — pooled events, tickers, and
-// the U64 operand form — must not allocate: the whole fast-core claim
+// The steady-state dispatch path — recycled events, tickers, and the
+// U64 operand form — must not allocate: the whole fast-core claim
 // rests on dispatch being allocation-free once the pool is warm.
 func TestSteadyStateDispatchIsZeroAlloc(t *testing.T) {
-	eachQueueKind(t, func(t *testing.T) {
+	onHeap(t, func(t *testing.T) {
 		e := NewEngine()
 		fn := func() {}
 		fnU := func(uint64) {}
 		tk := e.Every(Millisecond, "tick", func() {})
 		// Warm the pool and the ticker.
 		for i := 0; i < 64; i++ {
-			e.CallAfter(Microsecond, "warm", fn)
+			e.After(Microsecond, "warm", fn)
 		}
 		e.RunUntil(10 * Millisecond)
 
 		if avg := testing.AllocsPerRun(200, func() {
-			e.CallAfter(Microsecond, "pooled", fn)
-			e.CallAfterU64(2*Microsecond, "pooledU", fnU, 42)
-			h := e.CallAfter(3*Microsecond, "cancelled", fn)
+			e.After(Microsecond, "pooled", fn)
+			e.AfterU64(2*Microsecond, "pooledU", fnU, 42)
+			h := e.After(3*Microsecond, "cancelled", fn)
 			h.Cancel()
 			e.RunUntil(e.Now() + 5*Microsecond)
 		}); avg != 0 {

@@ -17,12 +17,12 @@ func (e *Engine) Snapshot(enc *snap.Encoder) {
 	enc.Int("now", int64(e.now))
 	enc.Uint("seq", e.seq)
 	enc.Uint("dispatched", e.dispatched)
-	live := make([]*Event, 0, e.q.size())
-	e.q.each(func(ev *Event) {
+	live := make([]*event, 0, len(e.q.q))
+	for _, ev := range e.q.q {
 		if !ev.cancelled {
 			live = append(live, ev)
 		}
-	})
+	}
 	sort.Slice(live, func(i, j int) bool { return eventLess(live[i], live[j]) })
 	enc.Int("pending", int64(len(live)))
 	for i, ev := range live {

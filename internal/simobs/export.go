@@ -10,8 +10,7 @@ import (
 // build, so they can be diffed and asserted on — and a host set whose
 // nanosecond fields depend on the machine:
 //
-//	deterministic: simobs_scenario, simobs_queue, simobs_width,
-//	               simobs_class
+//	deterministic: simobs_scenario, simobs_queue, simobs_class
 //	host:          simobs_host, simobs_window
 //
 // Downstream tools filter on the prefix; HostLineTypes lists the
@@ -29,28 +28,10 @@ type scenarioLine struct {
 }
 
 type queueLine struct {
-	Type          string  `json:"type"`
-	Scenario      string  `json:"scenario"`
-	Kind          string  `json:"kind"`
-	Len           int     `json:"len"`
-	Buckets       int     `json:"buckets"`
-	WidthNS       int64   `json:"width_ns"`
-	Pushes        uint64  `json:"pushes"`
-	Collisions    uint64  `json:"collisions"`
-	CollisionRate float64 `json:"collision_rate"`
-	Rebuilds      uint64  `json:"rebuilds"`
-	Grows         uint64  `json:"grows"`
-	Shrinks       uint64  `json:"shrinks"`
-	MaxDepth      int     `json:"max_depth"`
-	Occupancy     []int   `json:"occupancy"`
-}
-
-type widthLine struct {
 	Type     string `json:"type"`
 	Scenario string `json:"scenario"`
-	WidthNS  int64  `json:"width_ns"`
-	Buckets  int    `json:"buckets"`
-	Events   int    `json:"events"`
+	Pushes   uint64 `json:"pushes"`
+	Pending  int    `json:"pending"`
 }
 
 type classLine struct {
@@ -89,23 +70,11 @@ func (r *Report) WriteJSONL(w io.Writer) error {
 	}); err != nil {
 		return err
 	}
-	q := r.Queue
 	if err := enc.Encode(queueLine{
-		Type: "simobs_queue", Scenario: r.Scenario, Kind: q.Kind, Len: q.Len,
-		Buckets: q.Buckets, WidthNS: int64(q.Width), Pushes: q.Pushes,
-		Collisions: q.Collisions, CollisionRate: q.CollisionRate(),
-		Rebuilds: q.Rebuilds, Grows: q.Grows, Shrinks: q.Shrinks,
-		MaxDepth: q.MaxDepth, Occupancy: q.Occupancy,
+		Type: "simobs_queue", Scenario: r.Scenario,
+		Pushes: r.Queue.Pushes, Pending: r.Queue.Len,
 	}); err != nil {
 		return err
-	}
-	for _, wc := range q.WidthLog {
-		if err := enc.Encode(widthLine{
-			Type: "simobs_width", Scenario: r.Scenario,
-			WidthNS: int64(wc.Width), Buckets: wc.Buckets, Events: wc.Events,
-		}); err != nil {
-			return err
-		}
 	}
 	for _, c := range r.Classes {
 		if err := enc.Encode(classLine{

@@ -8,50 +8,16 @@ import (
 )
 
 // String renders the full self-observability report for one scenario:
-// queue internals, the event census, and sampled host-time attribution.
+// queue telemetry, the event census, and sampled host-time attribution.
 func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== simobs: %s ==\n", r.Scenario)
 	fmt.Fprintf(&b, "events dispatched: %d; host samples: %d\n\n", r.Events, r.Samples)
 
-	b.WriteString(r.queueSection())
-	b.WriteString("\n")
+	fmt.Fprintf(&b, "-- event queue --\npushes %d, %d pending\n\n", r.Queue.Pushes, r.Queue.Len)
 	b.WriteString(r.censusTable().String())
 	b.WriteString("\n")
 	b.WriteString(r.hostSection())
-	return b.String()
-}
-
-// queueSection renders the event-queue internals.
-func (r *Report) queueSection() string {
-	q := r.Queue
-	var b strings.Builder
-	fmt.Fprintf(&b, "-- event queue (%s) --\n", q.Kind)
-	fmt.Fprintf(&b, "pushes %d, same-slot collisions %d (%.1f%%), rebuilds %d (%d grow, %d shrink)\n",
-		q.Pushes, q.Collisions, 100*q.CollisionRate(), q.Rebuilds, q.Grows, q.Shrinks)
-	fmt.Fprintf(&b, "final: %d buckets, day width %.1fus, %d pending, max bucket depth %d\n",
-		q.Buckets, q.Width.Microseconds(), q.Len, q.MaxDepth)
-	if len(q.Occupancy) > 0 {
-		b.WriteString("bucket occupancy:")
-		for d, n := range q.Occupancy {
-			if n == 0 {
-				continue
-			}
-			if d == len(q.Occupancy)-1 {
-				fmt.Fprintf(&b, " %d+:%d", d, n)
-			} else {
-				fmt.Fprintf(&b, " %d:%d", d, n)
-			}
-		}
-		b.WriteString("\n")
-	}
-	if len(q.WidthLog) > 0 {
-		b.WriteString("day-width evolution:")
-		for _, w := range q.WidthLog {
-			fmt.Fprintf(&b, " %.1fus/%db@%dev", w.Width.Microseconds(), w.Buckets, w.Events)
-		}
-		b.WriteString("\n")
-	}
 	return b.String()
 }
 

@@ -4,7 +4,7 @@
 // queue counters, host-time samples); this package reads one observed
 // engine into a Report and renders two views:
 //
-//   - the event-core report: calendar-queue internals and the per-class
+//   - the event-core report: pushes, pending events and the per-class
 //     event census;
 //   - host-time attribution: sampled wall-clock per module/class with
 //     GC/alloc windows, exported as JSONL.

@@ -20,15 +20,15 @@ func runScenario(t *testing.T) *Report {
 	pump = func() {
 		// Each round completes two disk requests, one of which wakes the
 		// kernel.
-		e.CallAfter(3*sim.Microsecond, "disk.complete", func() {})
-		e.CallAfter(5*sim.Microsecond, "disk.complete", func() {
-			e.CallAfter(2*sim.Microsecond, "kernel.wakeup", func() {})
+		e.After(3*sim.Microsecond, "disk.complete", func() {})
+		e.After(5*sim.Microsecond, "disk.complete", func() {
+			e.After(2*sim.Microsecond, "kernel.wakeup", func() {})
 		})
 		if n++; n < 100 {
-			e.CallAfter(10*sim.Microsecond, "kernel.tick", pump)
+			e.After(10*sim.Microsecond, "kernel.tick", pump)
 		}
 	}
-	e.Call(0, "kernel.tick", pump)
+	e.At(0, "kernel.tick", pump)
 	e.Run()
 	return Build("unit", e)
 }
@@ -49,7 +49,7 @@ func TestBuildReport(t *testing.T) {
 	if counts["kernel.tick"] != 100 || counts["disk.complete"] != 200 || counts["kernel.wakeup"] != 100 {
 		t.Fatalf("census = %v", counts)
 	}
-	if r.Queue.Pushes == 0 || r.Queue.Kind == "" {
+	if r.Queue.Pushes == 0 {
 		t.Fatalf("queue stats missing: %+v", r.Queue)
 	}
 	// The text report must mention every section.

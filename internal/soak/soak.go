@@ -198,7 +198,7 @@ func run(c Case, until sim.Time) (res *Result) {
 	if c.sabotage {
 		if at, ok := firstMemLoss(c.Faults); ok {
 			k := r.Kernel
-			k.Engine().Call(at+sim.Millisecond, "soak.sabotage", func() {
+			k.Engine().At(at+sim.Millisecond, "soak.sabotage", func() {
 				k.SPUs().Shared().Charge(core.Memory, 1)
 			})
 		}

@@ -1,7 +1,7 @@
 // Package stats provides the small statistics toolkit used by the kernel
 // model and the experiment harness: scalar sample accumulators,
-// time-weighted value trackers (for utilization), fixed-width histograms,
-// and a plain-text table renderer for paper-style output.
+// time-weighted value trackers (for utilization), and a plain-text table
+// renderer for paper-style output.
 package stats
 
 import (
@@ -11,20 +11,11 @@ import (
 	"perfiso/internal/sim"
 )
 
-// Sample accumulates observations of a scalar quantity and reports the
-// usual summary statistics. The zero value is ready to use.
-//
-// Variance is tracked with Welford's online algorithm (mean plus the
-// centered second moment m2) rather than a raw sum of squares: for
-// samples whose spread is small relative to their magnitude — response
-// times measured in integer nanoseconds, say — sumSq/n - mean² cancels
-// catastrophically and can report a standard deviation of 0 (or pure
-// rounding noise) for data that plainly varies.
+// Sample accumulates observations of a scalar quantity and reports its
+// count, sum, mean and extremes. The zero value is ready to use.
 type Sample struct {
 	n        int64
 	sum      float64
-	mean     float64
-	m2       float64 // sum of squared deviations from the running mean
 	min, max float64
 }
 
@@ -38,9 +29,6 @@ func (s *Sample) Add(v float64) {
 	}
 	s.n++
 	s.sum += v
-	d := v - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (v - s.mean)
 }
 
 // AddTime records a sim.Time observation in seconds.
@@ -65,39 +53,6 @@ func (s *Sample) Min() float64 { return s.min }
 
 // Max returns the largest observation, or 0 with no observations.
 func (s *Sample) Max() float64 { return s.max }
-
-// StdDev returns the population standard deviation, or 0 with fewer than
-// two observations.
-func (s *Sample) StdDev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	v := s.m2 / float64(s.n)
-	if v < 0 { // m2 cannot go negative, but stay defensive
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// Merge folds other's observations into s, combining the Welford
-// moments pairwise (Chan et al.'s parallel variance update).
-func (s *Sample) Merge(other *Sample) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 || other.min < s.min {
-		s.min = other.min
-	}
-	if s.n == 0 || other.max > s.max {
-		s.max = other.max
-	}
-	d := other.mean - s.mean
-	n := float64(s.n + other.n)
-	s.m2 += other.m2 + d*d*float64(s.n)*float64(other.n)/n
-	s.mean += d * float64(other.n) / n
-	s.n += other.n
-	s.sum += other.sum
-}
 
 // TimeWeighted tracks a piecewise-constant value over simulated time and
 // reports its time-weighted average — the natural definition of, e.g.,
@@ -178,72 +133,6 @@ func (w *TimeWeighted) Area(now sim.Time) float64 {
 		area += w.value * dt.Seconds()
 	}
 	return area
-}
-
-// Histogram is a fixed-width bucket histogram with overflow and underflow
-// buckets, used for distributions such as per-request disk wait times.
-type Histogram struct {
-	lo, width float64
-	buckets   []int64
-	under     int64
-	over      int64
-	sample    Sample
-}
-
-// NewHistogram creates a histogram covering [lo, lo+n*width) in n buckets.
-func NewHistogram(lo, width float64, n int) *Histogram {
-	if width <= 0 || n <= 0 {
-		panic("stats: NewHistogram with non-positive width or bucket count")
-	}
-	return &Histogram{lo: lo, width: width, buckets: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	h.sample.Add(v)
-	idx := int(math.Floor((v - h.lo) / h.width))
-	switch {
-	case idx < 0:
-		h.under++
-	case idx >= len(h.buckets):
-		h.over++
-	default:
-		h.buckets[idx]++
-	}
-}
-
-// N returns the total number of observations.
-func (h *Histogram) N() int64 { return h.sample.N() }
-
-// Mean returns the mean of all observations (exact, not bucketed).
-func (h *Histogram) Mean() float64 { return h.sample.Mean() }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// Quantile returns an approximation of the q-quantile (0 <= q <= 1) from
-// the bucket boundaries; exact values for under/overflowed data degrade to
-// the range edges.
-func (h *Histogram) Quantile(q float64) float64 {
-	n := h.sample.N()
-	if n == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(n)))
-	if target < 1 {
-		target = 1
-	}
-	cum := h.under
-	if cum >= target {
-		return h.lo
-	}
-	for i, c := range h.buckets {
-		cum += c
-		if cum >= target {
-			return h.lo + float64(i+1)*h.width
-		}
-	}
-	return h.lo + float64(len(h.buckets))*h.width
 }
 
 // Point is one (x, y) pair in a Series.

@@ -85,43 +85,18 @@ type Tracer struct {
 	filled  bool
 	dropped int64
 	counts  [NumKinds]int64
-	mask    [NumKinds]bool
 	// reported is how many drops Dump has already announced, so repeated
 	// dumps don't repeat the notice for the same lost events.
 	reported int64
 }
 
 // New creates a tracer keeping the most recent capacity events (1024 if
-// capacity <= 0), recording all kinds.
+// capacity <= 0).
 func New(eng *sim.Engine, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	t := &Tracer{eng: eng, ring: make([]Event, capacity)}
-	for i := range t.mask {
-		t.mask[i] = true
-	}
-	return t
-}
-
-// Only restricts recording to the given kinds (others are counted but
-// not stored). Calling Only with no kinds re-enables everything.
-func (t *Tracer) Only(kinds ...Kind) {
-	if t == nil {
-		return
-	}
-	if len(kinds) == 0 {
-		for i := range t.mask {
-			t.mask[i] = true
-		}
-		return
-	}
-	for i := range t.mask {
-		t.mask[i] = false
-	}
-	for _, k := range kinds {
-		t.mask[k] = true
-	}
+	return &Tracer{eng: eng, ring: make([]Event, capacity)}
 }
 
 // Emit records an event. Safe (and free) on a nil tracer.
@@ -130,9 +105,6 @@ func (t *Tracer) Emit(kind Kind, subject, action, detail string) {
 		return
 	}
 	t.counts[kind]++
-	if !t.mask[kind] {
-		return
-	}
 	if t.filled {
 		t.dropped++ // the ring is full: this write evicts the oldest event
 	}
@@ -166,8 +138,7 @@ func (t *Tracer) Len() int {
 
 // Dropped returns how many stored events the ring has overwritten —
 // the events Emit accepted but Events can no longer return. A non-zero
-// value means the capacity was too small for the run; it does not
-// include events a Kind filter excluded on purpose.
+// value means the capacity was too small for the run.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
@@ -176,7 +147,7 @@ func (t *Tracer) Dropped() int64 {
 }
 
 // Count returns how many events of the kind were emitted (including
-// ones filtered out of storage or overwritten by the ring).
+// ones overwritten by the ring).
 func (t *Tracer) Count(kind Kind) int64 {
 	if t == nil {
 		return 0

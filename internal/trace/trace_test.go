@@ -12,7 +12,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(Sched, "cpu0", "loan", "to spu3")
 	tr.Emitf(Mem, "spu2", "evict", "%d pages", 5)
-	tr.Only(Sched)
 	if tr.Len() != 0 || tr.Count(Sched) != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer should be inert")
 	}
@@ -52,24 +51,6 @@ func TestRingOverwritesOldest(t *testing.T) {
 	}
 	if tr.Count(Proc) != 10 {
 		t.Fatal("count should include overwritten events")
-	}
-}
-
-func TestOnlyFilters(t *testing.T) {
-	tr := New(sim.NewEngine(), 16)
-	tr.Only(Mem)
-	tr.Emit(Sched, "c", "loan", "")
-	tr.Emit(Mem, "s", "evict", "")
-	if tr.Len() != 1 {
-		t.Fatalf("len = %d", tr.Len())
-	}
-	if tr.Count(Sched) != 1 {
-		t.Fatal("filtered kinds still count")
-	}
-	tr.Only() // reset
-	tr.Emit(Sched, "c", "loan", "")
-	if tr.Len() != 2 {
-		t.Fatal("Only() should re-enable all kinds")
 	}
 }
 
@@ -150,19 +131,6 @@ func TestDroppedCountsOverwrites(t *testing.T) {
 	}
 	if strings.Count(sb.String(), "\n") != 5 { // 4 events + 1 notice
 		t.Fatalf("want 5 lines:\n%s", sb.String())
-	}
-}
-
-// Events a Kind filter excludes are not "dropped": they were never
-// accepted for storage, and Count already accounts for them.
-func TestDroppedIgnoresFilteredKinds(t *testing.T) {
-	tr := New(sim.NewEngine(), 2)
-	tr.Only(Mem)
-	for i := 0; i < 10; i++ {
-		tr.Emit(Sched, "c", "loan", "")
-	}
-	if tr.Dropped() != 0 {
-		t.Fatalf("filtered events counted as dropped: %d", tr.Dropped())
 	}
 }
 

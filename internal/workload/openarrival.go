@@ -65,7 +65,7 @@ func (p ArrivalPattern) String() string {
 // OpenServerParams shapes an open-arrival service. The interarrival
 // schedule is precomputed from Seed at build time, so a given (params,
 // seed) pair produces byte-identical arrivals on every run, at any
-// harness parallelism, on either event-queue implementation.
+// harness parallelism.
 type OpenServerParams struct {
 	Requests int
 	// Mean is the mean interarrival time (the offered load is one

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"perfiso/internal/core"
-	"perfiso/internal/fs"
 	"perfiso/internal/kernel"
 	"perfiso/internal/latency"
 	"perfiso/internal/proc"
@@ -159,40 +158,16 @@ func (j *ServerJob) CensorTail(now sim.Time) int {
 	return n
 }
 
-// Server builds the interactive service for the SPU. The dispatcher
-// forks a handler per request and waits for all of them at the end.
+// Server builds the interactive service for the SPU: an OpenServer
+// with Periodic arrivals, one request every Interarrival.
 func Server(k *kernel.Kernel, spu core.SPUID, name string, p ServerParams) *ServerJob {
 	if p.Requests <= 0 {
 		panic(fmt.Sprintf("workload: server %q with %d requests", name, p.Requests))
 	}
-	job := &ServerJob{tracker: k.Latency().Tracker(name, spu, latency.SLO{})}
-	var data *fs.File
-	if p.ReadBytes > 0 {
-		size := p.DataBytes
-		if size <= 0 {
-			size = 4 << 20
-		}
-		data = k.AffinityAllocator(spu).NewFile(name+".data", size, fs.Contiguous, 0)
-	}
-	var steps []proc.Step
-	for i := 0; i < p.Requests; i++ {
-		var body []proc.Step
-		if data != nil {
-			off := (int64(i) * p.ReadBytes) % (data.Size - p.ReadBytes)
-			body = append(body, proc.Read{File: data, Off: off, N: p.ReadBytes})
-		}
-		body = append(body, proc.Compute{D: p.Service})
-		h := proc.New(k, spu, fmt.Sprintf("%s.req%d", name, i), body)
-		job.recordExit(h)
-		job.handlers = append(job.handlers, h)
-		steps = append(steps,
-			proc.Sleep{D: p.Interarrival},
-			proc.Fork{Child: h},
-		)
-	}
-	steps = append(steps, proc.WaitChildren{})
-	job.Root = proc.New(k, spu, name, steps)
-	return job
+	return OpenServer(k, spu, name, OpenServerParams{
+		Requests: p.Requests, Mean: p.Interarrival, Pattern: Periodic,
+		Service: p.Service, ReadBytes: p.ReadBytes, DataBytes: p.DataBytes,
+	})
 }
 
 // recordExit chains a latency-recording hook onto the handler's exit:
