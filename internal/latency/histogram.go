@@ -7,11 +7,13 @@
 // first under uncontrolled sharing is the tail (p99/p999), not the
 // mean. metrics.Distribution keeps every observation for exact
 // quantiles, which is right for rare events (CPU revocations) but
-// cannot survive open-arrival request volumes; the histogram here costs
-// a fixed few tens of kilobytes no matter how many observations it
-// absorbs, records in zero allocations, and merges exactly — two
-// halves of a run poured together quantize identically to one
-// histogram that saw every value.
+// cannot survive open-arrival request volumes; the histogram here
+// stores only the powers of two its values have landed in (2^prec
+// int64 buckets each), so its size follows the spread of the values,
+// never their number. It allocates only when a value lands outside
+// the range seen so far, and merges exactly — two halves of a run
+// poured together quantize identically to one histogram that saw
+// every value.
 //
 // Determinism rules (the package contract, tested):
 //
@@ -34,17 +36,20 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // DefaultPrecision is the sub-bucket resolution exponent for run-total
 // histograms: 2^7 = 128 sub-buckets per power of two, bounding the
 // relative quantization error at 1/128 < 0.8%. A histogram at this
-// precision spans 1 ns .. ~292 years in 7296 int64 buckets (~57 KB).
+// precision spans 1 ns .. ~292 years in 7296 int64 buckets (~57 KB),
+// of which it stores the 128 (1 KB) per power of two it has seen.
 const DefaultPrecision = 7
 
 // WindowPrecision is the resolution for per-window histograms, where
-// hundreds may exist per run: 2^5 = 32 sub-buckets per power of two
-// (≤3.2% error, ~15 KB each) is plenty for a timeline.
+// thousands may exist per run: 2^5 = 32 sub-buckets per power of two
+// (≤3.2% error, 256 B of buckets per power of two seen) is plenty for
+// a timeline.
 const WindowPrecision = 5
 
 // Histogram is a log-linear (HDR-style) histogram of non-negative
@@ -55,8 +60,13 @@ const WindowPrecision = 5
 // max are tracked alongside, so Mean, Min, and Max are exact and
 // Quantile never answers outside the observed range.
 type Histogram struct {
-	prec   uint
-	m      uint64 // 1 << prec: sub-buckets per power of two
+	prec uint
+	m    uint64 // 1 << prec: sub-buckets per power of two
+	// counts holds buckets lo .. lo+len(counts)-1. The range is whole
+	// runs of m buckets (one power of two each, aligned so run r is
+	// indexes [r·m, (r+1)·m)), from the lowest to the highest run a
+	// value has landed in; it is empty until the first Record.
+	lo     int
 	counts []int64
 
 	count int64
@@ -74,15 +84,14 @@ func NewWithPrecision(prec uint) *Histogram {
 	if prec < 1 || prec > 16 {
 		panic(fmt.Sprintf("latency: precision %d out of range [1,16]", prec))
 	}
-	m := uint64(1) << prec
-	// Index ceiling: the top sub-bucket of the widest power of two
-	// (k = 63) lands at m*(63-prec) + 2m-1 = m*(65-prec) - 1.
-	return &Histogram{prec: prec, m: m, counts: make([]int64, m*(65-uint64(prec)))}
+	return &Histogram{prec: prec, m: uint64(1) << prec}
 }
 
 // index maps a value to its bucket. Pure integer math: values below 2m
 // map to themselves; a larger value with top bit k keeps prec bits of
 // mantissa, giving buckets of width 2^(k-prec) within [2^k, 2^(k+1)).
+// Those are the m indexes [m·(k-prec+1), m·(k-prec+2)): one aligned
+// run per power of two, and the runs 0 and 1 for the exact values.
 func (h *Histogram) index(v int64) int {
 	u := uint64(v)
 	if u < 2*h.m {
@@ -106,8 +115,9 @@ func (h *Histogram) bucketMax(idx int) int64 {
 
 // Record adds one observation. Negative values clamp to zero (a
 // latency cannot be negative; the clamp keeps a buggy caller from
-// corrupting the bucket math). The bucket array is allocated at New,
-// so recording never allocates.
+// corrupting the bucket math). Record allocates only when a value
+// lands outside the range seen so far: at most once per power of two
+// over the histogram's life.
 func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
@@ -120,7 +130,26 @@ func (h *Histogram) Record(v int64) {
 	}
 	h.count++
 	h.sum += v
-	h.counts[h.index(v)]++
+	i := h.index(v)
+	if i < h.lo || i >= h.lo+len(h.counts) {
+		h.cover(i, i)
+	}
+	h.counts[i-h.lo]++
+}
+
+// cover grows counts to hold buckets lo..hi, widened to whole runs of
+// m buckets. Existing counts keep their bucket indexes.
+func (h *Histogram) cover(lo, hi int) {
+	m := int(h.m)
+	lo, hi = lo/m*m, (hi/m+1)*m
+	if len(h.counts) > 0 {
+		lo, hi = min(lo, h.lo), max(hi, h.lo+len(h.counts))
+	}
+	counts := make([]int64, hi-lo)
+	if len(h.counts) > 0 {
+		copy(counts[h.lo-lo:], h.counts)
+	}
+	h.lo, h.counts = lo, counts
 }
 
 // Count returns the number of recorded observations.
@@ -173,7 +202,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 		cum += c
 		if cum >= target {
-			v := h.bucketMax(i)
+			v := h.bucketMax(h.lo + i)
 			if v > h.max {
 				v = h.max
 			}
@@ -205,9 +234,13 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	h.count += o.count
 	h.sum += o.sum
+	if o.lo < h.lo || o.lo+len(o.counts) > h.lo+len(h.counts) {
+		h.cover(o.lo, o.lo+len(o.counts)-1)
+	}
+	at := o.lo - h.lo
 	for i, c := range o.counts {
 		if c != 0 {
-			h.counts[i] += c
+			h.counts[at+i] += c
 		}
 	}
 }
@@ -215,7 +248,6 @@ func (h *Histogram) Merge(o *Histogram) {
 // Clone returns an independent snapshot of the histogram.
 func (h *Histogram) Clone() *Histogram {
 	c := *h
-	c.counts = make([]int64, len(h.counts))
-	copy(c.counts, h.counts)
+	c.counts = slices.Clone(h.counts)
 	return &c
 }

@@ -168,17 +168,27 @@ func TestHistogramMergePrecisionMismatchPanics(t *testing.T) {
 	a.Merge(b)
 }
 
-// equal compares full histogram state.
+// equal compares full histogram state, bucket by bucket index (the
+// two may store different ranges).
 func equal(a, b *Histogram) bool {
 	if a.count != b.count || a.sum != b.sum || a.min != b.min || a.max != b.max {
 		return false
 	}
-	for i := range a.counts {
-		if a.counts[i] != b.counts[i] {
+	lo, hi := min(a.lo, b.lo), max(a.lo+len(a.counts), b.lo+len(b.counts))
+	for i := lo; i < hi; i++ {
+		if a.countAt(i) != b.countAt(i) {
 			return false
 		}
 	}
 	return true
+}
+
+// countAt returns bucket i's count, 0 outside the stored range.
+func (h *Histogram) countAt(i int) int64 {
+	if i < h.lo || i >= h.lo+len(h.counts) {
+		return 0
+	}
+	return h.counts[i-h.lo]
 }
 
 // The record path must be zero-alloc: open-arrival workloads record a

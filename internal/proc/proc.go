@@ -58,6 +58,7 @@ type Process struct {
 
 	env   Env
 	steps []Step
+	gen   func(pc int) Step // generated program; nil for a steps slice
 	pc    int
 
 	// Pre-allocated continuations: steps run once per iteration for the
@@ -107,6 +108,17 @@ func New(env Env, spu core.SPUID, name string, steps []Step) *Process {
 	return p
 }
 
+// NewGenerated creates a process whose program is produced as it runs:
+// gen(pc) returns step pc when the process reaches it, or nil once the
+// program is over. A long program — an open service's dispatcher, one
+// Sleep and one Fork per arrival — then holds only what gen needs to
+// build the next step, not every step at once.
+func NewGenerated(env Env, spu core.SPUID, name string, gen func(pc int) Step) *Process {
+	p := New(env, spu, name, nil)
+	p.gen = gen
+	return p
+}
+
 // State returns the process state.
 func (p *Process) State() State { return p.state }
 
@@ -153,11 +165,16 @@ func (p *Process) advance() {
 	if p.state != Running {
 		return
 	}
-	if p.pc >= len(p.steps) {
+	var step Step
+	if p.gen != nil {
+		step = p.gen(p.pc)
+	} else if p.pc < len(p.steps) {
+		step = p.steps[p.pc]
+	}
+	if step == nil {
 		p.exit()
 		return
 	}
-	step := p.steps[p.pc]
 	p.pc++
 	if p.prof != nil {
 		p.prof.BeginStep(stepLabel(step))

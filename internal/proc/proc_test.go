@@ -319,3 +319,53 @@ func TestComputeZeroDurationSkips(t *testing.T) {
 		t.Fatal("zero compute should complete synchronously")
 	}
 }
+
+// A generated program runs exactly like the same steps in a slice:
+// gen is asked for each step once, in order, when the process reaches
+// it, and the process exits at the first nil.
+func TestGeneratedProgramMatchesSteps(t *testing.T) {
+	program := func(env *testEnv, spu core.SPUID, tag string) []Step {
+		var steps []Step
+		for i, d := range []sim.Time{30, 10, 50} {
+			child := New(env, spu, tag+"-child", []Step{Compute{D: d * sim.Millisecond}})
+			steps = append(steps, Sleep{D: sim.Time(i+1) * 5 * sim.Millisecond}, Fork{Child: child})
+		}
+		return append(steps, WaitChildren{})
+	}
+	finish := func(generated bool) (sim.Time, []int) {
+		env, us := newEnv(1, core.ShareIdle, 2, 1000)
+		steps := program(env, us[0].ID(), "p")
+		var asked []int
+		var p *Process
+		if generated {
+			p = NewGenerated(env, us[0].ID(), "p", func(pc int) Step {
+				asked = append(asked, pc)
+				if pc < len(steps) {
+					return steps[pc]
+				}
+				return nil
+			})
+		} else {
+			p = New(env, us[0].ID(), "p", steps)
+		}
+		p.Start()
+		run(env, sim.Second)
+		if p.State() != Exited {
+			t.Fatalf("generated=%v: never exited", generated)
+		}
+		return p.ResponseTime(), asked
+	}
+	want, _ := finish(false)
+	got, asked := finish(true)
+	if got != want {
+		t.Fatalf("generated program took %v, the same steps in a slice %v", got, want)
+	}
+	for pc, a := range asked {
+		if a != pc {
+			t.Fatalf("generator asked for steps %v, want 0..7 once each in order", asked)
+		}
+	}
+	if len(asked) != 8 {
+		t.Fatalf("generator asked %d times, want 7 steps and the end", len(asked))
+	}
+}

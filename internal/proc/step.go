@@ -114,10 +114,10 @@ func (s Touch) run(p *Process) {
 
 // Fork starts a child process and continues immediately. When If is
 // non-nil and returns false at fork time, the child is skipped — the
-// runtime decision point admission control needs, since open-arrival
-// step programs are built before the run and cannot know the load at
-// each arrival instant. A skipped child never starts, never counts as
-// a live child, and owes no WaitChildren.
+// runtime decision point admission control needs, since the load at
+// an arrival instant is known only when its fork runs. A skipped child
+// never starts, never counts as a live child, and owes no
+// WaitChildren.
 type Fork struct {
 	Child *Process
 	If    func() bool

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"perfiso/internal/core"
 	"perfiso/internal/fs"
@@ -65,7 +66,10 @@ func (p ArrivalPattern) String() string {
 // OpenServerParams shapes an open-arrival service. The interarrival
 // schedule is precomputed from Seed at build time, so a given (params,
 // seed) pair produces byte-identical arrivals on every run, at any
-// harness parallelism.
+// harness parallelism. Each request's handler is built only when its
+// arrival fires, with its jitter drawn in arrival order, so a run holds
+// the handlers of the requests in flight plus 32 bytes per request
+// (its gap and its record), however long the horizon.
 type OpenServerParams struct {
 	Requests int
 	// Mean is the mean interarrival time (the offered load is one
@@ -94,7 +98,10 @@ type OpenServerParams struct {
 	Service       sim.Time
 	ServiceJitter sim.Time
 	// ReadBytes/DataBytes mirror ServerParams: per-request reads from a
-	// per-tenant data file.
+	// per-tenant data file (4 MB when DataBytes is 0). Request i reads
+	// at offset i·ReadBytes modulo the file size less ReadBytes, or at 0
+	// when it reads the whole file; a read larger than the file panics
+	// at build time.
 	ReadBytes int64
 	DataBytes int64
 	// Seed seeds the arrival and jitter schedule (a fixed default when
@@ -212,6 +219,8 @@ func (p OpenServerParams) Gaps() []sim.Time {
 // request recorded into the kernel's latency registry under the
 // service's name (a no-op when latency tracking is off). The returned
 // job censors in-flight requests via CensorTail after bounded runs.
+// The dispatcher is a generated program (Sleep gap_i, Fork handler_i,
+// …, WaitChildren) that builds each handler at its fork.
 func OpenServer(k *kernel.Kernel, spu core.SPUID, name string, p OpenServerParams) *ServerJob {
 	if p.Requests <= 0 {
 		panic(fmt.Sprintf("workload: open server %q with %d requests", name, p.Requests))
@@ -219,64 +228,106 @@ func OpenServer(k *kernel.Kernel, spu core.SPUID, name string, p OpenServerParam
 	if p.Mean <= 0 {
 		panic(fmt.Sprintf("workload: open server %q with non-positive mean interarrival", name))
 	}
-	job := &ServerJob{tracker: k.Latency().Tracker(name, spu, p.SLO)}
-	var data *fs.File
-	if p.ReadBytes > 0 {
-		size := p.DataBytes
-		if size <= 0 {
-			size = 4 << 20
-		}
-		data = k.AffinityAllocator(spu).NewFile(name+".data", size, fs.Contiguous, 0)
+	size := p.DataBytes
+	if size <= 0 {
+		size = 4 << 20
 	}
+	if p.ReadBytes > size {
+		panic(fmt.Sprintf("workload: open server %q reads %d bytes per request from a %d-byte data file",
+			name, p.ReadBytes, size))
+	}
+	job := &ServerJob{requests: p.Requests, tracker: k.Latency().Tracker(name, spu, p.SLO)}
 	seed := p.Seed
 	if seed == 0 {
 		seed = 0xa22a1
 	}
-	jitter := sim.NewRNG(seed ^ 0x5e41ce) // independent of the arrival stream
-	var steps []proc.Step
-	for i, gap := range p.Gaps() {
-		service := p.Service
-		if p.ServiceJitter > 0 {
-			service += jitter.Duration(0, p.ServiceJitter)
-		}
-		var body []proc.Step
-		if data != nil {
-			off := (int64(i) * p.ReadBytes) % (data.Size - p.ReadBytes)
-			body = append(body, proc.Read{File: data, Off: off, N: p.ReadBytes})
-		}
-		body = append(body, proc.Compute{D: service})
-		h := proc.New(k, spu, fmt.Sprintf("%s.req%d", name, i), body)
-		job.recordExit(h)
-		// Release the admission slot when the handler exits; only
-		// admitted handlers ever exit, so the accounting balances.
-		prev := h.OnExit
-		h.OnExit = func(p *proc.Process) {
-			k.RequestDone(spu)
-			if prev != nil {
-				prev(p)
-			}
-		}
-		job.handlers = append(job.handlers, h)
-		steps = append(steps,
-			proc.Sleep{D: gap},
-			// Admission control gates every arrival: with the SLO
-			// controller off (or no cap set) AdmitRequest always says
-			// yes; under overload a refused arrival is shed — counted
-			// as a bad observation in the tenant's SLO stats, never
-			// silently dropped.
-			proc.Fork{Child: h, If: func() bool {
-				if k.AdmitRequest(spu) {
-					return true
-				}
-				job.shed++
-				job.tracker.RecordShed(k.Engine().Now())
-				return false
-			}},
-		)
+	d := &dispatcher{
+		k: k, spu: spu, name: name, p: p, job: job,
+		gaps:   p.Gaps(),
+		jitter: sim.NewRNG(seed ^ 0x5e41ce), // independent of the arrival stream
 	}
-	steps = append(steps, proc.WaitChildren{})
-	job.Root = proc.New(k, spu, name, steps)
+	if p.ReadBytes > 0 {
+		d.data = k.AffinityAllocator(spu).NewFile(name+".data", size, fs.Contiguous, 0)
+	}
+	d.admit = d.admitOne
+	job.Root = proc.NewGenerated(k, spu, name, d.step)
 	return job
+}
+
+// dispatcher generates an open server's dispatcher program one step
+// at a time, building each request's handler at its fork.
+type dispatcher struct {
+	k      *kernel.Kernel
+	spu    core.SPUID
+	name   string
+	p      OpenServerParams
+	job    *ServerJob
+	gaps   []sim.Time
+	jitter *sim.RNG
+	data   *fs.File
+	admit  func() bool // admitOne, bound once: a method value per Fork would allocate
+}
+
+// step returns dispatcher step pc: Sleep gap_i at pc = 2i, Fork
+// handler_i at pc = 2i+1, then one WaitChildren, then the end.
+func (d *dispatcher) step(pc int) proc.Step {
+	i := pc / 2
+	switch {
+	case i < len(d.gaps) && pc%2 == 0:
+		return proc.Sleep{D: d.gaps[i]}
+	case i < len(d.gaps):
+		// Admission control gates every arrival: with the SLO
+		// controller off (or no cap set) AdmitRequest always says yes;
+		// under overload a refused arrival is shed — counted as a bad
+		// observation in the tenant's SLO stats, never silently dropped.
+		return proc.Fork{Child: d.handler(i), If: d.admit}
+	case pc == 2*len(d.gaps):
+		return proc.WaitChildren{}
+	}
+	return nil
+}
+
+// handler builds request i's handler and opens its record. Its service
+// jitter is drawn here, in arrival order, whether or not admission
+// then sheds it, so the jitter stream does not depend on the load.
+func (d *dispatcher) handler(i int) *proc.Process {
+	service := d.p.Service
+	if d.p.ServiceJitter > 0 {
+		service += d.jitter.Duration(0, d.p.ServiceJitter)
+	}
+	body := make([]proc.Step, 0, 2)
+	if d.data != nil {
+		var off int64 // a read of the whole file starts at 0
+		if span := d.data.Size - d.p.ReadBytes; span > 0 {
+			off = (int64(i) * d.p.ReadBytes) % span
+		}
+		body = append(body, proc.Read{File: d.data, Off: off, N: d.p.ReadBytes})
+	}
+	body = append(body, proc.Compute{D: service})
+	h := proc.New(d.k, d.spu, d.name+".req"+strconv.Itoa(i), body)
+	d.job.reqs = append(d.job.reqs, request{})
+	h.OnExit = func(h *proc.Process) {
+		d.job.finish(i, h.Finished)
+		// Release the admission slot; only admitted handlers ever
+		// exit, so the accounting balances.
+		d.k.RequestDone(d.spu)
+		d.job.tracker.Record(h.Finished, h.ResponseTime())
+	}
+	return h
+}
+
+// admitOne is every Fork's admission check. On admission it opens the
+// newest request's record, stamped with the start time the handler is
+// about to take.
+func (d *dispatcher) admitOne() bool {
+	now := d.k.Engine().Now()
+	if !d.k.AdmitRequest(d.spu) {
+		d.job.shed++
+		d.job.tracker.RecordShed(now)
+		return false
+	}
+	d.job.start(len(d.job.reqs)-1, now)
+	return true
 }
 
 // TenantSpec is one tenant of the multi-tenant open-arrival experiment:

@@ -34,13 +34,49 @@ func DefaultServer() ServerParams {
 	return ServerParams{Requests: 200, Interarrival: 25 * sim.Millisecond, Service: 2 * sim.Millisecond}
 }
 
-// ServerJob is a running service: the dispatcher root and the request
-// handlers it spawns (populated as the run progresses).
+// ServerJob is a running service: the dispatcher root, one record per
+// request that has arrived, and counters over them. Handler processes
+// are not kept: a request's record holds all that its latency needs.
 type ServerJob struct {
 	Root     *proc.Process
-	handlers []*proc.Process
 	tracker  *latency.Tracker
+	reqs     []request // one per arrival so far, in arrival order
+	requests int       // arrivals the dispatcher will make in all
+	started  int
+	exited   int
 	shed     int
+}
+
+// request is one arrival's record. A shed arrival stays Created.
+type request struct {
+	started, finished sim.Time
+	state             proc.State
+}
+
+// start marks request i's handler started at now.
+func (j *ServerJob) start(i int, now sim.Time) {
+	j.reqs[i] = request{started: now, state: proc.Running}
+	j.started++
+}
+
+// finish marks request i's handler exited at now.
+func (j *ServerJob) finish(i int, now sim.Time) {
+	j.reqs[i].finished = now
+	j.reqs[i].state = proc.Exited
+	j.exited++
+}
+
+// latency returns request r's latency at now and whether it has one:
+// its response time once exited, and the elapsed now − start, a
+// right-censored lower bound, while it runs.
+func (r request) latency(now sim.Time) (sim.Time, bool) {
+	switch r.state {
+	case proc.Exited:
+		return r.finished - r.started, true
+	case proc.Running:
+		return now - r.started, now > r.started
+	}
+	return 0, false
 }
 
 // Shed returns how many arrivals admission control refused. Shed
@@ -49,40 +85,16 @@ type ServerJob struct {
 func (j *ServerJob) Shed() int { return j.shed }
 
 // Completed returns how many request handlers have exited.
-func (j *ServerJob) Completed() int {
-	n := 0
-	for _, h := range j.handlers {
-		if h.State() == proc.Exited {
-			n++
-		}
-	}
-	return n
-}
+func (j *ServerJob) Completed() int { return j.exited }
 
 // InFlight returns how many request handlers have started but not
 // exited — requests a horizon-bounded run right-censors.
-func (j *ServerJob) InFlight() int {
-	n := 0
-	for _, h := range j.handlers {
-		if h.State() == proc.Running {
-			n++
-		}
-	}
-	return n
-}
+func (j *ServerJob) InFlight() int { return j.started - j.exited }
 
-// Pending returns how many request handlers have not started yet
-// because the dispatcher never reached their arrival. Shed handlers
-// also never start but are counted by Shed, not here.
-func (j *ServerJob) Pending() int {
-	n := 0
-	for _, h := range j.handlers {
-		if h.State() == proc.Created {
-			n++
-		}
-	}
-	return n - j.shed
-}
+// Pending returns how many requests have not started yet because the
+// dispatcher never reached their arrival. Shed requests also never
+// start but are counted by Shed, not here.
+func (j *ServerJob) Pending() int { return j.requests - j.started - j.shed }
 
 // Latencies returns a sample of per-request latencies in seconds,
 // censored: requests still in flight at now contribute their elapsed
@@ -91,14 +103,9 @@ func (j *ServerJob) Pending() int {
 // engine clock after Run, or the horizon for a bounded run).
 func (j *ServerJob) Latencies(now sim.Time) *stats.Sample {
 	var s stats.Sample
-	for _, h := range j.handlers {
-		switch h.State() {
-		case proc.Exited:
-			s.AddTime(h.ResponseTime())
-		case proc.Running:
-			if now > h.Started {
-				s.AddTime(now - h.Started)
-			}
+	for _, r := range j.reqs {
+		if d, ok := r.latency(now); ok {
+			s.AddTime(d)
 		}
 	}
 	return &s
@@ -108,15 +115,8 @@ func (j *ServerJob) Latencies(now sim.Time) *stats.Sample {
 // as Latencies.
 func (j *ServerJob) MaxLatency(now sim.Time) sim.Time {
 	var max sim.Time
-	for _, h := range j.handlers {
-		var d sim.Time
-		switch h.State() {
-		case proc.Exited:
-			d = h.ResponseTime()
-		case proc.Running:
-			d = now - h.Started
-		}
-		if d > max {
+	for _, r := range j.reqs {
+		if d, ok := r.latency(now); ok && d > max {
 			max = d
 		}
 	}
@@ -124,17 +124,14 @@ func (j *ServerJob) MaxLatency(now sim.Time) sim.Time {
 }
 
 // LatencyQuantile returns the q-quantile (0..1) of request latencies,
-// e.g. 0.99 for the p99 tail, censored the same way as Latencies.
+// e.g. 0.99 for the p99 tail, censored the same way as Latencies. It
+// is exact (stats.Quantile's nearest rank), unlike the tracker's
+// bucketed quantiles, and works with latency tracking off.
 func (j *ServerJob) LatencyQuantile(now sim.Time, q float64) sim.Time {
 	var vs []float64
-	for _, h := range j.handlers {
-		switch h.State() {
-		case proc.Exited:
-			vs = append(vs, float64(h.ResponseTime()))
-		case proc.Running:
-			if now > h.Started {
-				vs = append(vs, float64(now-h.Started))
-			}
+	for _, r := range j.reqs {
+		if d, ok := r.latency(now); ok {
+			vs = append(vs, float64(d))
 		}
 	}
 	return sim.Time(stats.Quantile(vs, q))
@@ -149,9 +146,9 @@ func (j *ServerJob) Tracker() *latency.Tracker { return j.tracker }
 // there were. Call it once after a bounded run, before exporting.
 func (j *ServerJob) CensorTail(now sim.Time) int {
 	n := 0
-	for _, h := range j.handlers {
-		if h.State() == proc.Running && now > h.Started {
-			j.tracker.RecordCensored(now, now-h.Started)
+	for _, r := range j.reqs {
+		if r.state == proc.Running && now > r.started {
+			j.tracker.RecordCensored(now, now-r.started)
 			n++
 		}
 	}
@@ -168,18 +165,4 @@ func Server(k *kernel.Kernel, spu core.SPUID, name string, p ServerParams) *Serv
 		Requests: p.Requests, Mean: p.Interarrival, Pattern: Periodic,
 		Service: p.Service, ReadBytes: p.ReadBytes, DataBytes: p.DataBytes,
 	})
-}
-
-// recordExit chains a latency-recording hook onto the handler's exit:
-// the completed request's response time lands in the job's tracker at
-// the handler's finish time. A nil tracker (latency off) costs one nil
-// check per request.
-func (j *ServerJob) recordExit(h *proc.Process) {
-	prev := h.OnExit
-	h.OnExit = func(p *proc.Process) {
-		j.tracker.Record(p.Finished, p.ResponseTime())
-		if prev != nil {
-			prev(p)
-		}
-	}
 }
