@@ -65,6 +65,17 @@ type Disk struct {
 	// paper's request counts assume the unmerged IRIX 5.3 driver.
 	Merge bool
 
+	// inService is the request being transferred; completeFn, bound
+	// once in New, completes it, so starting a transfer schedules its
+	// completion without allocating.
+	inService  *Request
+	completeFn func()
+
+	// clean marks a disk whose Audit passed in an incremental sweep
+	// (AuditChanged) and that has not mutated since. Submit, startNext
+	// and complete clear it; they are the only writers of audited state.
+	clean bool
+
 	usage *usageTable
 	// active and blamed are PIso.pick's and the profiler blame pass's
 	// per-SPU scratch, reused so neither allocates per request.
@@ -85,13 +96,19 @@ type Disk struct {
 // parameters and scheduling policy. halfLife configures the bandwidth
 // usage decay (0 means the paper's 500 ms).
 func New(eng *sim.Engine, p Params, sched Scheduler, halfLife sim.Time) *Disk {
-	return &Disk{
+	d := &Disk{
 		eng:    eng,
 		params: p,
 		sched:  sched,
 		usage:  newUsageTable(halfLife),
 		PerSPU: make(map[core.SPUID]*SPUStats),
 	}
+	d.completeFn = func() {
+		r := d.inService
+		d.inService = nil
+		d.complete(r)
+	}
+	return d
 }
 
 // Params returns the disk's mechanical parameters.
@@ -185,6 +202,7 @@ func (d *Disk) Submit(r *Request) {
 	if err := r.validate(d.params.TotalSectors()); err != nil {
 		panic(err)
 	}
+	d.clean = false
 	r.cyl = d.params.CylinderOf(r.Sector)
 	r.Submitted = d.eng.Now()
 	r.Failed = false
@@ -243,6 +261,7 @@ func (d *Disk) tryMerge(r *Request) bool {
 			r.RotTime = qq.RotTime
 			r.Failed = qq.Failed
 			if !r.Failed {
+				d.clean = false
 				d.Total.Requests++
 				d.Total.Wait.AddTime(r.Wait())
 				d.Total.Service.AddTime(r.Service())
@@ -263,6 +282,7 @@ func (d *Disk) tryMerge(r *Request) bool {
 // startNext pulls the next request per the scheduling policy and begins
 // service. Caller guarantees the disk is idle.
 func (d *Disk) startNext() {
+	d.clean = false
 	if len(d.queue) == 0 {
 		d.busy = false
 		d.Total.Busy.Set(d.eng.Now(), 0)
@@ -306,7 +326,8 @@ func (d *Disk) startNext() {
 		d.blame(r, total)
 	}
 
-	d.eng.After(total, "disk.complete", func() { d.complete(r) })
+	d.inService = r
+	d.eng.After(total, "disk.complete", d.completeFn)
 	// The head ends up over the last cylinder touched by the transfer.
 	d.headCyl = d.params.CylinderOf(r.Sector + int64(r.Count) - 1)
 	d.lastEnd = r.Sector + int64(r.Count)
@@ -350,6 +371,7 @@ type spuCount struct {
 // complete finishes a request: accounting, statistics, callback, and
 // kicking off the next request.
 func (d *Disk) complete(r *Request) {
+	d.clean = false
 	now := d.eng.Now()
 	r.Finished = now
 

@@ -104,16 +104,12 @@ func RunSLOController() SLOControllerResult {
 		cfgRow := SLOControllerConfig{Config: config, Tenants: len(tenants)}
 		var busy float64
 		for _, u := range k.SPUs().All() {
-			if pt := k.Scheduler().PerSPUTime[u.ID()]; pt != nil {
-				busy += pt.Seconds()
-			}
+			busy += k.Scheduler().CPUTime(u.ID()).Seconds()
 		}
 		if secs := end.Seconds() * float64(machine.Pmake8().CPUs); secs > 0 {
 			cfgRow.Util = 100 * busy / secs
 		}
-		if pt := k.Scheduler().PerSPUTime[noise.ID()]; pt != nil {
-			cfgRow.NoiseCPU = pt.Seconds()
-		}
+		cfgRow.NoiseCPU = k.Scheduler().CPUTime(noise.ID()).Seconds()
 		if c := k.Controller(); c != nil {
 			cfgRow.Stats = c.Stat
 		}

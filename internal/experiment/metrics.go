@@ -88,15 +88,10 @@ func summarizeMetrics(k *kernel.Kernel, config string) (MetricSummary, bool) {
 	sch := k.Scheduler()
 	users := k.SPUs().Users()
 	for _, u := range users {
-		if t := sch.PerSPUTime[u.ID()]; t != nil {
-			total += t.Seconds()
-		}
+		total += sch.CPUTime(u.ID()).Seconds()
 	}
 	for _, u := range users {
-		var sec float64
-		if t := sch.PerSPUTime[u.ID()]; t != nil {
-			sec = t.Seconds()
-		}
+		sec := sch.CPUTime(u.ID()).Seconds()
 		if total > 0 {
 			s.CPUShare[u.Name()] = sec / total
 		}

@@ -16,6 +16,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -195,10 +196,20 @@ func parseEvent(s string) (Event, error) {
 	if err := e.validate(); err != nil {
 		return Event{}, fmt.Errorf("fault: %q: %v", s, err)
 	}
+	if e.Kind == CPUOffline {
+		// Unused, and String does not render it: a plan's String
+		// parses back to the same plan.
+		e.Severity = 0
+	}
 	return e, nil
 }
 
 func (e Event) validate() error {
+	// NaN fails every comparison below, so non-finite severities are
+	// refused first.
+	if math.IsNaN(e.Severity) || math.IsInf(e.Severity, 0) {
+		return fmt.Errorf("severity %g is not finite", e.Severity)
+	}
 	switch e.Kind {
 	case DiskSlow:
 		if e.Severity < 1 {

@@ -2,18 +2,43 @@
 // simulator's claim is an *invariant* — an isolated SPU receives its
 // entitled CPU/memory/disk share within a slice of granularity, loans
 // are revocable within a tick, and the conservation laws (CPU time,
-// page frames, disk sectors) those guarantees rest on always hold. The
-// Auditor re-verifies all of it every clock tick and at every
+// page frames, disk sectors, lock time) those guarantees rest on always
+// hold. The Auditor re-proves them at every clock tick and at every
 // loan/revoke/reclaim boundary, so a bug (or an injected fault driving
 // the kernel somewhere unvalidated) surfaces at the instant the books
 // stop balancing instead of as a mysteriously wrong experiment table.
 //
+// What each sweep audits:
+//
+//   - Every sweep checks the clock, the SPU levels, the scheduler laws
+//     (sched.AuditInvariants), the O(#SPUs) memory checks
+//     (mem.AuditInvariants), profile conservation and the controller's
+//     laws in full.
+//   - The tick sweep (any CheckAll boundary but "final") audits only
+//     the disks, locks and gates that changed since they last passed
+//     (disk.AuditChanged, lock.Table.AuditChanged), plus every held
+//     lock: a hold's release can fall overdue with no mutation at all,
+//     and no other law of theirs depends on the clock. Each mutator
+//     clears its object's clean mark (for locks and gates, puts it on
+//     its table's list); an object that passes is marked clean, one
+//     that fails stays unmarked and is reported again at the next
+//     sweep.
+//   - The "final" sweep at the end of Kernel.Run audits every disk,
+//     lock and gate, and runs the exhaustive mem.AuditDeep.
+//
+// The writer contract: a clean mark is sound only because the state a
+// disk's, lock's or gate's laws read is written by its own package
+// (internal/disk, internal/lock), in the mutators that clear the mark.
+// Code elsewhere reads Disk.Total, Disk.PerSPU and the lock and gate
+// counters but never writes them, nor a queued disk.Request. A write
+// from outside those packages would go unseen until the final sweep.
+//
 // The subsystem-local checks live with the state they check —
-// sched.AuditInvariants, mem.AuditInvariants, disk.Audit — so they can
-// see unexported fields; this package orchestrates them, adds the
-// cross-cutting checks (clock monotonicity, SPU resource-level sanity),
-// and turns failures into structured Violations wired into metrics and
-// the trace.
+// sched.AuditInvariants, mem.AuditInvariants, disk.Audit, lock.Lock.Audit
+// — so they can see unexported fields; this package orchestrates them,
+// adds the cross-cutting checks (clock monotonicity, SPU resource-level
+// sanity), and turns failures into structured Violations wired into
+// metrics and the trace.
 package invariant
 
 import (
@@ -116,8 +141,12 @@ type Auditor struct {
 	// Trace, when non-nil, records each violation as an Audit event.
 	Trace *trace.Tracer
 
-	lastNow    sim.Time
-	checks     int64
+	lastNow sim.Time
+	checks  int64
+	// checksCtr is Metrics' invariant.checks counter, looked up at the
+	// first check rather than at every one (so Metrics is set before
+	// the first check).
+	checksCtr  *metrics.Counter
 	violations []Violation
 	truncated  int64 // violations dropped past Limit
 }
@@ -144,16 +173,31 @@ func (a *Auditor) Truncated() int64 { return a.truncated }
 
 // CheckAll runs every invariant: clock monotonicity, SPU resource
 // levels, scheduler conservation and isolation, memory-frame
-// conservation and limits, and disk accounting. boundary names the
-// trigger ("tick", or a sharing-boundary reason).
+// conservation and limits, disk and lock accounting, profile
+// conservation and the controller's laws. boundary names the trigger
+// ("tick", "final", or a sharing-boundary reason). The "final" sweep
+// audits every disk, lock and gate; any other sweep audits those that
+// changed since they last passed, and every held lock.
 func (a *Auditor) CheckAll(boundary string) {
+	a.sweep(boundary, boundary == "final")
+}
+
+// sweep is CheckAll; full audits every disk, lock and gate, not only
+// those that changed since they last passed.
+func (a *Auditor) sweep(boundary string, full bool) {
 	a.begin()
 	a.checkClock(boundary)
 	a.checkLevels(boundary)
 	a.checkSched(boundary)
 	a.checkMem(boundary)
 	for i, d := range a.t.Disks {
-		if err := d.Audit(); err != nil {
+		var err error
+		if full {
+			err = d.Audit()
+		} else {
+			err = d.AuditChanged()
+		}
+		if err != nil {
 			a.report(fmt.Sprintf("disk%d", i), NoSPU, boundary, err)
 		}
 	}
@@ -162,7 +206,7 @@ func (a *Auditor) CheckAll(boundary string) {
 			a.report("profile", NoSPU, boundary, err)
 		}
 	}
-	a.checkLocks(boundary)
+	a.checkLocks(boundary, full)
 	a.checkControl(boundary)
 }
 
@@ -199,13 +243,21 @@ func (a *Auditor) checkControl(boundary string) {
 	}
 }
 
-// checkLocks runs every registered lock's and gate's conservation
-// laws (see lock.Lock.Audit and lock.Gate.Audit).
-func (a *Auditor) checkLocks(boundary string) {
+// checkLocks runs the registered locks' and gates' conservation laws
+// (see lock.Lock.Audit and lock.Gate.Audit): on every one when full,
+// otherwise on those that changed since they last passed and on every
+// held lock (lock.Table.AuditChanged).
+func (a *Auditor) checkLocks(boundary string, full bool) {
 	if a.t.Locks == nil {
 		return
 	}
-	if err := a.t.Locks.Audit(); err != nil {
+	var err error
+	if full {
+		err = a.t.Locks.Audit()
+	} else {
+		err = a.t.Locks.AuditChanged()
+	}
+	if err != nil {
 		a.report("locks", NoSPU, boundary, err)
 	}
 }
@@ -232,7 +284,10 @@ func (a *Auditor) CheckMem(boundary string) {
 
 func (a *Auditor) begin() {
 	a.checks++
-	a.Metrics.Counter(metrics.KeyInvariantChecks, metrics.NoSPU).Inc()
+	if a.checksCtr == nil {
+		a.checksCtr = a.Metrics.Counter(metrics.KeyInvariantChecks, metrics.NoSPU)
+	}
+	a.checksCtr.Inc()
 }
 
 // checkClock verifies the event clock never runs backwards across

@@ -488,10 +488,7 @@ func (k *Kernel) registerSPUSeries(s *core.SPU) {
 		return s.Used(core.CPU)
 	})
 	k.metrics.Series(metrics.KeyCPUTime, id, func() float64 {
-		if pt := k.sch.PerSPUTime[id]; pt != nil {
-			return pt.Seconds()
-		}
-		return 0
+		return k.sch.CPUTime(id).Seconds()
 	})
 	k.metrics.Series(metrics.KeyMemResident, id, func() float64 {
 		return s.Used(core.Memory)

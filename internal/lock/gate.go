@@ -38,6 +38,12 @@ type Gate struct {
 	acqBySPU  []int64
 	waitBySPU []sim.Time
 
+	// sweep and listed place the gate on its table's incremental-sweep
+	// list, as for Lock; Acquire, the only writer of audited state,
+	// lists it.
+	sweep  *sweepList
+	listed bool
+
 	prof *profile.Profiler
 }
 
@@ -58,6 +64,7 @@ func (g *Gate) Acquire(spu core.SPUID) {
 	if g == nil {
 		return
 	}
+	g.touched()
 	g.Acquisitions++
 	g.ensureSPU(spu)
 	g.acqBySPU[spu]++
@@ -78,6 +85,14 @@ func (g *Gate) Acquire(spu core.SPUID) {
 		g.busyUntil = now + g.Hold
 	}
 	g.holder = spu
+}
+
+// touched lists the gate for its table's next incremental sweep.
+func (g *Gate) touched() {
+	if g.sweep != nil && !g.listed {
+		g.listed = true
+		g.sweep.gates = append(g.sweep.gates, g)
+	}
 }
 
 func (g *Gate) ensureSPU(spu core.SPUID) {

@@ -127,6 +127,14 @@ type Lock struct {
 	holdBySPU []sim.Time
 	acqBySPU  []int64
 
+	// sweep is the list of the Table whose incremental sweep audits
+	// this lock, set when that sweep first sees it. listed reports the
+	// lock is on the list; a lock off it is clean: it has not mutated
+	// since its laws last passed. Acquire and release, the only writers
+	// of audited state, list it (see Table.AuditChanged).
+	sweep  *sweepList
+	listed bool
+
 	prof  *profile.Profiler
 	relFn func(uint64) // pre-bound release callback (zero-alloc events)
 }
@@ -164,6 +172,7 @@ func (l *Lock) Holders() (readers int, writerHeld bool) {
 // scheduled event. Under Mutex mode every acquisition is exclusive
 // regardless of shared.
 func (l *Lock) Acquire(spu core.SPUID, shared bool, hold sim.Time, fn func()) {
+	l.touched()
 	if l.mode == Mutex {
 		shared = false
 	}
@@ -182,6 +191,17 @@ func (l *Lock) Acquire(spu core.SPUID, shared bool, hold sim.Time, fn func()) {
 	l.queue = append(l.queue, w)
 	l.qlen.Set(now, float64(l.QueueLen()))
 }
+
+// touched lists the lock for its table's next incremental sweep.
+func (l *Lock) touched() {
+	if l.sweep != nil && !l.listed {
+		l.listed = true
+		l.sweep.locks = append(l.sweep.locks, l)
+	}
+}
+
+// held reports whether anyone holds the lock.
+func (l *Lock) held() bool { return l.readers > 0 || l.writer }
 
 // canGrant reports whether the waiter could hold the lock right now.
 func (l *Lock) canGrant(w waiter) bool {
@@ -247,6 +267,7 @@ func (l *Lock) scheduleRelease(w waiter, now sim.Time) {
 // release returns a hold and drains the queue. Only the scheduled
 // release events call it.
 func (l *Lock) release(spu core.SPUID, shared bool) {
+	l.touched()
 	l.releases++
 	if shared {
 		l.readers--

@@ -73,15 +73,34 @@ func (s *Sharded) Totals() (acquisitions int64, wait sim.Time) {
 type Table struct {
 	locks []func() []*Lock
 	gates []func() []*Gate
+
+	// The incremental sweep's state (AuditChanged): the slice each
+	// source returned when the sweep last attached its members, and the
+	// sweep's list.
+	seenLocks [][]*Lock
+	seenGates [][]*Gate
+	list      sweepList
+}
+
+// sweepList is what a table's next incremental sweep audits: each
+// attached lock or gate that mutated since it last passed, and each
+// lock that was held when it last passed.
+type sweepList struct {
+	locks []*Lock
+	gates []*Gate
 }
 
 // NewTable creates an empty table.
 func NewTable() *Table { return &Table{} }
 
-// AddLocks registers a late-bound source of event-based locks.
+// AddLocks registers a late-bound source of event-based locks. A source
+// whose population changes returns a new slice or a longer one; it never
+// overwrites the elements of a slice it returned, because the
+// incremental sweep re-reads a source only when its slice changes.
 func (t *Table) AddLocks(src func() []*Lock) { t.locks = append(t.locks, src) }
 
-// AddGates registers a late-bound source of gates.
+// AddGates registers a late-bound source of gates, under the same rule
+// as AddLocks.
 func (t *Table) AddGates(src func() []*Gate) { t.gates = append(t.gates, src) }
 
 // Locks returns the live event-based locks, in registration order.
@@ -122,6 +141,116 @@ func (t *Table) Audit() error {
 		}
 	}
 	return nil
+}
+
+// AuditChanged is the periodic sweep's form of Audit. It runs the laws
+// of every lock and gate that mutated since they last passed here, and
+// of every held lock, whose release can fall overdue with no mutation.
+// A lock or gate that passes leaves the list until its next mutation
+// (a held lock stays on it); one that fails stays on it, so the next
+// sweep reports it again, as Audit would. The first sweep, and the
+// first after the sources' populations change, audits every lock and
+// gate. Leaving an unchanged object out is sound only because this
+// package alone writes the state its laws read (see the invariant
+// package). A lock or gate is swept by at most one table. Apart from
+// attaching a changed population, it allocates nothing.
+func (t *Table) AuditChanged() error {
+	if !t.sameLocks() || !t.sameGates() {
+		t.attach()
+	}
+	locks := t.list.locks
+	n := 0
+	for i, l := range locks {
+		if err := l.Audit(); err != nil {
+			// The failed lock and those not yet audited stay listed.
+			t.list.locks = locks[:n+copy(locks[n:], locks[i:])]
+			return err
+		}
+		if l.held() {
+			locks[n] = l
+			n++
+		} else {
+			l.listed = false
+		}
+	}
+	t.list.locks = locks[:n]
+	gates := t.list.gates
+	for i, g := range gates {
+		if err := g.Audit(); err != nil {
+			t.list.gates = gates[:copy(gates, gates[i:])]
+			return err
+		}
+		g.listed = false
+	}
+	t.list.gates = gates[:0]
+	return nil
+}
+
+// sameLocks reports whether every lock source returns the slice it
+// returned when the sweep last attached its locks. It reads no lock.
+func (t *Table) sameLocks() bool {
+	if len(t.seenLocks) != len(t.locks) {
+		return false
+	}
+	for i, src := range t.locks {
+		if !sameSlice(src(), t.seenLocks[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameGates is sameLocks for the gate sources.
+func (t *Table) sameGates() bool {
+	if len(t.seenGates) != len(t.gates) {
+		return false
+	}
+	for i, src := range t.gates {
+		if !sameSlice(src(), t.seenGates[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameSlice reports whether a and b are the same slice: one backing
+// array and one length. The table keeps the slices it compares against,
+// so their arrays cannot be reused for a new population.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// attach re-reads the sources: it detaches the locks and gates it last
+// attached, then attaches and lists every current one.
+func (t *Table) attach() {
+	for _, ls := range t.seenLocks {
+		for _, l := range ls {
+			l.sweep, l.listed = nil, false
+		}
+	}
+	for _, gs := range t.seenGates {
+		for _, g := range gs {
+			g.sweep, g.listed = nil, false
+		}
+	}
+	t.list.locks, t.list.gates = t.list.locks[:0], t.list.gates[:0]
+	t.seenLocks, t.seenGates = t.seenLocks[:0], t.seenGates[:0]
+	for _, src := range t.locks {
+		ls := src()
+		t.seenLocks = append(t.seenLocks, ls)
+		for _, l := range ls {
+			l.sweep = &t.list
+			l.touched()
+		}
+	}
+	for _, src := range t.gates {
+		gs := src()
+		t.seenGates = append(t.seenGates, gs)
+		for _, g := range gs {
+			g.sweep = &t.list
+			g.touched()
+		}
+	}
 }
 
 // Snapshot encodes every lock and gate, in registration order.

@@ -27,10 +27,16 @@ func (f jsonFloat) MarshalJSON() ([]byte, error) {
 // appendJSONFloat appends v formatted exactly as encoding/json formats a
 // float64 — shortest round-trip digits, exponent form only below 1e-6 or
 // from 1e21 up, a one-digit negative exponent without its leading zero —
-// except that NaN and ±Inf become null (see jsonFloat).
+// except that NaN and ±Inf become null (see jsonFloat). An integral v
+// below 2^53 in magnitude, other than −0, takes the integer formatter:
+// its shortest round-trip digits are its exact digits, so the bytes are
+// the same, and series sample times and counts are mostly such values.
 func appendJSONFloat(b []byte, v float64) []byte {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return append(b, "null"...)
+	}
+	if v == math.Trunc(v) && math.Abs(v) < 1<<53 && (v != 0 || !math.Signbit(v)) {
+		return strconv.AppendInt(b, int64(v), 10)
 	}
 	format := byte('f')
 	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {

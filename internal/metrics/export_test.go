@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -114,6 +115,34 @@ func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if got := appendJSONFloat(nil, v); string(got) != "null" {
 			t.Errorf("appendJSONFloat(%g) = %s, want null", v, got)
+		}
+	}
+}
+
+// The integer branch of appendJSONFloat writes what encoding/json
+// writes, for random integers on both sides of its 2^53 bound, negative
+// zero, decimals and random bit patterns.
+func TestAppendJSONFloatIntegersMatchEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewPCG(30, 1))
+	const n = 1 << 17
+	vals := []float64{math.Copysign(0, -1), 1 << 53, -(1 << 53), 1<<53 - 1, -(1<<53 - 1), 1 << 54}
+	for i := 0; i < n; i++ {
+		vals = append(vals,
+			float64(rng.Int64N(1<<55)-1<<54),         // integers up to ±2^54
+			float64(rng.Int64N(2_000_001)-1_000_000), // small integers
+			float64(rng.Int64N(1<<40))/1000,          // decimals
+			math.Float64frombits(rng.Uint64()))       // any bit pattern
+	}
+	for _, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			continue
+		}
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONFloat(nil, v); string(got) != string(want) {
+			t.Fatalf("appendJSONFloat(%b) = %s, json.Marshal = %s", v, got, want)
 		}
 	}
 }

@@ -285,6 +285,31 @@ func TestLoopAndSeqHelpers(t *testing.T) {
 	}
 }
 
+// Looped generates exactly the expanded program Seq(head, Loop(...),
+// tail), then nil, with or without a head, a tail or any iterations.
+func TestLoopedMatchesExpandedProgram(t *testing.T) {
+	head := []Step{Touch{Pages: 3}, Lookup{}}
+	body := []Step{Compute{D: 2}, Sleep{D: 5}}
+	tail := []Step{Compute{D: 1}}
+	for _, c := range []struct {
+		head, tail []Step
+		times      int
+	}{{head, tail, 4}, {nil, nil, 3}, {head, nil, 0}, {nil, tail, 1}} {
+		want := Seq(c.head, Loop(c.times, body...), c.tail)
+		gen := Looped(c.head, c.times, body, c.tail...)
+		for pc := 0; pc <= len(want)+1; pc++ {
+			var w Step
+			if pc < len(want) {
+				w = want[pc]
+			}
+			if got := gen(pc); got != w {
+				t.Fatalf("head %d, %d times, tail %d: step %d is %#v, want %#v",
+					len(c.head), c.times, len(c.tail), pc, got, w)
+			}
+		}
+	}
+}
+
 func TestMetaAndLookupSteps(t *testing.T) {
 	env, us := newEnv(1, core.ShareIdle, 1, 1000)
 	f := env.al.NewFile("f", 4096, fs.Contiguous, 0)

@@ -11,32 +11,33 @@ type Step interface {
 	run(p *Process)
 }
 
-// stepLabel names a step for its profiler span. Step implementations
-// are closed (run is unexported), so the switch is exhaustive.
+// stepLabel names a step's profiler span. The names are constants, so
+// opening a span allocates nothing. Step implementations are closed
+// (run is unexported), so the switch is exhaustive.
 func stepLabel(s Step) string {
 	switch s.(type) {
 	case Compute:
-		return "compute"
+		return "step:compute"
 	case Read:
-		return "read"
+		return "step:read"
 	case Write:
-		return "write"
+		return "step:write"
 	case Meta:
-		return "meta"
+		return "step:meta"
 	case Lookup:
-		return "lookup"
+		return "step:lookup"
 	case Touch:
-		return "touch"
+		return "step:touch"
 	case Fork:
-		return "fork"
+		return "step:fork"
 	case WaitChildren:
-		return "wait"
+		return "step:wait"
 	case Sleep:
-		return "sleep"
+		return "step:sleep"
 	case BarrierStep:
-		return "barrier"
+		return "step:barrier"
 	default:
-		return "step"
+		return "step:step"
 	}
 }
 
@@ -208,6 +209,26 @@ func Loop(times int, body ...Step) []Step {
 		out = append(out, body...)
 	}
 	return out
+}
+
+// Looped is the generator, for NewGenerated, of the program head, then
+// body repeated times, then tail: Seq(head, Loop(times, body...), tail)
+// without a slot per step. Every step it returns is an element of the
+// slices passed in, boxed once when they were built, so stepping the
+// program allocates nothing.
+func Looped(head []Step, times int, body []Step, tail ...Step) func(pc int) Step {
+	loopEnd := len(head) + times*len(body)
+	return func(pc int) Step {
+		switch {
+		case pc < len(head):
+			return head[pc]
+		case pc < loopEnd:
+			return body[(pc-len(head))%len(body)]
+		case pc-loopEnd < len(tail):
+			return tail[pc-loopEnd]
+		}
+		return nil
+	}
 }
 
 // Seq concatenates step slices into one program.

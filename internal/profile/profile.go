@@ -295,16 +295,23 @@ func (p *Profiler) Spans() []Span {
 	if p == nil {
 		return nil
 	}
-	n := p.next
-	if p.filled {
-		n = len(p.ring)
+	older, newer := p.stored()
+	out := make([]Span, 0, len(older)+len(newer))
+	out = append(out, older...)
+	return append(out, newer...)
+}
+
+// stored returns the ring's stored spans, oldest-first, as its two runs:
+// the older from the write cursor to the end (once the ring has
+// wrapped), the newer from the start to the cursor.
+func (p *Profiler) stored() (older, newer []Span) {
+	if p == nil {
+		return nil, nil
 	}
-	out := make([]Span, 0, n)
 	if p.filled {
-		out = append(out, p.ring[p.next:]...)
+		older = p.ring[p.next:]
 	}
-	out = append(out, p.ring[:p.next]...)
-	return out
+	return older, p.ring[:p.next]
 }
 
 // SpansDropped returns how many spans the ring overwrote.

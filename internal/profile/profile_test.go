@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"perfiso/internal/core"
@@ -214,6 +215,40 @@ func TestWriteSpansDeterministic(t *testing.T) {
 	}
 	if a.Len() == 0 {
 		t.Fatal("span JSONL is empty")
+	}
+}
+
+// TestWriteSpansMatchesFmt: the hand-appended span lines are the bytes
+// fmt writes for the same fields (%d and %q), across a wrapped ring and
+// names that need escaping.
+func TestWriteSpansMatchesFmt(t *testing.T) {
+	p := New(sim.NewEngine())
+	procs := []string{"job", `q"uo\te`, "tab\tnl\n", "snow\u2603", "ctl\x00\x7f", "bad\xff"}
+	n := DefaultSpanCapacity + 37
+	for i := 0; i < n; i++ {
+		p.emit(Span{ID: int64(i + 1), Parent: int64(i / 3), SPU: core.SPUID(i % 5),
+			Proc: procs[i%len(procs)], Name: "step:compute", Culprit: core.SPUID(i % 7),
+			Start: sim.Time(i) * sim.Millisecond, End: sim.Time(i+1) * sim.Millisecond, Flow: int64(-i)})
+	}
+	var want bytes.Buffer
+	spans := p.Spans()
+	fmt.Fprintf(&want, `{"spans":%d,"dropped":%d}`+"\n", len(spans), p.SpansDropped())
+	for _, s := range spans {
+		fmt.Fprintf(&want,
+			`{"id":%d,"parent":%d,"spu":%d,"proc":%q,"name":%q,"culprit":%d,"start":%d,"end":%d,"flow":%d}`+"\n",
+			s.ID, s.Parent, int(s.SPU), s.Proc, s.Name, int(s.Culprit),
+			int64(s.Start), int64(s.End), s.Flow)
+	}
+	var got bytes.Buffer
+	if err := p.WriteSpans(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("WriteSpans bytes differ from fmt's")
+	}
+	var empty bytes.Buffer
+	if err := (*Profiler)(nil).WriteSpans(&empty); err != nil || empty.String() != `{"spans":0,"dropped":0}`+"\n" {
+		t.Fatalf("nil profiler wrote %q, %v", empty.String(), err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 
 	"perfiso/internal/core"
 	"perfiso/internal/sim"
@@ -38,7 +39,7 @@ func (p *Profiler) DiskSpans(spu core.SPUID, kind string, submitted, started, fi
 		return 0
 	}
 	root := p.allocID()
-	p.emit(Span{ID: root, SPU: spu, Proc: "disk", Name: "disk:" + kind,
+	p.emit(Span{ID: root, SPU: spu, Proc: "disk", Name: diskSpanName(kind),
 		Culprit: culprit, Start: submitted, End: finished})
 	if started > submitted {
 		p.emit(Span{ID: p.allocID(), Parent: root, SPU: spu, Proc: "disk", Name: "disk:queue",
@@ -50,18 +51,56 @@ func (p *Profiler) DiskSpans(spu core.SPUID, kind string, submitted, started, fi
 	return svc
 }
 
+// diskSpanName is "disk:" + kind, without building the string for the
+// two kinds a disk serves.
+func diskSpanName(kind string) string {
+	switch kind {
+	case "read":
+		return "disk:read"
+	case "write":
+		return "disk:write"
+	}
+	return "disk:" + kind
+}
+
 // WriteSpans writes the stored spans as deterministic JSONL: a header
 // line with counts, then one object per span, oldest-first. All times
 // are integer simulated nanoseconds; nothing depends on the wall clock.
+// It reads the ring in place and appends each line into one reused
+// buffer, writing the bytes fmt's %d and %q would.
 func (p *Profiler) WriteSpans(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	spans := p.Spans()
-	fmt.Fprintf(bw, `{"spans":%d,"dropped":%d}`+"\n", len(spans), p.SpansDropped())
-	for _, s := range spans {
-		fmt.Fprintf(bw,
-			`{"id":%d,"parent":%d,"spu":%d,"proc":%q,"name":%q,"culprit":%d,"start":%d,"end":%d,"flow":%d}`+"\n",
-			s.ID, s.Parent, int(s.SPU), s.Proc, s.Name, int(s.Culprit),
-			int64(s.Start), int64(s.End), s.Flow)
+	older, newer := p.stored()
+	fmt.Fprintf(bw, `{"spans":%d,"dropped":%d}`+"\n", len(older)+len(newer), p.SpansDropped())
+	var line []byte
+	for _, run := range [2][]Span{older, newer} {
+		for i := range run {
+			line = appendSpanLine(line[:0], &run[i])
+			bw.Write(line)
+		}
 	}
 	return bw.Flush()
+}
+
+// appendSpanLine appends s as one JSONL object and a newline.
+func appendSpanLine(b []byte, s *Span) []byte {
+	b = append(b, `{"id":`...)
+	b = strconv.AppendInt(b, s.ID, 10)
+	b = append(b, `,"parent":`...)
+	b = strconv.AppendInt(b, s.Parent, 10)
+	b = append(b, `,"spu":`...)
+	b = strconv.AppendInt(b, int64(s.SPU), 10)
+	b = append(b, `,"proc":`...)
+	b = strconv.AppendQuote(b, s.Proc)
+	b = append(b, `,"name":`...)
+	b = strconv.AppendQuote(b, s.Name)
+	b = append(b, `,"culprit":`...)
+	b = strconv.AppendInt(b, int64(s.Culprit), 10)
+	b = append(b, `,"start":`...)
+	b = strconv.AppendInt(b, int64(s.Start), 10)
+	b = append(b, `,"end":`...)
+	b = strconv.AppendInt(b, int64(s.End), 10)
+	b = append(b, `,"flow":`...)
+	b = strconv.AppendInt(b, s.Flow, 10)
+	return append(b, "}\n"...)
 }

@@ -108,9 +108,10 @@ func (t *Task) closeSegment(now sim.Time) {
 	})
 }
 
-// BeginStep opens a new step span (closing the previous one): the
-// process layer calls it before running each program step, so every
-// segment span recorded while the step runs is parented under it.
+// BeginStep opens a new step span named name ("step:compute", ...),
+// closing the previous one: the process layer calls it before running
+// each program step, so every segment span recorded while the step
+// runs is parented under it.
 func (t *Task) BeginStep(name string) {
 	if t == nil || t.finished {
 		return
@@ -129,7 +130,7 @@ func (t *Task) closeStep(now sim.Time) {
 	}
 	if now > t.stepStart {
 		t.p.emit(Span{
-			ID: t.stepID, SPU: t.spu, Proc: t.proc, Name: "step:" + t.stepName,
+			ID: t.stepID, SPU: t.spu, Proc: t.proc, Name: t.stepName,
 			Culprit: t.spu, Start: t.stepStart, End: now,
 		})
 	}

@@ -39,15 +39,30 @@ func (s *Scheduler) AuditInvariants() error {
 	}
 	now := s.eng.Now()
 
+	// One pass over the CPUs checks structural isolation and gathers
+	// the in-flight time, busy-time integral and home occupancy the
+	// conservation and ceiling laws below read.
+	var inflight sim.Time
+	var busyArea float64
+	homeBusy := s.homeBusy[:0]
 	for _, c := range s.cpus {
-		if c.offline && c.cur != nil {
-			return fmt.Errorf("sched audit: offline cpu%d is running %q", c.idx, c.cur.Name)
-		}
+		busyArea += c.busyness.Area(now)
 		if c.cur == nil {
 			continue
 		}
+		if c.offline {
+			return fmt.Errorf("sched audit: offline cpu%d is running %q", c.idx, c.cur.Name)
+		}
+		inflight += now - c.started
 		id := c.cur.SPU
-		if id == c.home || id == core.KernelID || c.loan {
+		if id == c.home {
+			for int(id) >= len(homeBusy) {
+				homeBusy = append(homeBusy, 0)
+			}
+			homeBusy[id]++
+			continue
+		}
+		if id == core.KernelID || c.loan {
 			continue
 		}
 		if s.spus.Get(c.home).Policy() != core.ShareAll {
@@ -55,6 +70,7 @@ func (s *Scheduler) AuditInvariants() error {
 				c.idx, c.home, s.spus.Get(c.home).Policy(), c.cur.Name, id)
 		}
 	}
+	s.homeBusy = homeBusy
 
 	for _, c := range s.cpus {
 		if c.cur == nil || !c.loan || s.homeHasIdleCPU(c.home) {
@@ -81,16 +97,8 @@ func (s *Scheduler) AuditInvariants() error {
 	}
 
 	var accounted sim.Time
-	for _, pt := range s.PerSPUTime {
-		accounted += *pt
-	}
-	var inflight sim.Time
-	var busyArea float64
-	for _, c := range s.cpus {
-		if c.cur != nil {
-			inflight += now - c.started
-		}
-		busyArea += c.busyness.Area(now)
+	for _, t := range s.cpuTime {
+		accounted += t
 	}
 	capacity := sim.Time(len(s.cpus)) * now
 	if accounted+inflight > capacity {
@@ -104,14 +112,8 @@ func (s *Scheduler) AuditInvariants() error {
 			busyArea, ledger, d)
 	}
 
-	homeBusy := make(map[core.SPUID]int)
-	for _, c := range s.cpus {
-		if c.cur != nil && c.cur.SPU == c.home {
-			homeBusy[c.home]++
-		}
-	}
 	for _, u := range s.spus.Users() {
-		if u.Policy() != core.ShareNone {
+		if u.Policy() != core.ShareNone || int(u.ID()) >= len(homeBusy) {
 			continue
 		}
 		limit := int(math.Ceil(u.Entitled(core.CPU)-1e-9)) + 1
@@ -136,8 +138,11 @@ func (s *Scheduler) Snapshot(enc *snap.Encoder) {
 	enc.Int("gang_placements", s.Stat.GangPlacements)
 	enc.Int("cache_reloads", s.Stat.CacheReloads)
 	enc.Int("loans_damped", s.Stat.LoansDamped)
-	for _, id := range sortedSPUIDs(s.PerSPUTime) {
-		enc.Int(fmt.Sprintf("time_spu%d", id), int64(*s.PerSPUTime[id]))
+	for id, t := range s.cpuTime {
+		// Only charged SPUs appear; every charge is positive.
+		if t != 0 {
+			enc.Int(fmt.Sprintf("time_spu%d", id), int64(t))
+		}
 	}
 	for _, id := range sortedSPUIDs(s.rotorCredit) {
 		enc.Float(fmt.Sprintf("rotor_spu%d", id), s.rotorCredit[id])

@@ -108,8 +108,12 @@ type Scheduler struct {
 	rotorCredit map[core.SPUID]float64
 
 	Stat Stats
-	// PerSPUTime accumulates CPU seconds consumed per SPU.
-	PerSPUTime map[core.SPUID]*sim.Time
+	// cpuTime is the per-SPU CPU-time ledger, indexed by SPU ID (see
+	// CPUTime).
+	cpuTime []sim.Time
+	// homeBusy is AuditInvariants' per-SPU count of home CPUs running
+	// their own SPU's threads, indexed by SPU ID and reused across calls.
+	homeBusy []int
 	// Trace, when non-nil, records loans and revocations.
 	Trace *trace.Tracer
 	// Metrics, when non-nil, receives per-SPU loan/revocation counters
@@ -149,7 +153,6 @@ func New(eng *sim.Engine, spus *core.Manager, numCPUs int, opts Options) *Schedu
 		opts:        opts,
 		rotorFrac:   make(map[core.SPUID]float64),
 		rotorCredit: make(map[core.SPUID]float64),
-		PerSPUTime:  make(map[core.SPUID]*sim.Time),
 		lendPrefs:   make(map[core.SPUID]map[core.SPUID]bool),
 	}
 	for i := 0; i < numCPUs; i++ {
@@ -760,13 +763,10 @@ func (s *Scheduler) accountRun(c *cpu) {
 	}
 	t.CPUTime += ran
 	t.pcpu += ran.Seconds()
-	pt := s.PerSPUTime[t.SPU]
-	if pt == nil {
-		var zero sim.Time
-		pt = &zero
-		s.PerSPUTime[t.SPU] = pt
+	for int(t.SPU) >= len(s.cpuTime) {
+		s.cpuTime = append(s.cpuTime, 0)
 	}
-	*pt += ran
+	s.cpuTime[t.SPU] += ran
 	c.busyness.Set(now, 1)
 }
 
@@ -877,6 +877,15 @@ func (s *Scheduler) recomputeCPULevels() {
 			u.Charge(core.CPU, want-cur)
 		}
 	}
+}
+
+// CPUTime returns the CPU time the SPU's threads have consumed so far:
+// the per-SPU CPU-time ledger, charged at every slice end.
+func (s *Scheduler) CPUTime(id core.SPUID) sim.Time {
+	if id < 0 || int(id) >= len(s.cpuTime) {
+		return 0
+	}
+	return s.cpuTime[id]
 }
 
 // Utilization returns the machine-wide CPU utilization so far.

@@ -265,8 +265,8 @@ func TestFractionalEntitlementRotor(t *testing.T) {
 	runTicks(eng, s, 3*sim.Second)
 	var times []float64
 	for _, u := range us {
-		pt := s.PerSPUTime[u.ID()]
-		if pt == nil {
+		pt := s.CPUTime(u.ID())
+		if pt == 0 {
 			t.Fatal("an SPU got no CPU time at all")
 		}
 		times = append(times, pt.Seconds())

@@ -177,11 +177,9 @@ func Ocean(k *kernel.Kernel, spu core.SPUID, name string, p OceanParams) *proc.P
 	var workers []*proc.Process
 	for i := 0; i < p.Procs; i++ {
 		grain := p.Grain + sim.Time(i)*p.Imbalance
-		body := proc.Seq(
+		w := proc.NewGenerated(k, spu, fmt.Sprintf("%s.%d", name, i), proc.Looped(
 			[]proc.Step{proc.Touch{Pages: p.WSSPages}},
-			proc.Loop(p.Iterations, proc.Compute{D: grain}, proc.BarrierStep{B: b}),
-		)
-		w := proc.New(k, spu, fmt.Sprintf("%s.%d", name, i), body)
+			p.Iterations, []proc.Step{proc.Compute{D: grain}, proc.BarrierStep{B: b}}))
 		workers = append(workers, w)
 		steps = append(steps, proc.Fork{Child: w})
 	}
@@ -220,24 +218,26 @@ func DefaultVCS() ComputeParams {
 }
 
 // ComputeBound builds one compute-bound process: a start-up read ("kernel
-// time only at the start-up phase", §4.3), a working set, then pure CPU.
+// time only at the start-up phase", §4.3), a working set, then pure CPU
+// in Chunk bursts. The bursts are generated as the process reaches
+// them, so a long hog holds no step per chunk.
 func ComputeBound(k *kernel.Kernel, spu core.SPUID, name string, p ComputeParams) *proc.Process {
-	var body []proc.Step
+	var head []proc.Step
 	if p.StartupRead > 0 {
 		f := k.AffinityAllocator(spu).NewFile(name+".bin", p.StartupRead, fs.Contiguous, 0)
-		body = append(body, proc.Lookup{}, proc.Read{File: f, Off: 0, N: p.StartupRead})
+		head = append(head, proc.Lookup{}, proc.Read{File: f, Off: 0, N: p.StartupRead})
 	}
-	body = append(body, proc.Touch{Pages: p.WSSPages})
+	head = append(head, proc.Touch{Pages: p.WSSPages})
 	chunks := int(p.Total / p.Chunk)
 	if chunks < 1 {
 		chunks = 1
 	}
-	rem := p.Total - sim.Time(chunks)*p.Chunk
-	body = append(body, proc.Loop(chunks, proc.Compute{D: p.Chunk})...)
-	if rem > 0 {
-		body = append(body, proc.Compute{D: rem})
+	var tail []proc.Step
+	if rem := p.Total - sim.Time(chunks)*p.Chunk; rem > 0 {
+		tail = []proc.Step{proc.Compute{D: rem}}
 	}
-	return proc.New(k, spu, name, body)
+	return proc.NewGenerated(k, spu, name,
+		proc.Looped(head, chunks, []proc.Step{proc.Compute{D: p.Chunk}}, tail...))
 }
 
 // LookupParams shapes a metadata-bound process: a tight loop of
@@ -261,8 +261,8 @@ func DefaultLookupLoop() LookupParams {
 
 // LookupLoop builds one metadata-bound process for the SPU.
 func LookupLoop(k *kernel.Kernel, spu core.SPUID, name string, p LookupParams) *proc.Process {
-	return proc.New(k, spu, name, proc.Loop(p.Lookups,
-		proc.Lookup{}, proc.Compute{D: p.Think}))
+	return proc.NewGenerated(k, spu, name, proc.Looped(nil, p.Lookups,
+		[]proc.Step{proc.Lookup{}, proc.Compute{D: p.Think}}))
 }
 
 // MemPmake returns the pmake shape used by the memory-isolation

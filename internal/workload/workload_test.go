@@ -227,3 +227,29 @@ func TestPmakeDeterministicAcrossRuns(t *testing.T) {
 		t.Fatalf("identical runs diverged: %v vs %v", a, b)
 	}
 }
+
+// A generated ComputeBound program hands out the one boxed Compute at
+// every chunk, and each step's profiler span has a constant name, so a
+// profiled hog steps through its bursts without allocating. A generator
+// that built a fresh proc.Compute per chunk, or a span name built per
+// step, would allocate at every step.
+func TestComputeBoundStepsAllocateNothing(t *testing.T) {
+	k := kernel.New(machine.Pmake8(), core.PIso, kernel.Options{Profiled: true})
+	u := k.NewSPU("u", 1)
+	k.Boot()
+	hog := ComputeParams{Total: 200 * sim.Second, Chunk: 5 * sim.Millisecond, WSSPages: 50}
+	for _, name := range []string{"hog0", "hog1", "hog2", "hog3"} {
+		k.Spawn(ComputeBound(k, u.ID(), name, hog))
+	}
+	eng := k.Engine()
+	eng.RunUntil(2 * sim.Second)
+	ran := k.Scheduler().CPUTime(u.ID())
+	if avg := testing.AllocsPerRun(20, func() {
+		eng.RunUntil(eng.Now() + 100*sim.Millisecond)
+	}); avg != 0 {
+		t.Fatalf("stepping generated compute-bound programs allocates %v times per 100 ms", avg)
+	}
+	if k.Scheduler().CPUTime(u.ID())-ran < sim.Second {
+		t.Fatal("the hogs barely ran in the measured windows")
+	}
+}
