@@ -106,12 +106,8 @@ func BenchmarkAblationBWThreshold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r = experiment.RunAblationBWThreshold([]float64{1, 256, 1 << 30})
 	}
-	if y, ok := r.Small.YAt(1); ok {
-		b.ReportMetric(y, "small_at_rr_s")
-	}
-	if y, ok := r.Small.YAt(1 << 30); ok {
-		b.ReportMetric(y, "small_at_pos_s")
-	}
+	b.ReportMetric(r.Small.Points[0].Y, "small_at_rr_s")  // threshold 1
+	b.ReportMetric(r.Small.Points[2].Y, "small_at_pos_s") // threshold 1<<30
 }
 
 // BenchmarkAblationReserve sweeps the §3.2 Reserve Threshold.
@@ -120,9 +116,7 @@ func BenchmarkAblationReserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r = experiment.RunAblationReserve([]float64{0.02, 0.08, 0.25})
 	}
-	if y, ok := r.SPU2.YAt(0.08); ok {
-		b.ReportMetric(y, "borrower_at_8pct_s")
-	}
+	b.ReportMetric(r.SPU2.Points[1].Y, "borrower_at_8pct_s") // reserve 0.08
 }
 
 // BenchmarkAblationInodeLock compares the §3.4 lock granularities.

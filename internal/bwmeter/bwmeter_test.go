@@ -115,3 +115,28 @@ func TestTableRelativeUsesShares(t *testing.T) {
 		t.Fatalf("relative = %g, %g", tab.Relative(0, a), tab.Relative(0, b))
 	}
 }
+
+func TestUsageTableSharesAndRelative(t *testing.T) {
+	tab := NewTable(500 * sim.Millisecond)
+	a, b := core.SPUID(2), core.SPUID(3)
+	tab.SetShare(a, 1)
+	tab.SetShare(b, 2) // b owns twice the bandwidth
+	tab.Charge(0, a, 100)
+	tab.Charge(0, b, 100)
+	if ra, rb := tab.Relative(0, a), tab.Relative(0, b); ra != 100 || rb != 50 {
+		t.Fatalf("relative = %g, %g", ra, rb)
+	}
+	if mean := tab.MeanRelative(0, []core.SPUID{a, b}); mean != 75 {
+		t.Fatalf("mean = %g", mean)
+	}
+}
+
+func TestUsageTableDecays(t *testing.T) {
+	tab := NewTable(500 * sim.Millisecond)
+	id := core.SPUID(2)
+	tab.Charge(0, id, 1000)
+	got := tab.Relative(500*sim.Millisecond, id)
+	if got < 499 || got > 501 {
+		t.Fatalf("after one half-life: %g, want ~500", got)
+	}
+}

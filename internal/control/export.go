@@ -1,79 +1,40 @@
 package control
 
 import (
-	"bufio"
-	"encoding/json"
 	"io"
 
+	"perfiso/internal/artifact"
 	"perfiso/internal/sim"
 )
 
-// headerLine is the first JSONL line: the effective configuration and
-// run totals, so a log is interpretable on its own.
-type headerLine struct {
-	Type     string  `json:"type"` // "controller"
-	PeriodMS float64 `json:"period_ms"`
-	Step     float64 `json:"step"`
-	Decay    float64 `json:"decay"`
-	Floor    float64 `json:"floor"`
-	MaxBoost float64 `json:"max_boost"`
-	HighBurn float64 `json:"high_burn"`
-	LowBurn  float64 `json:"low_burn"`
-	Ticks    int64   `json:"ticks"`
-	Retunes  int64   `json:"retunes"`
-	Boosts   int64   `json:"boosts"`
-	Releases int64   `json:"releases"`
-	Shed     int64   `json:"shed,omitempty"`
-	Trips    int64   `json:"trips,omitempty"`
-}
-
-// actionLine is one controller decision.
-type actionLine struct {
-	Type   string  `json:"type"` // "control"
-	TMS    float64 `json:"t_ms"`
-	Action string  `json:"action"`
-	Target string  `json:"target"`
-	Old    float64 `json:"old"`
-	New    float64 `json:"new"`
-	Burn   float64 `json:"burn,omitempty"`
-}
-
 // WriteJSONL writes the controller's effective config, totals, and
-// decision log as deterministic JSONL: same run, same bytes.
+// decision log as deterministic JSONL: same run, same bytes. The first
+// line ("controller") holds the configuration and run totals, so a log
+// is interpretable on its own; each "control" line after it is one
+// decision.
 func WriteJSONL(w io.Writer, c *Controller) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	e := artifact.NewEncoder(w)
 	ms := func(t sim.Time) float64 { return float64(t) / float64(sim.Millisecond) }
-	if err := enc.Encode(headerLine{
-		Type:     "controller",
-		PeriodMS: ms(c.lat.Window()),
-		Step:     c.cfg.Step,
-		Decay:    c.cfg.Decay,
-		Floor:    Floor,
-		MaxBoost: c.cfg.MaxBoost,
-		HighBurn: HighBurn,
-		LowBurn:  LowBurn,
-		Ticks:    c.Stat.Ticks,
-		Retunes:  c.Stat.Retunes,
-		Boosts:   c.Stat.Boosts,
-		Releases: c.Stat.Releases,
-		Shed:     c.Stat.Shed,
-		Trips:    c.Stat.Trips,
-	}); err != nil {
-		return err
+	e.Begin().Str("type", "controller").Float("period_ms", ms(c.lat.Window())).
+		Float("step", c.cfg.Step).Float("decay", c.cfg.Decay).Float("floor", Floor).
+		Float("max_boost", c.cfg.MaxBoost).Float("high_burn", HighBurn).Float("low_burn", LowBurn).
+		Int("ticks", c.Stat.Ticks).Int("retunes", c.Stat.Retunes).
+		Int("boosts", c.Stat.Boosts).Int("releases", c.Stat.Releases)
+	if c.Stat.Shed != 0 {
+		e.Int("shed", c.Stat.Shed)
 	}
+	if c.Stat.Trips != 0 {
+		e.Int("trips", c.Stat.Trips)
+	}
+	e.Line()
 	for _, a := range c.actions {
-		if err := enc.Encode(actionLine{
-			Type:   "control",
-			TMS:    ms(a.At),
-			Action: a.Action,
-			Target: a.Target,
-			Old:    a.Old,
-			New:    a.New,
-			Burn:   a.Burn,
-		}); err != nil {
-			return err
+		e.Begin().Str("type", "control").Float("t_ms", ms(a.At)).
+			Str("action", a.Action).Str("target", a.Target).
+			Float("old", a.Old).Float("new", a.New)
+		if a.Burn != 0 {
+			e.Float("burn", a.Burn)
 		}
+		e.Line()
 	}
-	return bw.Flush()
+	return e.Flush()
 }

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"perfiso/internal/bwmeter"
 	"perfiso/internal/core"
 	"perfiso/internal/profile"
 	"perfiso/internal/sim"
@@ -76,7 +77,7 @@ type Disk struct {
 	// and complete clear it; they are the only writers of audited state.
 	clean bool
 
-	usage *usageTable
+	usage *bwmeter.Table // decayed sectors transferred per SPU (§3.3)
 	// active and blamed are PIso.pick's and the profiler blame pass's
 	// per-SPU scratch, reused so neither allocates per request.
 	active []spuUsage
@@ -100,7 +101,7 @@ func New(eng *sim.Engine, p Params, sched Scheduler, halfLife sim.Time) *Disk {
 		eng:    eng,
 		params: p,
 		sched:  sched,
-		usage:  newUsageTable(halfLife),
+		usage:  bwmeter.NewTable(halfLife),
 		PerSPU: make(map[core.SPUID]*SPUStats),
 	}
 	d.completeFn = func() {
@@ -121,12 +122,12 @@ func (d *Disk) Scheduler() Scheduler { return d.sched }
 func (d *Disk) SetScheduler(s Scheduler) { d.sched = s }
 
 // SetShare sets an SPU's bandwidth share weight on this disk.
-func (d *Disk) SetShare(id core.SPUID, w float64) { d.usage.setShare(id, w) }
+func (d *Disk) SetShare(id core.SPUID, w float64) { d.usage.SetShare(id, w) }
 
 // Usage returns an SPU's decayed sector count at the current time,
 // relative to its share. Exposed for tests and for the ablation harness.
 func (d *Disk) Usage(id core.SPUID) float64 {
-	return d.usage.relative(d.eng.Now(), id)
+	return d.usage.Relative(d.eng.Now(), id)
 }
 
 // SetSlow degrades (or restores) the drive: every subsequent service
@@ -379,10 +380,10 @@ func (d *Disk) complete(r *Request) {
 	// the owning user SPUs once the transfer is done.
 	if len(r.Charges) > 0 {
 		for _, c := range r.Charges {
-			d.usage.charge(now, c.SPU, c.Sectors)
+			d.usage.Charge(now, c.SPU, c.Sectors)
 		}
 	} else {
-		d.usage.charge(now, r.SPU, r.Count)
+		d.usage.Charge(now, r.SPU, r.Count)
 	}
 
 	if r.Failed {

@@ -104,7 +104,7 @@ func (*Iso) pick(d *Disk) int {
 		if (r.SPU != core.SharedID) != user {
 			continue
 		}
-		rel := d.usage.relative(d.eng.Now(), r.SPU)
+		rel := d.usage.Relative(d.eng.Now(), r.SPU)
 		if best == -1 || rel < bestRel-1e-12 {
 			best, bestRel = i, rel
 		}
@@ -157,7 +157,7 @@ func (p *PIso) pick(d *Disk) int {
 		if r.SPU == core.SharedID || activeIndex(active, r.SPU) >= 0 {
 			continue
 		}
-		rel := d.usage.relative(now, r.SPU)
+		rel := d.usage.Relative(now, r.SPU)
 		active = append(active, spuUsage{r.SPU, rel})
 		sum += rel
 	}

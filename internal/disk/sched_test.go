@@ -90,7 +90,7 @@ func (refIso) pick(d *Disk) int {
 	best := -1
 	var bestRel float64
 	for _, i := range cands {
-		rel := d.usage.relative(d.eng.Now(), d.queue[i].SPU)
+		rel := d.usage.Relative(d.eng.Now(), d.queue[i].SPU)
 		if best == -1 || rel < bestRel-1e-12 {
 			best, bestRel = i, rel
 		}
@@ -120,7 +120,7 @@ func (p refPIso) pick(d *Disk) int {
 	mean := d.usage.MeanRelative(now, active)
 	var passing []int
 	for _, i := range user {
-		if d.usage.relative(now, d.queue[i].SPU) <= mean+p.Threshold {
+		if d.usage.Relative(now, d.queue[i].SPU) <= mean+p.Threshold {
 			passing = append(passing, i)
 		}
 	}
@@ -183,7 +183,7 @@ func (l *lockstep) check(t *testing.T, step int) {
 		t.Fatalf("step %d: completions\n%v\nreference\n%v", step, l.gotLog, l.refLog)
 	}
 	// Every pick reads (and so decays) the same meters at the same times.
-	if !reflect.DeepEqual(g.usage.Table, r.usage.Table) {
+	if !reflect.DeepEqual(g.usage, r.usage) {
 		t.Fatalf("step %d: usage meters diverged from the reference", step)
 	}
 	if g.Total.Merges != r.Total.Merges || g.Total.Requests != r.Total.Requests {

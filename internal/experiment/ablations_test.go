@@ -9,15 +9,14 @@ import (
 // (small copy locked out).
 func TestAblationBWThresholdTradeoff(t *testing.T) {
 	r := RunAblationBWThreshold([]float64{1, 256, 1 << 30})
-	smallTiny, _ := r.Small.YAt(1)
-	smallHuge, _ := r.Small.YAt(1 << 30)
+	// Points are in sweep order: thresholds 1, 256, 1<<30.
+	smallTiny, smallHuge := r.Small.Points[0].Y, r.Small.Points[2].Y
 	if smallTiny >= smallHuge {
 		t.Errorf("small copy: tiny threshold %.2fs should beat huge %.2fs", smallTiny, smallHuge)
 	}
 	// A huge threshold should approach position-only behaviour: big copy
 	// fastest there.
-	bigTiny, _ := r.Big.YAt(1)
-	bigHuge, _ := r.Big.YAt(1 << 30)
+	bigTiny, bigHuge := r.Big.Points[0].Y, r.Big.Points[2].Y
 	if bigHuge > bigTiny {
 		t.Errorf("big copy: huge threshold %.2fs should not be slower than tiny %.2fs", bigHuge, bigTiny)
 	}
@@ -40,8 +39,7 @@ func TestAblationReserveSweep(t *testing.T) {
 	}
 	// With a 25% reserve much less memory is lendable than with 2%:
 	// the borrower must not be faster under the big reserve.
-	lo, _ := r.SPU2.YAt(0.02)
-	hi, _ := r.SPU2.YAt(0.25)
+	lo, hi := r.SPU2.Points[0].Y, r.SPU2.Points[2].Y // reserves 0.02 and 0.25
 	if hi < lo*0.98 {
 		t.Errorf("borrower faster with big reserve (%.2fs) than small (%.2fs)", hi, lo)
 	}

@@ -15,10 +15,10 @@ import (
 )
 
 const (
-	// DefaultClusterPages is the read cluster size: 8 pages = 32 KB per
-	// disk request, which puts the big-copy workload near the paper's
-	// "1050 requests" for 20 MB copied.
-	DefaultClusterPages = 8
+	// ClusterPages is the read cluster size: 8 pages = 32 KB per disk
+	// request, which puts the big-copy workload near the paper's "1050
+	// requests" for 20 MB copied.
+	ClusterPages = 8
 	// DefaultReadAheadPages is how far sequential read-ahead prefetches
 	// beyond the requested range.
 	DefaultReadAheadPages = 16
@@ -90,7 +90,6 @@ type FileSystem struct {
 	// interference matrix.
 	lockProf *profile.Profiler
 
-	ClusterPages      int64
 	ReadAheadPages    int64
 	FlushClusterPages int64
 	LookupHold        sim.Time
@@ -112,7 +111,6 @@ func New(eng *sim.Engine, mm *mem.Manager, inodeMode SemMode) *FileSystem {
 		mm:                mm,
 		cache:             make(map[cacheKey]*CachePage),
 		RootInode:         lock.New(eng, "fs.inode", inodeMode),
-		ClusterPages:      DefaultClusterPages,
 		ReadAheadPages:    DefaultReadAheadPages,
 		FlushClusterPages: DefaultFlushClusterPages,
 		LookupHold:        DefaultLookupHold,
@@ -319,7 +317,7 @@ func (fs *FileSystem) fill(spu core.SPUID, f *File, from, to int64) {
 		// Grow a cluster of consecutive needy pages that are also
 		// contiguous on disk.
 		cluster := []*CachePage{cp}
-		for int64(len(cluster)) < fs.ClusterPages && idx+int64(len(cluster)) <= to {
+		for len(cluster) < ClusterPages && idx+int64(len(cluster)) <= to {
 			nidx := idx + int64(len(cluster))
 			if !f.contiguousWith(nidx - 1) {
 				break

@@ -1,109 +1,60 @@
 package latency
 
 import (
-	"encoding/json"
 	"io"
 
+	"perfiso/internal/artifact"
 	"perfiso/internal/sim"
 )
-
-// JSONL line shapes. One struct per line type keeps the field order —
-// and therefore the bytes — fixed. Every value is either an integer
-// nanosecond count or a ratio of deterministic integers, and no
-// wall-clock value appears, so the same run always exports the same
-// bytes at any harness parallelism and on either event-queue
-// implementation.
-type latencyLine struct {
-	Type     string `json:"type"`
-	Name     string `json:"name"`
-	SPU      int    `json:"spu"`
-	Count    int64  `json:"count"`
-	Censored int64  `json:"censored"`
-	MinNS    int64  `json:"min_ns"`
-	MeanNS   int64  `json:"mean_ns"`
-	P50NS    int64  `json:"p50_ns"`
-	P90NS    int64  `json:"p90_ns"`
-	P99NS    int64  `json:"p99_ns"`
-	P999NS   int64  `json:"p999_ns"`
-	MaxNS    int64  `json:"max_ns"`
-}
-
-type sloLine struct {
-	Type        string  `json:"type"`
-	Name        string  `json:"name"`
-	SPU         int     `json:"spu"`
-	ThresholdNS int64   `json:"threshold_ns"`
-	Target      float64 `json:"target"`
-	Good        int64   `json:"good"`
-	Shed        int64   `json:"shed,omitempty"`
-	Attainment  float64 `json:"attainment"`
-	BudgetBurn  float64 `json:"budget_burn"`
-}
-
-type windowLine struct {
-	Type       string  `json:"type"`
-	Name       string  `json:"name"`
-	SPU        int     `json:"spu"`
-	Window     int     `json:"window"`
-	StartMS    float64 `json:"start_ms"`
-	EndMS      float64 `json:"end_ms"`
-	Count      int64   `json:"count"`
-	P50NS      int64   `json:"p50_ns"`
-	P99NS      int64   `json:"p99_ns"`
-	P999NS     int64   `json:"p999_ns"`
-	Good       int64   `json:"good"`
-	Shed       int64   `json:"shed,omitempty"`
-	Attainment float64 `json:"attainment"`
-	BurnRate   float64 `json:"burn"`
-}
 
 // WriteJSONL writes every tracker as deterministic JSONL: one
 // "latency" summary line, an "slo" line when the tracker has an
 // objective, then one "latency_window" line per non-empty timeline
-// window. Trackers appear in registration order. A no-op on a nil
-// registry.
+// window. Trackers appear in registration order. Every value is either
+// an integer nanosecond count or a ratio of deterministic integers, and
+// no wall-clock value appears, so the same run always exports the same
+// bytes at any harness parallelism. A no-op on a nil registry.
 func (r *Registry) WriteJSONL(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	enc := json.NewEncoder(w)
+	e := artifact.NewEncoder(w)
 	for _, t := range r.trackers {
 		h := t.total
-		if err := enc.Encode(latencyLine{
-			Type: "latency", Name: t.Name, SPU: int(t.SPU),
-			Count: h.Count(), Censored: t.censored,
-			MinNS: h.Min(), MeanNS: h.Mean(),
-			P50NS: h.Quantile(0.50), P90NS: h.Quantile(0.90),
-			P99NS: h.Quantile(0.99), P999NS: h.Quantile(0.999),
-			MaxNS: h.Max(),
-		}); err != nil {
-			return err
-		}
+		e.Begin().Str("type", "latency").Str("name", t.Name).Int("spu", int64(t.SPU)).
+			Int("count", h.Count()).Int("censored", t.censored).
+			Int("min_ns", h.Min()).Int("mean_ns", h.Mean()).
+			Int("p50_ns", h.Quantile(0.50)).Int("p90_ns", h.Quantile(0.90)).
+			Int("p99_ns", h.Quantile(0.99)).Int("p999_ns", h.Quantile(0.999)).
+			Int("max_ns", h.Max()).Line()
 		if t.Obj.Valid() {
-			line := sloLine{
-				Type: "slo", Name: t.Name, SPU: int(t.SPU),
-				ThresholdNS: int64(t.Obj.Threshold), Target: t.Obj.Target,
-				Good: t.good, Shed: t.shed,
-				Attainment: t.Attainment(), BudgetBurn: t.BudgetBurn(),
+			e.Begin().Str("type", "slo").Str("name", t.Name).Int("spu", int64(t.SPU)).
+				Int("threshold_ns", int64(t.Obj.Threshold)).Float("target", t.Obj.Target).
+				Int("good", t.good)
+			if t.shed != 0 {
+				e.Int("shed", t.shed)
 			}
-			if err := enc.Encode(line); err != nil {
-				return err
-			}
+			e.Float("attainment", t.Attainment()).Float("budget_burn", t.BudgetBurn()).Line()
 		}
-		for _, ws := range t.Windows() {
-			if err := enc.Encode(windowLine{
-				Type: "latency_window", Name: t.Name, SPU: int(t.SPU),
-				Window:  ws.Index,
-				StartMS: float64(ws.Start) / float64(sim.Millisecond),
-				EndMS:   float64(ws.End) / float64(sim.Millisecond),
-				Count:   ws.Count,
-				P50NS:   ws.P50, P99NS: ws.P99, P999NS: ws.P999,
-				Good: ws.Good, Shed: ws.Shed,
-				Attainment: ws.Attainment, BurnRate: ws.BurnRate,
-			}); err != nil {
-				return err
+		for i := range t.wins {
+			if t.wins[i].busy() {
+				writeWindow(e, t, t.windowStat(i))
 			}
 		}
 	}
-	return nil
+	return e.Flush()
+}
+
+// writeWindow writes one "latency_window" line.
+func writeWindow(e *artifact.Encoder, t *Tracker, ws WindowStat) {
+	e.Begin().Str("type", "latency_window").Str("name", t.Name).Int("spu", int64(t.SPU)).
+		Int("window", int64(ws.Index)).
+		Float("start_ms", float64(ws.Start)/float64(sim.Millisecond)).
+		Float("end_ms", float64(ws.End)/float64(sim.Millisecond)).
+		Int("count", ws.Count).Int("p50_ns", ws.P50).Int("p99_ns", ws.P99).Int("p999_ns", ws.P999).
+		Int("good", ws.Good)
+	if ws.Shed != 0 {
+		e.Int("shed", ws.Shed)
+	}
+	e.Float("attainment", ws.Attainment).Float("burn", ws.BurnRate).Line()
 }

@@ -58,6 +58,9 @@ type win struct {
 	shed int64
 }
 
+// busy reports whether the window saw completions or sheds.
+func (w *win) busy() bool { return (w.h != nil && w.h.Count() != 0) || w.shed != 0 }
+
 // Tracker accumulates one stream's latencies: a run-total histogram, a
 // windowed timeline, and exact SLO good-counts. Streams are per (name,
 // SPU) — the kernel registers one per tenant SPU. A nil *Tracker is a
@@ -270,11 +273,9 @@ func (t *Tracker) Windows() []WindowStat {
 	}
 	var out []WindowStat
 	for i := range t.wins {
-		w := &t.wins[i]
-		if (w.h == nil || w.h.Count() == 0) && w.shed == 0 {
-			continue
+		if t.wins[i].busy() {
+			out = append(out, t.windowStat(i))
 		}
-		out = append(out, t.windowStat(i))
 	}
 	return out
 }
@@ -294,38 +295,6 @@ func (t *Tracker) WindowAt(idx int) WindowStat {
 		return ws
 	}
 	return t.windowStat(idx)
-}
-
-// Merge folds another tracker's observations into t (totals, windows,
-// and SLO counts). Both must share the window width; the SLO of t
-// governs. Used by harnesses that shard one stream's recording.
-func (t *Tracker) Merge(o *Tracker) {
-	if t == nil || o == nil {
-		return
-	}
-	t.total.Merge(o.total)
-	t.good += o.good
-	t.censored += o.censored
-	t.shed += o.shed
-	for len(t.wins) < len(o.wins) {
-		t.wins = append(t.wins, win{})
-	}
-	for i := range o.wins {
-		ow := &o.wins[i]
-		if ow.h == nil && ow.shed == 0 {
-			continue
-		}
-		w := &t.wins[i]
-		w.good += ow.good
-		w.shed += ow.shed
-		if ow.h == nil {
-			continue
-		}
-		if w.h == nil {
-			w.h = NewWithPrecision(WindowPrecision)
-		}
-		w.h.Merge(ow.h)
-	}
 }
 
 // trackerKey identifies a tracker within a registry.

@@ -104,56 +104,6 @@ func TestRegistryIdempotentAndOrdered(t *testing.T) {
 	}
 }
 
-// Merging per-shard trackers reproduces the sequential tracker
-// exactly, including window boundaries and SLO counts — then the JSONL
-// bytes match too.
-func TestTrackerMergeAndExportDeterminism(t *testing.T) {
-	slo := SLO{Threshold: 8 * sim.Millisecond, Target: 0.95}
-	rng := sim.NewRNG(41)
-	type obs struct {
-		at sim.Time
-		d  sim.Time
-	}
-	var all []obs
-	for i := 0; i < 3000; i++ {
-		all = append(all, obs{
-			at: sim.Time(rng.Intn(int(10 * sim.Second))),
-			d:  sim.Time(rng.Intn(int(20 * sim.Millisecond))),
-		})
-	}
-	seqReg := NewRegistry(sim.Second)
-	seq := seqReg.Tracker("svc", 2, slo)
-	for _, o := range all {
-		seq.Record(o.at, o.d)
-	}
-	merged := NewRegistry(sim.Second).Tracker("svc", 2, slo)
-	for s := 0; s < 8; s++ {
-		shard := NewRegistry(sim.Second).Tracker("svc", 2, slo)
-		for i, o := range all {
-			if i%8 == s {
-				shard.Record(o.at, o.d)
-			}
-		}
-		merged.Merge(shard)
-	}
-	if seq.Count() != merged.Count() || seq.Good() != merged.Good() {
-		t.Fatal("merged tracker diverged from sequential")
-	}
-	var bufA, bufB bytes.Buffer
-	if err := seqReg.WriteJSONL(&bufA); err != nil {
-		t.Fatal(err)
-	}
-	mr := NewRegistry(sim.Second)
-	mr.trackers = append(mr.trackers, merged)
-	if err := mr.WriteJSONL(&bufB); err != nil {
-		t.Fatal(err)
-	}
-	if bufA.String() != bufB.String() {
-		t.Fatalf("JSONL differs between sequential and 8-way merged recording:\n%s\n---\n%s",
-			bufA.String(), bufB.String())
-	}
-}
-
 func TestWriteJSONLShape(t *testing.T) {
 	r := NewRegistry(sim.Second)
 	tr := r.Tracker("web", 2, SLO{Threshold: 10 * sim.Millisecond, Target: 0.99})

@@ -1,64 +1,17 @@
 package metrics
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strconv"
 
+	"perfiso/internal/artifact"
 	"perfiso/internal/core"
 	"perfiso/internal/sim"
 	"perfiso/internal/stats"
 	"perfiso/internal/trace"
 )
-
-// jsonFloat is a float64 that marshals NaN and ±Inf as null instead of
-// making encoding/json error out and abort the whole export. A gauge
-// whose closure divides by a zero denominator (no observations yet, a
-// zero-length window) must cost one null cell, not the artifact.
-type jsonFloat float64
-
-func (f jsonFloat) MarshalJSON() ([]byte, error) {
-	return appendJSONFloat(nil, float64(f)), nil
-}
-
-// appendJSONFloat appends v formatted exactly as encoding/json formats a
-// float64 — shortest round-trip digits, exponent form only below 1e-6 or
-// from 1e21 up, a one-digit negative exponent without its leading zero —
-// except that NaN and ±Inf become null (see jsonFloat). An integral v
-// below 2^53 in magnitude, other than −0, takes the integer formatter:
-// its shortest round-trip digits are its exact digits, so the bytes are
-// the same, and series sample times and counts are mostly such values.
-func appendJSONFloat(b []byte, v float64) []byte {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return append(b, "null"...)
-	}
-	if v == math.Trunc(v) && math.Abs(v) < 1<<53 && (v != 0 || !math.Signbit(v)) {
-		return strconv.AppendInt(b, int64(v), 10)
-	}
-	format := byte('f')
-	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, v, format, -1, 64)
-	if format == 'e' {
-		// 1e-07 -> 1e-7, as encoding/json writes it.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
-// appendJSONString appends s as a JSON string literal with
-// encoding/json's escaping.
-func appendJSONString(b []byte, s string) []byte {
-	q, _ := json.Marshal(s) // a string always marshals
-	return append(b, q...)
-}
 
 // Names maps an SPU id to its display name for exports. NoSPU and
 // unknown ids render as "machine".
@@ -82,106 +35,66 @@ func (n Names) sorted() []core.SPUID {
 	return ids
 }
 
-// JSONL line shapes. One struct per metric kind keeps the field order
-// (and therefore the bytes) fixed.
-type counterLine struct {
-	Type    string `json:"type"`
-	Name    string `json:"name"`
-	SPU     int    `json:"spu"`
-	SPUName string `json:"spu_name"`
-	Value   int64  `json:"value"`
-}
-
-type gaugeLine struct {
-	Type    string    `json:"type"`
-	Name    string    `json:"name"`
-	SPU     int       `json:"spu"`
-	SPUName string    `json:"spu_name"`
-	Value   jsonFloat `json:"value"`
-}
-
-type distLine struct {
-	Type    string    `json:"type"`
-	Name    string    `json:"name"`
-	SPU     int       `json:"spu"`
-	SPUName string    `json:"spu_name"`
-	N       int       `json:"n"`
-	Mean    jsonFloat `json:"mean"`
-	P50     jsonFloat `json:"p50"`
-	P99     jsonFloat `json:"p99"`
-	Max     jsonFloat `json:"max"`
-}
-
 // WriteJSONL writes every registered metric as one JSON object per
 // line: counters, then gauges (evaluated now), then distributions
 // (summarized), then series (full samples). Registration order is
 // deterministic, field order is fixed, and no wall-clock value appears,
-// so the same run always produces the same bytes.
+// so the same run always produces the same bytes. NaN and ±Inf values
+// are written as null.
 //
-// Series lines, which hold every sample of a run, are appended into a
-// buffer owned by this call rather than encoded through json.Encoder:
-// the encoder would park a buffer that large in encoding/json's shared
-// pool, and whether a garbage collection later drops it would make the
-// process's live heap differ from run to run. A series line reads
+// A series line holds every sample of a run. It is appended sample by
+// sample, with the artifact encoder's number and string appenders,
+// into one buffer of this call, and reads
 //
 //	{"type":"series","name":N,"spu":I,"spu_name":S,"period_ms":P,"t_ms":[...],"v":[...]}
-//
-// with a null value for each NaN or ±Inf sample.
 func (r *Registry) WriteJSONL(w io.Writer, names Names) error {
 	if r == nil {
 		return nil
 	}
-	enc := json.NewEncoder(w)
+	e := artifact.NewEncoder(w)
 	for _, c := range r.counters {
-		if err := enc.Encode(counterLine{
-			Type: "counter", Name: c.Name, SPU: int(c.SPU),
-			SPUName: names.lookup(c.SPU), Value: c.Value(),
-		}); err != nil {
-			return err
-		}
+		e.Begin().Str("type", "counter").Str("name", c.Name).Int("spu", int64(c.SPU)).
+			Str("spu_name", names.lookup(c.SPU)).Int("value", c.Value()).Line()
 	}
 	for _, g := range r.gauges {
-		if err := enc.Encode(gaugeLine{
-			Type: "gauge", Name: g.Name, SPU: int(g.SPU),
-			SPUName: names.lookup(g.SPU), Value: jsonFloat(g.Value()),
-		}); err != nil {
-			return err
-		}
+		e.Begin().Str("type", "gauge").Str("name", g.Name).Int("spu", int64(g.SPU)).
+			Str("spu_name", names.lookup(g.SPU)).Float("value", g.Value()).Line()
 	}
+	var sorted []float64
 	for _, d := range r.dists {
-		if err := enc.Encode(distLine{
-			Type: "distribution", Name: d.Name, SPU: int(d.SPU),
-			SPUName: names.lookup(d.SPU), N: d.N(), Mean: jsonFloat(d.Mean()),
-			P50: jsonFloat(d.Quantile(0.50)), P99: jsonFloat(d.Quantile(0.99)),
-			Max: jsonFloat(d.Quantile(1)),
-		}); err != nil {
-			return err
-		}
+		var p50, p99, max float64
+		p50, p99, max, sorted = d.summary(sorted)
+		e.Begin().Str("type", "distribution").Str("name", d.Name).Int("spu", int64(d.SPU)).
+			Str("spu_name", names.lookup(d.SPU)).Int("n", int64(d.N())).Float("mean", d.Mean()).
+			Float("p50", p50).Float("p99", p99).Float("max", max).Line()
+	}
+	if err := e.Flush(); err != nil {
+		return err
 	}
 	periodMS := float64(r.period) / float64(sim.Millisecond)
 	var b []byte
 	for _, s := range r.series {
 		b = append(b[:0], `{"type":"series","name":`...)
-		b = appendJSONString(b, s.Name)
+		b = artifact.AppendString(b, s.Name)
 		b = append(b, `,"spu":`...)
 		b = strconv.AppendInt(b, int64(s.SPU), 10)
 		b = append(b, `,"spu_name":`...)
-		b = appendJSONString(b, names.lookup(s.SPU))
+		b = artifact.AppendString(b, names.lookup(s.SPU))
 		b = append(b, `,"period_ms":`...)
-		b = appendJSONFloat(b, periodMS)
+		b = artifact.AppendFloat(b, periodMS)
 		b = append(b, `,"t_ms":[`...)
 		for i, t := range s.ts {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONFloat(b, float64(t)/float64(sim.Millisecond))
+			b = artifact.AppendFloat(b, float64(t)/float64(sim.Millisecond))
 		}
 		b = append(b, `],"v":[`...)
 		for i, v := range s.vs {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONFloat(b, v)
+			b = artifact.AppendFloat(b, v)
 		}
 		b = append(b, "]}\n"...)
 		if _, err := w.Write(b); err != nil {
@@ -191,48 +104,17 @@ func (r *Registry) WriteJSONL(w io.Writer, names Names) error {
 	return nil
 }
 
-// Chrome trace-event shapes (the subset of the trace_event format we
-// emit; see the Trace Event Format spec). pid selects the track: pid 0
-// is the machine, pid int(spu)+1 is one track per SPU.
-type chromeMeta struct {
-	Name string         `json:"name"`
-	PH   string         `json:"ph"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args chromeMetaArgs `json:"args"`
-}
-
-type chromeMetaArgs struct {
-	Name string `json:"name"`
-}
-
-type chromeCounter struct {
-	Name string            `json:"name"`
-	PH   string            `json:"ph"`
-	PID  int               `json:"pid"`
-	TID  int               `json:"tid"`
-	TS   float64           `json:"ts"`
-	Args chromeCounterArgs `json:"args"`
-}
-
-type chromeCounterArgs struct {
-	Value float64 `json:"value"`
-}
-
-type chromeInstant struct {
-	Name  string            `json:"name"`
-	Cat   string            `json:"cat"`
-	PH    string            `json:"ph"`
-	Scope string            `json:"s"`
-	PID   int               `json:"pid"`
-	TID   int               `json:"tid"`
-	TS    float64           `json:"ts"`
-	Args  chromeInstantArgs `json:"args"`
-}
-
-type chromeInstantArgs struct {
-	Subject string `json:"subject"`
-	Detail  string `json:"detail,omitempty"`
+// summary returns the p50, p99 and max that Quantile reports, sorting
+// the exact values once into buf, which the caller reuses across
+// lines, instead of copying and sorting them once per quantile.
+func (d *Distribution) summary(buf []float64) (p50, p99, max float64, _ []float64) {
+	if d.h != nil || len(d.vs) == 0 {
+		return d.Quantile(0.50), d.Quantile(0.99), d.Quantile(1), buf
+	}
+	buf = append(buf[:0], d.vs...)
+	sort.Float64s(buf)
+	at := func(q float64) float64 { return buf[int(q*float64(len(buf)-1))] }
+	return at(0.50), at(0.99), buf[len(buf)-1], buf
 }
 
 // CounterTrack is a pre-sampled counter series handed to the
@@ -264,32 +146,6 @@ type SpanEvent struct {
 	FlowID  int64
 	FlowIn  bool
 	FlowOut bool
-}
-
-type chromeComplete struct {
-	Name string             `json:"name"`
-	Cat  string             `json:"cat"`
-	PH   string             `json:"ph"`
-	PID  int                `json:"pid"`
-	TID  int                `json:"tid"`
-	TS   float64            `json:"ts"`
-	Dur  float64            `json:"dur"`
-	Args *chromeCompleteArg `json:"args,omitempty"`
-}
-
-type chromeCompleteArg struct {
-	Culprit string `json:"culprit"`
-}
-
-type chromeFlow struct {
-	Name string  `json:"name"`
-	Cat  string  `json:"cat"`
-	PH   string  `json:"ph"`
-	ID   int64   `json:"id"`
-	PID  int     `json:"pid"`
-	TID  int     `json:"tid"`
-	TS   float64 `json:"ts"`
-	BP   string  `json:"bp,omitempty"`
 }
 
 // pid maps an SPU to its Chrome-trace process track. Track 0 is the
@@ -325,52 +181,41 @@ func (r *Registry) WriteChromeTrace(w io.Writer, events []trace.Event, names Nam
 	if r == nil {
 		return nil
 	}
-	if _, err := io.WriteString(w, "{\"traceEvents\":[\n"); err != nil {
-		return err
+	// The first event follows the opening on a new line, each later one
+	// a comma.
+	e := artifact.NewEncoder(w)
+	e.Raw(`{"traceEvents":[`)
+	sep := "\n"
+	event := func() *artifact.Encoder {
+		e.Raw(sep).Begin()
+		sep = ",\n"
+		return e
 	}
-	first := true
-	emit := func(v any) error {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		sep := ",\n"
-		if first {
-			sep = ""
-			first = false
-		}
-		_, err = fmt.Fprintf(w, "%s%s", sep, b)
-		return err
+	meta := func(kind string, pid, tid int, name string) {
+		event().Str("name", kind).Str("ph", "M").Int("pid", int64(pid)).Int("tid", int64(tid)).
+			Object("args").Str("name", name).Close().Close()
+	}
+	counter := func(name string, pid int, at sim.Time, v float64) {
+		event().Str("name", name).Str("ph", "C").Int("pid", int64(pid)).Int("tid", 0).
+			Float("ts", usec(at)).Object("args").Float("value", v).Close().Close()
 	}
 
 	// Track names: the machine plus every SPU, ascending by id.
-	if err := emit(chromeMeta{Name: "process_name", PH: "M", PID: 0,
-		Args: chromeMetaArgs{Name: "machine"}}); err != nil {
-		return err
-	}
+	meta("process_name", 0, 0, "machine")
 	byName := make(map[string]core.SPUID, len(names))
 	for _, id := range names.sorted() {
 		byName[names[id]] = id
-		if err := emit(chromeMeta{Name: "process_name", PH: "M", PID: pid(id),
-			Args: chromeMetaArgs{Name: names[id]}}); err != nil {
-			return err
-		}
+		meta("process_name", pid(id), 0, names[id])
 	}
 
 	// Sampled series as counter tracks. Non-finite samples are dropped:
-	// a counter track has no null representation, and one NaN would make
-	// json.Marshal abort the whole file.
+	// a counter track has no null representation.
 	for _, s := range r.series {
 		for i := range s.ts {
 			if math.IsNaN(s.vs[i]) || math.IsInf(s.vs[i], 0) {
 				continue
 			}
-			if err := emit(chromeCounter{
-				Name: s.Name, PH: "C", PID: pid(s.SPU),
-				TS: usec(s.ts[i]), Args: chromeCounterArgs{Value: s.vs[i]},
-			}); err != nil {
-				return err
-			}
+			counter(s.Name, pid(s.SPU), s.ts[i], s.vs[i])
 		}
 	}
 
@@ -381,30 +226,25 @@ func (r *Registry) WriteChromeTrace(w io.Writer, events []trace.Event, names Nam
 			if i >= len(t.VS) || math.IsNaN(t.VS[i]) || math.IsInf(t.VS[i], 0) {
 				continue
 			}
-			if err := emit(chromeCounter{
-				Name: t.Name, PH: "C", PID: pid(t.SPU),
-				TS: usec(t.TS[i]), Args: chromeCounterArgs{Value: t.VS[i]},
-			}); err != nil {
-				return err
-			}
+			counter(t.Name, pid(t.SPU), t.TS[i], t.VS[i])
 		}
 	}
 
 	// Tracer events as instant markers. Events whose subject is an SPU
 	// name land on that SPU's track; everything else goes to the
 	// machine track.
-	for _, e := range events {
+	for _, ev := range events {
 		p := 0
-		if id, ok := byName[e.Subject]; ok {
+		if id, ok := byName[ev.Subject]; ok {
 			p = pid(id)
 		}
-		if err := emit(chromeInstant{
-			Name: e.Action, Cat: e.Kind.String(), PH: "i", Scope: "p",
-			PID: p, TS: usec(e.At),
-			Args: chromeInstantArgs{Subject: e.Subject, Detail: e.Detail},
-		}); err != nil {
-			return err
+		event().Str("name", ev.Action).Str("cat", ev.Kind.String()).Str("ph", "i").Str("s", "p").
+			Int("pid", int64(p)).Int("tid", 0).Float("ts", usec(ev.At)).
+			Object("args").Str("subject", ev.Subject)
+		if ev.Detail != "" {
+			e.Str("detail", ev.Detail)
 		}
+		e.Close().Close()
 	}
 
 	// Profiler spans as duration slices, one named thread row per
@@ -422,36 +262,27 @@ func (r *Registry) WriteChromeTrace(w io.Writer, events []trace.Event, names Nam
 		if !ok {
 			tid = len(tids) + 1
 			tids[key] = tid
-			if err := emit(chromeMeta{Name: "thread_name", PH: "M", PID: p, TID: tid,
-				Args: chromeMetaArgs{Name: s.Track}}); err != nil {
-				return err
-			}
+			meta("thread_name", p, tid, s.Track)
 		}
-		ev := chromeComplete{
-			Name: s.Name, Cat: "span", PH: "X", PID: p, TID: tid,
-			TS: usec(s.Start), Dur: usec(s.End - s.Start),
-		}
+		event().Str("name", s.Name).Str("cat", "span").Str("ph", "X").
+			Int("pid", int64(p)).Int("tid", int64(tid)).
+			Float("ts", usec(s.Start)).Float("dur", usec(s.End-s.Start))
 		if s.Culprit != "" {
-			ev.Args = &chromeCompleteArg{Culprit: s.Culprit}
+			e.Object("args").Str("culprit", s.Culprit).Close()
 		}
-		if err := emit(ev); err != nil {
-			return err
-		}
+		e.Close()
 		if s.FlowOut {
-			if err := emit(chromeFlow{Name: s.Name, Cat: "flow", PH: "s",
-				ID: s.FlowID, PID: p, TID: tid, TS: usec(s.End)}); err != nil {
-				return err
-			}
+			event().Str("name", s.Name).Str("cat", "flow").Str("ph", "s").Int("id", s.FlowID).
+				Int("pid", int64(p)).Int("tid", int64(tid)).Float("ts", usec(s.End)).Close()
 		}
 		if s.FlowIn {
-			if err := emit(chromeFlow{Name: s.Name, Cat: "flow", PH: "f", BP: "e",
-				ID: s.FlowID, PID: p, TID: tid, TS: usec(s.End)}); err != nil {
-				return err
-			}
+			event().Str("name", s.Name).Str("cat", "flow").Str("ph", "f").Int("id", s.FlowID).
+				Int("pid", int64(p)).Int("tid", int64(tid)).Float("ts", usec(s.End)).
+				Str("bp", "e").Close()
 		}
 	}
-	_, err := io.WriteString(w, "\n]}\n")
-	return err
+	e.Raw("\n]}\n")
+	return e.Flush()
 }
 
 // UsageTable summarizes the sampled series per SPU: mean and peak CPUs

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -95,55 +94,6 @@ func TestExportsSanitizeNonFiniteValues(t *testing.T) {
 	}
 	if counters != 2 { // the two finite samples; NaN and Inf dropped
 		t.Fatalf("chrome trace has %d counter samples, want 2", counters)
-	}
-}
-
-// appendJSONFloat must write what encoding/json writes for a float64 on
-// both sides of its fixed/exponent switch (1e-6 and 1e21), at the
-// extremes of the range, and for negative zero — and null where
-// encoding/json would refuse the value.
-func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
-	for _, v := range []float64{0, math.Copysign(0, -1), 1e-7, 1e-6, 0.1, 1e20, 1e21, 5e-324, 1.5e300, -3.25e-9, 123456.789} {
-		want, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendJSONFloat(nil, v); string(got) != string(want) {
-			t.Errorf("appendJSONFloat(%g) = %s, json.Marshal = %s", v, got, want)
-		}
-	}
-	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if got := appendJSONFloat(nil, v); string(got) != "null" {
-			t.Errorf("appendJSONFloat(%g) = %s, want null", v, got)
-		}
-	}
-}
-
-// The integer branch of appendJSONFloat writes what encoding/json
-// writes, for random integers on both sides of its 2^53 bound, negative
-// zero, decimals and random bit patterns.
-func TestAppendJSONFloatIntegersMatchEncodingJSON(t *testing.T) {
-	rng := rand.New(rand.NewPCG(30, 1))
-	const n = 1 << 17
-	vals := []float64{math.Copysign(0, -1), 1 << 53, -(1 << 53), 1<<53 - 1, -(1<<53 - 1), 1 << 54}
-	for i := 0; i < n; i++ {
-		vals = append(vals,
-			float64(rng.Int64N(1<<55)-1<<54),         // integers up to ±2^54
-			float64(rng.Int64N(2_000_001)-1_000_000), // small integers
-			float64(rng.Int64N(1<<40))/1000,          // decimals
-			math.Float64frombits(rng.Uint64()))       // any bit pattern
-	}
-	for _, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			continue
-		}
-		want, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendJSONFloat(nil, v); string(got) != string(want) {
-			t.Fatalf("appendJSONFloat(%b) = %s, json.Marshal = %s", v, got, want)
-		}
 	}
 }
 

@@ -2,7 +2,9 @@ package profile
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"perfiso/internal/core"
@@ -218,9 +220,9 @@ func TestWriteSpansDeterministic(t *testing.T) {
 	}
 }
 
-// TestWriteSpansMatchesFmt: the hand-appended span lines are the bytes
-// fmt writes for the same fields (%d and %q), across a wrapped ring and
-// names that need escaping.
+// TestWriteSpansMatchesFmt: the span lines are the bytes fmt writes for
+// the same fields, with %d for the integers and encoding/json's quoting
+// of the names, across a wrapped ring and names that need escaping.
 func TestWriteSpansMatchesFmt(t *testing.T) {
 	p := New(sim.NewEngine())
 	procs := []string{"job", `q"uo\te`, "tab\tnl\n", "snow\u2603", "ctl\x00\x7f", "bad\xff"}
@@ -230,13 +232,20 @@ func TestWriteSpansMatchesFmt(t *testing.T) {
 			Proc: procs[i%len(procs)], Name: "step:compute", Culprit: core.SPUID(i % 7),
 			Start: sim.Time(i) * sim.Millisecond, End: sim.Time(i+1) * sim.Millisecond, Flow: int64(-i)})
 	}
+	quote := func(s string) []byte {
+		q, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
 	var want bytes.Buffer
 	spans := p.Spans()
 	fmt.Fprintf(&want, `{"spans":%d,"dropped":%d}`+"\n", len(spans), p.SpansDropped())
 	for _, s := range spans {
 		fmt.Fprintf(&want,
-			`{"id":%d,"parent":%d,"spu":%d,"proc":%q,"name":%q,"culprit":%d,"start":%d,"end":%d,"flow":%d}`+"\n",
-			s.ID, s.Parent, int(s.SPU), s.Proc, s.Name, int(s.Culprit),
+			`{"id":%d,"parent":%d,"spu":%d,"proc":%s,"name":%s,"culprit":%d,"start":%d,"end":%d,"flow":%d}`+"\n",
+			s.ID, s.Parent, int(s.SPU), quote(s.Proc), quote(s.Name), int(s.Culprit),
 			int64(s.Start), int64(s.End), s.Flow)
 	}
 	var got bytes.Buffer
@@ -249,6 +258,42 @@ func TestWriteSpansMatchesFmt(t *testing.T) {
 	var empty bytes.Buffer
 	if err := (*Profiler)(nil).WriteSpans(&empty); err != nil || empty.String() != `{"spans":0,"dropped":0}`+"\n" {
 		t.Fatalf("nil profiler wrote %q, %v", empty.String(), err)
+	}
+}
+
+// TestWriteSpansIsJSON: every span line decodes as JSON whatever the
+// process and span names hold, and each name reads back as written,
+// with U+FFFD for each byte of invalid UTF-8 as encoding/json decodes
+// it.
+func TestWriteSpansIsJSON(t *testing.T) {
+	names := []string{"bell\a", "ctl\x01", `say "hi"`, `back\slash`, "<a>&b", "line\u2028sep", "bad\xffutf8", "plain"}
+	p := New(sim.NewEngine())
+	for i, proc := range names {
+		p.emit(Span{ID: int64(i + 1), SPU: spuA, Proc: proc, Name: names[len(names)-1-i],
+			Start: sim.Time(i), End: sim.Time(i + 1)})
+	}
+	var buf bytes.Buffer
+	if err := p.WriteSpans(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != len(names)+1 {
+		t.Fatalf("%d lines, want a header and %d spans", len(lines), len(names))
+	}
+	for i, line := range lines[1:] {
+		var got struct {
+			Proc string `json:"proc"`
+			Name string `json:"name"`
+		}
+		if err := json.Unmarshal([]byte(line), &got); err != nil {
+			t.Fatalf("line %d is not JSON: %v\n%s", i+2, err, line)
+		}
+		if want := string([]rune(names[i])); got.Proc != want {
+			t.Errorf("line %d: proc %q, want %q", i+2, got.Proc, want)
+		}
+		if want := string([]rune(names[len(names)-1-i])); got.Name != want {
+			t.Errorf("line %d: name %q, want %q", i+2, got.Name, want)
+		}
 	}
 }
 

@@ -1,11 +1,9 @@
 package profile
 
 import (
-	"bufio"
-	"fmt"
 	"io"
-	"strconv"
 
+	"perfiso/internal/artifact"
 	"perfiso/internal/core"
 	"perfiso/internal/sim"
 )
@@ -66,41 +64,19 @@ func diskSpanName(kind string) string {
 // WriteSpans writes the stored spans as deterministic JSONL: a header
 // line with counts, then one object per span, oldest-first. All times
 // are integer simulated nanoseconds; nothing depends on the wall clock.
-// It reads the ring in place and appends each line into one reused
-// buffer, writing the bytes fmt's %d and %q would.
+// It reads the ring in place and writes through the artifact encoder,
+// whose one buffer every line reuses.
 func (p *Profiler) WriteSpans(w io.Writer) error {
-	bw := bufio.NewWriter(w)
+	e := artifact.NewEncoder(w)
 	older, newer := p.stored()
-	fmt.Fprintf(bw, `{"spans":%d,"dropped":%d}`+"\n", len(older)+len(newer), p.SpansDropped())
-	var line []byte
+	e.Begin().Int("spans", int64(len(older)+len(newer))).Int("dropped", p.SpansDropped()).Line()
 	for _, run := range [2][]Span{older, newer} {
 		for i := range run {
-			line = appendSpanLine(line[:0], &run[i])
-			bw.Write(line)
+			s := &run[i]
+			e.Begin().Int("id", s.ID).Int("parent", s.Parent).Int("spu", int64(s.SPU)).
+				Str("proc", s.Proc).Str("name", s.Name).Int("culprit", int64(s.Culprit)).
+				Int("start", int64(s.Start)).Int("end", int64(s.End)).Int("flow", s.Flow).Line()
 		}
 	}
-	return bw.Flush()
-}
-
-// appendSpanLine appends s as one JSONL object and a newline.
-func appendSpanLine(b []byte, s *Span) []byte {
-	b = append(b, `{"id":`...)
-	b = strconv.AppendInt(b, s.ID, 10)
-	b = append(b, `,"parent":`...)
-	b = strconv.AppendInt(b, s.Parent, 10)
-	b = append(b, `,"spu":`...)
-	b = strconv.AppendInt(b, int64(s.SPU), 10)
-	b = append(b, `,"proc":`...)
-	b = strconv.AppendQuote(b, s.Proc)
-	b = append(b, `,"name":`...)
-	b = strconv.AppendQuote(b, s.Name)
-	b = append(b, `,"culprit":`...)
-	b = strconv.AppendInt(b, int64(s.Culprit), 10)
-	b = append(b, `,"start":`...)
-	b = strconv.AppendInt(b, int64(s.Start), 10)
-	b = append(b, `,"end":`...)
-	b = strconv.AppendInt(b, int64(s.End), 10)
-	b = append(b, `,"flow":`...)
-	b = strconv.AppendInt(b, s.Flow, 10)
-	return append(b, "}\n"...)
+	return e.Flush()
 }

@@ -1,8 +1,9 @@
 package simobs
 
 import (
-	"encoding/json"
 	"io"
+
+	"perfiso/internal/artifact"
 )
 
 // JSONL export. Every line carries a "type" discriminator. Line types
@@ -20,89 +21,29 @@ import (
 // timing; everything else is deterministic for a given build + scenario.
 var HostLineTypes = map[string]bool{"simobs_host": true, "simobs_window": true}
 
-type scenarioLine struct {
-	Type     string `json:"type"`
-	Scenario string `json:"scenario"`
-	Events   uint64 `json:"events"`
-	Samples  uint64 `json:"samples"`
-}
-
-type queueLine struct {
-	Type     string `json:"type"`
-	Scenario string `json:"scenario"`
-	Pushes   uint64 `json:"pushes"`
-	Pending  int    `json:"pending"`
-}
-
-type classLine struct {
-	Type     string `json:"type"`
-	Scenario string `json:"scenario"`
-	Name     string `json:"name"`
-	Module   string `json:"module"`
-	Count    uint64 `json:"count"`
-}
-
-type hostLine struct {
-	Type     string `json:"type"`
-	Scenario string `json:"scenario"`
-	Name     string `json:"name"`
-	Module   string `json:"module"`
-	HostNS   int64  `json:"host_ns"`
-}
-
-type windowLine struct {
-	Type         string `json:"type"`
-	Scenario     string `json:"scenario"`
-	Events       uint64 `json:"events"`
-	HostNS       int64  `json:"host_ns"`
-	GCCycles     uint64 `json:"gc_cycles"`
-	AllocObjects uint64 `json:"alloc_objects"`
-	AllocBytes   uint64 `json:"alloc_bytes"`
-}
-
 // WriteJSONL writes the report as one JSON object per line, deterministic
 // lines first, then the host-timing lines.
 func (r *Report) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(scenarioLine{
-		Type: "simobs_scenario", Scenario: r.Scenario,
-		Events: r.Events, Samples: r.Samples,
-	}); err != nil {
-		return err
-	}
-	if err := enc.Encode(queueLine{
-		Type: "simobs_queue", Scenario: r.Scenario,
-		Pushes: r.Queue.Pushes, Pending: r.Queue.Len,
-	}); err != nil {
-		return err
-	}
+	e := artifact.NewEncoder(w)
+	e.Begin().Str("type", "simobs_scenario").Str("scenario", r.Scenario).
+		Uint("events", r.Events).Uint("samples", r.Samples).Line()
+	e.Begin().Str("type", "simobs_queue").Str("scenario", r.Scenario).
+		Uint("pushes", r.Queue.Pushes).Int("pending", int64(r.Queue.Len)).Line()
 	for _, c := range r.Classes {
-		if err := enc.Encode(classLine{
-			Type: "simobs_class", Scenario: r.Scenario,
-			Name: c.Name, Module: c.Module, Count: c.Count,
-		}); err != nil {
-			return err
-		}
+		e.Begin().Str("type", "simobs_class").Str("scenario", r.Scenario).
+			Str("name", c.Name).Str("module", c.Module).Uint("count", c.Count).Line()
 	}
 	for _, c := range r.Classes {
 		if c.HostNS == 0 {
 			continue
 		}
-		if err := enc.Encode(hostLine{
-			Type: "simobs_host", Scenario: r.Scenario,
-			Name: c.Name, Module: c.Module, HostNS: c.HostNS,
-		}); err != nil {
-			return err
-		}
+		e.Begin().Str("type", "simobs_host").Str("scenario", r.Scenario).
+			Str("name", c.Name).Str("module", c.Module).Int("host_ns", c.HostNS).Line()
 	}
 	for _, win := range r.Windows {
-		if err := enc.Encode(windowLine{
-			Type: "simobs_window", Scenario: r.Scenario,
-			Events: win.Events, HostNS: win.HostNS, GCCycles: win.GCCycles,
-			AllocObjects: win.AllocObjects, AllocBytes: win.AllocBytes,
-		}); err != nil {
-			return err
-		}
+		e.Begin().Str("type", "simobs_window").Str("scenario", r.Scenario).
+			Uint("events", win.Events).Int("host_ns", win.HostNS).Uint("gc_cycles", win.GCCycles).
+			Uint("alloc_objects", win.AllocObjects).Uint("alloc_bytes", win.AllocBytes).Line()
 	}
-	return nil
+	return e.Flush()
 }

@@ -6,7 +6,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 
 	"perfiso/internal/sim"
 )
@@ -149,27 +148,6 @@ type Series struct {
 
 // Add appends a point.
 func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{x, y}) }
-
-// YAt returns the Y value for the point whose X matches x, or ok=false
-// if absent. Matching tolerates float rounding (a relative epsilon), so
-// sweep points computed through division — e.g. thresholds built as
-// limit/N — still resolve. With several points inside the tolerance the
-// closest wins.
-func (s *Series) YAt(x float64) (y float64, ok bool) {
-	const eps = 1e-9
-	best := math.Inf(1)
-	for _, p := range s.Points {
-		d := math.Abs(p.X - x)
-		scale := math.Max(1, math.Max(math.Abs(p.X), math.Abs(x)))
-		if d <= eps*scale && d < best {
-			best, y, ok = d, p.Y, true
-		}
-	}
-	if !ok {
-		return 0, false
-	}
-	return y, true
-}
 
 // FormatPercent renders a percentage (negative values keep their sign,
 // marking deltas like "-39%").

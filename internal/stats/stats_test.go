@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"perfiso/internal/sim"
@@ -80,11 +81,9 @@ func TestSeries(t *testing.T) {
 	s.Add(3, 30)
 	s.Add(1, 10)
 	s.Add(2, 20)
-	if y, ok := s.YAt(2); !ok || y != 20 {
-		t.Fatalf("YAt(2) = %g,%v", y, ok)
-	}
-	if _, ok := s.YAt(99); ok {
-		t.Fatal("YAt(99) should miss")
+	want := []Point{{3, 30}, {1, 10}, {2, 20}}
+	if !reflect.DeepEqual(s.Points, want) {
+		t.Fatalf("Points = %v, want %v (Add order)", s.Points, want)
 	}
 }
 
@@ -125,26 +124,5 @@ func TestTimeWeightedMaxAllNegative(t *testing.T) {
 	w.Set(2*sim.Second, -9)
 	if got := w.Max(); got != -2 {
 		t.Fatalf("Max = %g, want -2 (zero was never observed)", got)
-	}
-}
-
-// Regression: YAt used exact float64 equality, so x values that went
-// through any arithmetic (load levels computed as float sums, sweep
-// points built by repeated addition) missed their own entries.
-func TestSeriesYAtEpsilon(t *testing.T) {
-	var s Series
-	x := 0.0
-	for i := 0; i < 10; i++ {
-		x += 0.1 // 0.1+0.1+... != 0.3 exactly in float64
-		s.Add(x, float64(i))
-	}
-	if y, ok := s.YAt(0.3); !ok || y != 2 {
-		t.Fatalf("YAt(0.3) = %g,%v; want 2,true (epsilon match)", y, ok)
-	}
-	if y, ok := s.YAt(1.0); !ok || y != 9 {
-		t.Fatalf("YAt(1.0) = %g,%v; want 9,true", y, ok)
-	}
-	if _, ok := s.YAt(0.35); ok {
-		t.Fatal("YAt(0.35) matched; epsilon too loose")
 	}
 }

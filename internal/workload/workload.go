@@ -110,15 +110,19 @@ func DiskPmake() PmakeParams {
 
 // CopyParams shapes a file-copy job.
 type CopyParams struct {
-	Bytes      int64    // file size
-	ChunkBytes int64    // bytes per read/write loop iteration
-	ComputePer sim.Time // per-chunk CPU (buffer copy cost)
+	Bytes int64 // file size
 }
 
-// DefaultCopy returns the §4.5 large-copy shape: 64 KB chunks with a
-// small per-chunk CPU cost.
+// The §4.5 large-copy shape: 64 KB chunks with a small per-chunk CPU
+// cost.
+const (
+	CopyChunkBytes = 64 * 1024             // bytes per read/write loop iteration
+	CopyComputePer = 200 * sim.Microsecond // per-chunk CPU (buffer copy cost)
+)
+
+// DefaultCopy returns the copy job for a file of the given size.
 func DefaultCopy(bytes int64) CopyParams {
-	return CopyParams{Bytes: bytes, ChunkBytes: 64 * 1024, ComputePer: 200 * sim.Microsecond}
+	return CopyParams{Bytes: bytes}
 }
 
 // Copy builds a process that copies a file of p.Bytes: sequential reads
@@ -130,14 +134,11 @@ func Copy(k *kernel.Kernel, spu core.SPUID, name string, p CopyParams) *proc.Pro
 	src := al.NewFile(name+".src", p.Bytes, fs.Contiguous, 0)
 	dst := al.NewFile(name+".dst", p.Bytes, fs.Contiguous, 0)
 	var body []proc.Step
-	for off := int64(0); off < p.Bytes; off += p.ChunkBytes {
-		n := p.ChunkBytes
-		if off+n > p.Bytes {
-			n = p.Bytes - off
-		}
+	for off := int64(0); off < p.Bytes; off += CopyChunkBytes {
+		n := min(int64(CopyChunkBytes), p.Bytes-off)
 		body = append(body,
 			proc.Read{File: src, Off: off, N: n},
-			proc.Compute{D: p.ComputePer},
+			proc.Compute{D: CopyComputePer},
 			proc.Write{File: dst, Off: off, N: n},
 		)
 	}
@@ -146,25 +147,29 @@ func Copy(k *kernel.Kernel, spu core.SPUID, name string, p CopyParams) *proc.Pro
 
 // OceanParams shapes the Ocean run.
 type OceanParams struct {
-	Procs      int      // gang size (four in the paper's workload)
-	Iterations int      // barrier-separated phases
-	Grain      sim.Time // CPU per process per phase
-	// Imbalance is the extra per-phase CPU of process i (i*Imbalance):
-	// the load imbalance that makes faster gang members idle at the
-	// barrier — and thus exposes CPU-loan revocation latency.
-	Imbalance sim.Time
-	WSSPages  int // per-process working set
+	Procs      int // gang size (four in the paper's workload)
+	Iterations int // barrier-separated phases
+	WSSPages   int // per-process working set
 	// GangScheduled co-schedules the workers with the §3.1 [Ous82]
 	// extension: all of them run simultaneously or none do.
 	GangScheduled bool
 }
 
+const (
+	// OceanGrain is the CPU per process per phase.
+	OceanGrain = 100 * sim.Millisecond
+	// OceanImbalance is the extra per-phase CPU of process i
+	// (i*OceanImbalance): the load imbalance that makes faster gang
+	// members idle at the barrier — and thus exposes CPU-loan
+	// revocation latency.
+	OceanImbalance = 500 * sim.Microsecond
+)
+
 // DefaultOcean returns the Fig. 5 shape: a 4-process gang with ~3 s of
 // CPU per process, barrier-synchronized every 100 ms, with a slight
 // load imbalance across the gang.
 func DefaultOcean() OceanParams {
-	return OceanParams{Procs: 4, Iterations: 30, Grain: 100 * sim.Millisecond,
-		Imbalance: 500 * sim.Microsecond, WSSPages: 600}
+	return OceanParams{Procs: 4, Iterations: 30, WSSPages: 600}
 }
 
 // Ocean builds the gang: a root forks Procs workers that compute and
@@ -176,7 +181,7 @@ func Ocean(k *kernel.Kernel, spu core.SPUID, name string, p OceanParams) *proc.P
 	var steps []proc.Step
 	var workers []*proc.Process
 	for i := 0; i < p.Procs; i++ {
-		grain := p.Grain + sim.Time(i)*p.Imbalance
+		grain := OceanGrain + sim.Time(i)*OceanImbalance
 		w := proc.NewGenerated(k, spu, fmt.Sprintf("%s.%d", name, i), proc.Looped(
 			[]proc.Step{proc.Touch{Pages: p.WSSPages}},
 			p.Iterations, []proc.Step{proc.Compute{D: grain}, proc.BarrierStep{B: b}}))

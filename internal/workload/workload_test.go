@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"perfiso/internal/core"
@@ -101,6 +102,28 @@ func TestCopyUsesAffinityDisk(t *testing.T) {
 	}
 	if sh := k.Disk(1).PerSPU[core.SharedID]; sh == nil || sh.Sectors < 2048 {
 		t.Fatalf("disk 1 shared write-back sectors missing: %v", sh)
+	}
+}
+
+// A CopyParams literal with only Bytes set runs the same copy as
+// DefaultCopy: the chunk size and per-chunk CPU are constants, so no
+// zero chunk can keep Copy's build loop from advancing.
+func TestCopyLiteralMatchesDefaultCopy(t *testing.T) {
+	run := func(p CopyParams) string {
+		k := kernel.New(machine.DiskIsolation(), core.PIso, kernel.Options{})
+		s := k.NewSPU("u", 1)
+		k.Boot()
+		job := Copy(k, s.ID(), "cp", p)
+		k.Spawn(job)
+		end := k.Run()
+		if job.State() != proc.Exited {
+			t.Fatal("copy did not finish")
+		}
+		return fmt.Sprintf("end %v, disk %+v", end, k.Disk(0).Total)
+	}
+	lit, def := run(CopyParams{Bytes: 1 << 20}), run(DefaultCopy(1<<20))
+	if lit != def {
+		t.Fatalf("literal copy: %s\nDefaultCopy: %s", lit, def)
 	}
 }
 
