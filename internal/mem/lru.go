@@ -18,50 +18,54 @@ func (s *spuPages) lru(dirty bool) *lruHeap {
 	return &s.cleanLRU
 }
 
-// lruBefore orders eviction candidates: least-recently-used first, ties
-// broken by allocation order, so the victim is the minimum of a total
-// order and does not depend on how candidates are stored.
+// lruBefore orders eviction candidates: least-recently-used first (by
+// effective last use), ties broken by allocation order, so the victim is
+// the minimum of a total order and does not depend on how candidates are
+// stored.
 func lruBefore(a, b *Page) bool {
-	return a.LastUse < b.LastUse || (a.LastUse == b.LastUse && a.seq < b.seq)
+	al, bl := a.lastUse(), b.lastUse()
+	return al < bl || (al == bl && a.seq < b.seq)
 }
 
 // lruHeap is a binary min-heap of pages ordered by (hkey, seq). A page's
-// hkey is its LastUse when it was last keyed. Touch raises LastUse with
-// a single store and leaves the heap alone, so hkey may lag LastUse but
-// never exceeds it; min re-keys stale tops lazily.
+// hkey is its effective last use when it was last keyed. Touch and
+// TouchSet raise that value with a single store and leave the heap
+// alone, so hkey may lag it but never exceeds it; min re-keys stale tops
+// lazily.
 type lruHeap []*Page
 
 func heapLess(a, b *Page) bool {
 	return a.hkey < b.hkey || (a.hkey == b.hkey && a.seq < b.seq)
 }
 
-// min returns the least-recently-used page by (LastUse, seq), or nil
-// when the heap is empty. A top whose key is stale gets its current
-// LastUse and sinks; once the top's key is current it is the exact
-// minimum, because every other page's true key is at least its heap
-// key, which is at least the top's.
+// min returns the least-recently-used page by (effective last use,
+// seq), or nil when the heap is empty. A top whose key is stale gets its
+// current effective last use and sinks; once the top's key is current
+// it is the exact minimum, because every other page's true key is at
+// least its heap key, which is at least the top's.
 func (h lruHeap) min() *Page {
 	for len(h) > 0 {
 		p := h[0]
-		if p.hkey == p.LastUse {
+		last := p.lastUse()
+		if p.hkey == last {
 			return p
 		}
-		p.hkey = p.LastUse
+		p.hkey = last
 		h.down(0)
 	}
 	return nil
 }
 
 func (h *lruHeap) push(p *Page) {
-	p.hkey = p.LastUse
-	p.heapIdx = len(*h)
+	p.hkey = p.lastUse()
+	p.heapIdx = int32(len(*h))
 	*h = append(*h, p)
-	h.up(p.heapIdx)
+	h.up(len(*h) - 1)
 }
 
 func (h *lruHeap) remove(p *Page) {
 	s := *h
-	i, last := p.heapIdx, len(s)-1
+	i, last := int(p.heapIdx), len(s)-1
 	if i != last {
 		s.swap(i, last)
 	}
@@ -75,8 +79,8 @@ func (h *lruHeap) remove(p *Page) {
 
 func (h lruHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
+	h[i].heapIdx = int32(i)
+	h[j].heapIdx = int32(j)
 }
 
 func (h lruHeap) up(i int) {

@@ -70,20 +70,24 @@ type Owner interface {
 	PageEvicted(p *Page)
 }
 
-// Page is one physical page frame in use.
+// Page is one physical page frame in use. Its fields are ordered to
+// keep it at 80 bytes, the size class it allocates from.
 type Page struct {
 	SPU     core.SPUID
 	Kind    Kind
 	LastUse sim.Time
 	Owner   Owner
 
+	seq      uint64      // allocation sequence; LRU tie-break after the last use
+	hkey     sim.Time    // effective last use when last keyed in its reclaim heap
+	ws       *WorkingSet // the set the page is bound to, or nil
+	index    int32       // position in Manager.pages, -1 when free
+	heapIdx  int32       // position in its SPU's reclaim heap, -1 when in none
+	slot     int32       // position in ws.slots while bound
 	dirty    bool
 	pinned   bool // never evicted while pinned (e.g. in-flight disk IO)
 	evicting bool
-	seq      uint64   // allocation sequence; LRU tie-break after LastUse
-	index    int      // position in Manager.pages, -1 when free
-	hkey     sim.Time // LastUse when last keyed in its reclaim heap
-	heapIdx  int      // position in its SPU's reclaim heap, -1 when in none
+	retagged bool // re-tagged to the shared SPU by a second SPU's touch
 }
 
 // Pinned reports whether the page is exempt from eviction (e.g. its
@@ -255,7 +259,7 @@ func (m *Manager) Allocate(spu core.SPUID, kind Kind, owner Owner) *Page {
 		m.kickReclaim()
 		return nil
 	}
-	p := &Page{SPU: s.ID(), Kind: kind, LastUse: m.eng.Now(), Owner: owner, seq: m.pseq, index: len(m.pages)}
+	p := &Page{SPU: s.ID(), Kind: kind, LastUse: m.eng.Now(), Owner: owner, seq: m.pseq, index: int32(len(m.pages))}
 	m.pseq++
 	m.pages = append(m.pages, p)
 	m.linkSPU(p)
@@ -305,8 +309,12 @@ func (m *Manager) Free(p *Page) {
 }
 
 // unlink removes the page from the in-use list and its SPU's counts
-// and reclaim heap.
+// and reclaim heap. A bound page leaves use only through its owner's
+// eviction callback or a detach, both of which unbind it first.
 func (m *Manager) unlink(p *Page) {
+	if p.ws != nil {
+		panic("mem: page leaves use while bound to a working set")
+	}
 	last := len(m.pages) - 1
 	i := p.index
 	m.pages[i] = m.pages[last]
@@ -372,6 +380,7 @@ func (m *Manager) Touch(p *Page, by core.SPUID) {
 	m.spus.Shared().Charge(core.Memory, 1)
 	m.unlinkSPU(p)
 	p.SPU = core.SharedID
+	p.retagged = true
 	m.linkSPU(p)
 	m.Stat.Retags++
 }
@@ -448,18 +457,30 @@ func (m *Manager) Pressured(spu core.SPUID) bool {
 }
 
 // Audit verifies the manager's internal consistency the slow, exhaustive
-// way: page-list linkage, the reclaim heaps (every slot's position, the
-// heap order, keys that never exceed LastUse, and exactly the SPU's
-// unpinned pages, each in the heap matching its dirty flag), agreement
-// between the scan and the incremental counters the fast path trusts,
-// frame conservation, and charge/ownership agreement. It returns a
+// way: page-list linkage, working-set binding (a bound page is
+// anonymous, was never re-tagged, and sits at its own slot), the
+// reclaim heaps (every slot's position, the heap order, keys that never
+// exceed the effective last use, and exactly the SPU's unpinned pages,
+// each in the heap matching its dirty flag), agreement between the scan
+// and the incremental counters the fast path trusts, frame
+// conservation, and charge/ownership agreement. It returns a
 // descriptive error on the first violation. Intended for tests, the
 // stress harness, and the final sweep; it is O(pages). The per-tick
 // sweep uses auditFast.
 func (m *Manager) Audit() error {
 	for i, p := range m.pages {
-		if p.index != i {
+		if int(p.index) != i {
 			return fmt.Errorf("mem audit: page at slot %d has index %d", i, p.index)
+		}
+		if w := p.ws; w != nil {
+			switch {
+			case p.Kind != Anon:
+				return fmt.Errorf("mem audit: %s page at slot %d is bound to a working set", p.Kind, i)
+			case p.retagged:
+				return fmt.Errorf("mem audit: page at slot %d is bound to a working set but was re-tagged", i)
+			case p.slot < 0 || int(p.slot) >= len(w.slots) || w.slots[p.slot] != p:
+				return fmt.Errorf("mem audit: page at slot %d is not at its working-set slot %d", i, p.slot)
+			}
 		}
 	}
 	for id := range m.perSPU {
@@ -467,9 +488,9 @@ func (m *Manager) Audit() error {
 			h := *m.perSPU[id].lru(dirty)
 			for i, p := range h {
 				switch {
-				case p.heapIdx != i:
+				case int(p.heapIdx) != i:
 					return fmt.Errorf("mem audit: spu%d heap slot %d holds a page with heapIdx %d", id, i, p.heapIdx)
-				case p.index < 0 || p.index >= len(m.pages) || m.pages[p.index] != p:
+				case p.index < 0 || int(p.index) >= len(m.pages) || m.pages[p.index] != p:
 					return fmt.Errorf("mem audit: spu%d heap slot %d holds a page not in use", id, i)
 				case int(p.SPU) != id:
 					return fmt.Errorf("mem audit: spu%d heap holds a page owned by spu%d", id, p.SPU)
@@ -477,8 +498,8 @@ func (m *Manager) Audit() error {
 					return fmt.Errorf("mem audit: spu%d heap for dirty=%v holds a page with dirty=%v", id, dirty, p.dirty)
 				case p.pinned:
 					return fmt.Errorf("mem audit: spu%d heap slot %d holds a pinned page", id, i)
-				case p.hkey > p.LastUse:
-					return fmt.Errorf("mem audit: spu%d heap slot %d keyed at %v, after its last use %v", id, i, p.hkey, p.LastUse)
+				case p.hkey > p.lastUse():
+					return fmt.Errorf("mem audit: spu%d heap slot %d keyed at %v, after its last use %v", id, i, p.hkey, p.lastUse())
 				case i > 0 && heapLess(p, h[(i-1)/2]):
 					return fmt.Errorf("mem audit: spu%d heap slot %d orders before its parent", id, i)
 				}
@@ -499,7 +520,7 @@ func (m *Manager) Audit() error {
 			c.pinned++
 			continue
 		}
-		if h := *m.perSPU[p.SPU].lru(p.dirty); p.heapIdx < 0 || p.heapIdx >= len(h) || h[p.heapIdx] != p {
+		if h := *m.perSPU[p.SPU].lru(p.dirty); p.heapIdx < 0 || int(p.heapIdx) >= len(h) || h[p.heapIdx] != p {
 			return fmt.Errorf("mem audit: unpinned spu%d page is missing from its reclaim heap", p.SPU)
 		}
 	}

@@ -75,10 +75,11 @@ type Process struct {
 	state  State
 	prof   *profile.Task
 
-	// Working set.
-	resident  []*mem.Page
-	swapped   int // pages evicted since last use; re-touch swaps them in
+	// Working set: the target Compute keeps resident, and the pages and
+	// fault-in state, allocated at the first fault (a process that never
+	// faults, such as a request handler, carries only the pointer).
 	wssTarget int
+	pager     *pager
 
 	// Process tree.
 	parent       *Process
@@ -131,8 +132,28 @@ func (p *Process) ResponseTime() sim.Time {
 	return p.Finished - p.Started
 }
 
+// pager is a process's resident set and fault-in state. The fault-in
+// is a continuation bound once, pageIn, with its operands in fields, so
+// faulting a page allocates nothing but the frame.
+type pager struct {
+	set     mem.WorkingSet
+	swapped int // pages evicted since last use; re-touch swaps them in
+
+	// The fault-in in progress: pages to fault, how many of them come
+	// back from swap (the last needSwap), how many arrived so far, and
+	// what runs once they are all resident.
+	missing, needSwap, got int
+	done                   func()
+	pageIn                 func(*mem.Page)
+}
+
 // Resident returns the current resident set size in pages.
-func (p *Process) Resident() int { return len(p.resident) }
+func (p *Process) Resident() int {
+	if p.pager == nil {
+		return 0
+	}
+	return p.pager.set.Len()
+}
 
 // Thread exposes the process's scheduler thread (for stats).
 func (p *Process) Thread() *sched.Thread { return p.thread }
@@ -150,13 +171,11 @@ func (p *Process) Start() {
 }
 
 // PageEvicted implements mem.Owner: the pager took one of our pages.
+// After exit the set is detached, so a page reclaimed while exit frees
+// the others is no longer ours to count.
 func (p *Process) PageEvicted(pg *mem.Page) {
-	for i, q := range p.resident {
-		if q == pg {
-			p.resident = append(p.resident[:i], p.resident[i+1:]...)
-			p.swapped++
-			return
-		}
+	if p.pager.set.Unbind(pg) {
+		p.pager.swapped++
 	}
 }
 
@@ -192,10 +211,10 @@ func (p *Process) exit() {
 	p.prof.Finish()
 	// Detach the resident set before freeing: each Free may wake memory
 	// waiters whose allocations reclaim other pages of this very set.
-	pages := p.resident
-	p.resident = nil
-	for _, pg := range pages {
-		p.env.Memory().Release(pg)
+	if p.pager != nil {
+		for _, pg := range p.pager.set.Detach() {
+			p.env.Memory().Release(pg)
+		}
 	}
 	p.env.Scheduler().Exit(p.thread)
 	if p.parent != nil {
@@ -223,58 +242,61 @@ func (p *Process) childExited() {
 // under the SPU's memory limit, which is where Quo's thrashing comes
 // from.
 func (p *Process) ensureResident(done func()) {
-	missing := p.wssTarget - len(p.resident)
+	missing := p.wssTarget - p.Resident()
 	if missing <= 0 {
-		p.touchAll()
+		if p.pager != nil {
+			p.env.Memory().TouchSet(&p.pager.set)
+		}
 		done()
 		return
 	}
+	if p.pager == nil {
+		p.pager = &pager{}
+		p.pager.pageIn = p.pageIn
+	}
+	f := p.pager
 	if p.prof != nil {
 		// The stall is charged to memory; blame whoever is squatting on
 		// frames beyond their entitlement right now (a snapshot — the
 		// picture when the wait began, which is when blame was incurred).
 		p.prof.To(profile.StateMemWait, p.env.Memory().Culprit(p.SPU))
 	}
-	needSwap := missing
-	if needSwap > p.swapped {
-		needSwap = p.swapped
-	}
-	fresh := missing - needSwap
-	got := 0
-	var allocOne func()
-	allocOne = func() {
-		if got == missing {
-			p.swapped -= needSwap
-			p.SwapIns += int64(needSwap)
-			p.touchAll()
-			if needSwap > 0 {
-				p.prof.To(profile.StateSwap, p.SPU)
-				p.env.SwapIn(p.SPU, needSwap, done)
-			} else {
-				done()
-			}
-			return
-		}
-		p.env.Memory().Request(p.SPU, mem.Anon, p, func(pg *mem.Page) {
-			// First-touch pages are dirty (the app wrote them); pages
-			// re-read from swap arrive clean — their contents already
-			// live on disk, so a later eviction is free. Without this a
-			// thrashing SPU pays a write-back *and* a swap-in per fault
-			// and degradation turns into collapse.
-			p.env.Memory().SetDirty(pg, got < fresh)
-			p.resident = append(p.resident, pg)
-			p.Faults++
-			got++
-			allocOne()
-		})
-	}
-	allocOne()
+	f.missing, f.needSwap, f.got, f.done = missing, min(missing, f.swapped), 0, done
+	p.faultNext()
 }
 
-// touchAll refreshes the LRU clock on the resident set.
-func (p *Process) touchAll() {
-	mm := p.env.Memory()
-	for _, pg := range p.resident {
-		mm.Touch(pg, p.SPU)
+// faultNext requests the next missing page, or, once every page has
+// arrived, touches the set and swaps the evicted ones back in. Nothing
+// reads the fault-in fields after done is handed on: done may start the
+// next step, and that step's fault-in reuses them.
+func (p *Process) faultNext() {
+	f := p.pager
+	if f.got < f.missing {
+		p.env.Memory().Request(p.SPU, mem.Anon, p, f.pageIn)
+		return
 	}
+	needSwap, done := f.needSwap, f.done
+	f.swapped -= needSwap
+	p.SwapIns += int64(needSwap)
+	p.env.Memory().TouchSet(&f.set)
+	if needSwap > 0 {
+		p.prof.To(profile.StateSwap, p.SPU)
+		p.env.SwapIn(p.SPU, needSwap, done)
+	} else {
+		done()
+	}
+}
+
+// pageIn binds one faulted page and requests the next. First-touch pages
+// are dirty (the app wrote them); pages re-read from swap arrive clean —
+// their contents already live on disk, so a later eviction is free.
+// Without this a thrashing SPU pays a write-back *and* a swap-in per
+// fault and degradation turns into collapse.
+func (p *Process) pageIn(pg *mem.Page) {
+	f := p.pager
+	p.env.Memory().SetDirty(pg, f.got < f.missing-f.needSwap)
+	f.set.Bind(pg)
+	p.Faults++
+	f.got++
+	p.faultNext()
 }

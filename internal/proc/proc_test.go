@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"slices"
 	"testing"
 
 	"perfiso/internal/core"
@@ -261,6 +262,61 @@ func TestBarrierReset(t *testing.T) {
 	b.Arrive(func() { calls++ })
 	if calls != 4 {
 		t.Fatalf("calls=%d after second round", calls)
+	}
+}
+
+// TestBarrierNestedRelease re-arrives from inside a release: a and b
+// complete a generation, both re-arrive at once and complete the next
+// one before the first release loop ends, and a re-arrives again. That
+// third arrival must still be waiting afterwards, and every waiter must
+// run once, in arrival order, however the arrival buffers are reused.
+func TestBarrierNestedRelease(t *testing.T) {
+	b := NewBarrier(2)
+	var order []string
+	arrive := func(name string, then func()) {
+		b.Arrive(func() {
+			order = append(order, name)
+			if then != nil {
+				then()
+			}
+		})
+	}
+	for round := 0; round < 2; round++ {
+		order = order[:0]
+		arrive("a", func() { arrive("a2", func() { arrive("a3", nil) }) })
+		arrive("b", func() { arrive("b2", nil) })
+		if b.Waiting() != 1 {
+			t.Fatalf("round %d: Waiting = %d after the nested release, want a3", round, b.Waiting())
+		}
+		arrive("c", nil)
+		if want := []string{"a", "b", "a2", "b2", "a3", "c"}; !slices.Equal(order, want) {
+			t.Fatalf("round %d: release order %v, want %v", round, order, want)
+		}
+		if b.Waiting() != 0 {
+			t.Fatalf("round %d: Waiting = %d", round, b.Waiting())
+		}
+	}
+}
+
+// TestBarrierSteadyGenerationAllocatesNothing pins the arrival buffers'
+// reuse: once two generations have run, a gang's arrivals and release
+// allocate nothing.
+func TestBarrierSteadyGenerationAllocatesNothing(t *testing.T) {
+	b := NewBarrier(4)
+	woken := 0
+	wake := func() { woken++ }
+	generation := func() {
+		for i := 0; i < b.Need; i++ {
+			b.Arrive(wake)
+		}
+	}
+	generation()
+	generation()
+	if allocs := testing.AllocsPerRun(100, generation); allocs != 0 {
+		t.Fatalf("a steady barrier generation allocates %.1f objects", allocs)
+	}
+	if woken != 4*(2+101) {
+		t.Fatalf("woken %d times", woken)
 	}
 }
 

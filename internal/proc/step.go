@@ -165,6 +165,12 @@ func (s Sleep) run(p *Process) {
 type Barrier struct {
 	Need    int
 	arrived []func()
+	// spare is the last released generation's buffer, reused by the
+	// next one so a steady gang allocates nothing. It is nil while a
+	// release runs: a waiter may re-arrive at once and complete a nested
+	// generation, and the arrivals after it must not land in the buffer
+	// this release clears when its loop ends.
+	spare []func()
 }
 
 // NewBarrier creates a barrier for a gang of need processes.
@@ -183,10 +189,12 @@ func (b *Barrier) Arrive(done func()) {
 		return
 	}
 	ws := b.arrived
-	b.arrived = nil
+	b.arrived, b.spare = b.spare, nil
 	for _, w := range ws {
 		w()
 	}
+	clear(ws)
+	b.spare = ws[:0]
 }
 
 // Waiting returns how many processes are blocked at the barrier.
