@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"sort"
 	"strconv"
 )
 
@@ -90,6 +91,32 @@ func (e *Encoder) Uint(key string, v uint64) *Encoder {
 func (e *Encoder) Float(key string, v float64) *Encoder {
 	e.key(key)
 	e.b = AppendFloat(e.b, v)
+	return e
+}
+
+// FloatMap appends an object-valued field holding m as encoding/json
+// writes a map: keys sorted and escaped (null for a nil map), values as
+// Float writes them.
+func (e *Encoder) FloatMap(key string, m map[string]float64) *Encoder {
+	e.key(key)
+	if m == nil {
+		e.b = append(e.b, "null"...)
+		return e
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	e.b = append(e.b, '{')
+	for i, k := range keys {
+		if i > 0 {
+			e.b = append(e.b, ',')
+		}
+		e.b = append(AppendString(e.b, k), ':')
+		e.b = AppendFloat(e.b, m[k])
+	}
+	e.b = append(e.b, '}')
 	return e
 }
 

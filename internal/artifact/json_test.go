@@ -168,3 +168,29 @@ func TestEncoderLineAllocatesNothing(t *testing.T) {
 		t.Fatalf("a line allocates %v times", allocs)
 	}
 }
+
+// FloatMap writes what encoding/json writes for a map: keys in sorted
+// order and escaped, null for a nil map.
+func TestFloatMapMatchesEncodingJSON(t *testing.T) {
+	for _, m := range []map[string]float64{
+		nil,
+		{},
+		{"spu2": 0.25, "a": 1e-7, "B": -3, "q\"<&>": 0.5, "\x01\u2028\xff": 1e21, "": 0},
+	} {
+		want, err := json.Marshal(struct {
+			M map[string]float64 `json:"m"`
+		}{m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		e := NewEncoder(&b)
+		e.Begin().FloatMap("m", m).Line()
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.String(); got != string(want)+"\n" {
+			t.Errorf("FloatMap(%v) = %s, json.Marshal = %s", m, got, want)
+		}
+	}
+}

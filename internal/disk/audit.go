@@ -14,8 +14,7 @@ import (
 //   - the time-weighted queue-length and busy trackers agree with the
 //     actual queue and service state,
 //   - per-SPU request and sector counts sum to the whole-disk totals
-//     (merged passengers count on both sides; failed transfers on
-//     neither),
+//     (failed transfers count on neither side),
 //   - every queued request still addresses sectors on the disk, and the
 //     cylinder the schedulers read is its sector's,
 //   - the head is over a real cylinder.

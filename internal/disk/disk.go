@@ -22,7 +22,7 @@ type SPUStats struct {
 type Stats struct {
 	Requests int64
 	Sectors  int64
-	Merges   int64 // requests coalesced into a queued neighbour
+	Merges   int64 // always 0: the driver never coalesces requests
 	Failures int64 // transfers failed by an injected fault
 	Wait     stats.Sample
 	Service  stats.Sample
@@ -31,9 +31,6 @@ type Stats struct {
 	Busy     stats.TimeWeighted // 1 while servicing, 0 while idle
 	QueueLen stats.TimeWeighted
 }
-
-// MaxMergeSectors caps the size of a coalesced request (128 KB).
-const MaxMergeSectors = 256
 
 // Disk is one simulated drive: a mechanical model, a request queue, a
 // scheduling policy, and per-SPU bandwidth accounting.
@@ -59,12 +56,6 @@ type Disk struct {
 	slow     float64
 	failProb float64
 	failRNG  *sim.RNG
-
-	// Merge enables request coalescing: a submitted request adjacent to
-	// a queued request of the same kind and SPU extends it instead of
-	// queueing separately (up to MaxMergeSectors). Off by default — the
-	// paper's request counts assume the unmerged IRIX 5.3 driver.
-	Merge bool
 
 	// inService is the request being transferred; completeFn, bound
 	// once in New, completes it, so starting a transfer schedules its
@@ -207,77 +198,11 @@ func (d *Disk) Submit(r *Request) {
 	r.cyl = d.params.CylinderOf(r.Sector)
 	r.Submitted = d.eng.Now()
 	r.Failed = false
-	if d.Merge && d.tryMerge(r) {
-		return
-	}
 	d.queue = append(d.queue, r)
 	d.Total.QueueLen.Set(d.eng.Now(), float64(len(d.queue)))
 	if !d.busy {
 		d.startNext()
 	}
-}
-
-// tryMerge coalesces r into an adjacent queued request of the same kind
-// and SPU. Requests with charge-back lists are never merged (their
-// accounting is already aggregated). Reports whether r was absorbed.
-func (d *Disk) tryMerge(r *Request) bool {
-	if len(r.Charges) > 0 {
-		return false
-	}
-	for _, q := range d.queue {
-		if q.Kind != r.Kind || q.SPU != r.SPU || len(q.Charges) > 0 {
-			continue
-		}
-		if q.Count+r.Count > MaxMergeSectors {
-			continue
-		}
-		var merged bool
-		switch {
-		case q.Sector+int64(q.Count) == r.Sector: // r extends q forward
-			q.Count += r.Count
-			merged = true
-		case r.Sector+int64(r.Count) == q.Sector: // r prepends to q
-			q.Sector, q.cyl = r.Sector, r.cyl
-			q.Count += r.Count
-			merged = true
-		}
-		if !merged {
-			continue
-		}
-		d.Total.Merges++
-		done := r.Done
-		prev := q.Done
-		q.Done = func(qq *Request) {
-			if prev != nil {
-				prev(qq)
-			}
-			// The absorbed request completes with its host. It was a
-			// real request with a real queueing delay and completion
-			// time, so it counts in the latency statistics like any
-			// other (its sectors are already counted via the host's
-			// grown Count). Failed hosts fail their passengers too.
-			r.Started = qq.Started
-			r.Finished = qq.Finished
-			r.SeekTime = qq.SeekTime
-			r.RotTime = qq.RotTime
-			r.Failed = qq.Failed
-			if !r.Failed {
-				d.clean = false
-				d.Total.Requests++
-				d.Total.Wait.AddTime(r.Wait())
-				d.Total.Service.AddTime(r.Service())
-				s := d.spuStats(r.SPU)
-				s.Requests++
-				s.Wait.AddTime(r.Wait())
-				s.Service.AddTime(r.Service())
-			}
-			if done != nil {
-				done(r)
-			}
-		}
-		return true
-	}
-	return false
 }
 
 // startNext pulls the next request per the scheduling policy and begins

@@ -374,3 +374,20 @@ func TestPIsoBandwidthFairness(t *testing.T) {
 		t.Fatalf("Pos ratio %.2f not more lopsided than PIso ratio %.2f", posRatio, ratio)
 	}
 }
+
+// The driver never coalesces, as the unmerged IRIX 5.3 driver the
+// paper's request counts assume: adjacent requests of one SPU queue and
+// complete separately, and Stats.Merges stays 0.
+func TestMergeOffByDefault(t *testing.T) {
+	eng, d := newTestDisk(NewPos())
+	d.Submit(req(spuA, 500000, 8, nil))
+	d.Submit(req(spuA, 1000, 8, nil))
+	d.Submit(req(spuA, 1008, 8, nil))
+	if d.QueueLen() != 2 {
+		t.Fatalf("queue %d: adjacent requests merged", d.QueueLen())
+	}
+	eng.Run()
+	if d.Total.Requests != 3 || d.Total.Merges != 0 {
+		t.Fatalf("requests %d merges %d, want 3 and 0", d.Total.Requests, d.Total.Merges)
+	}
+}

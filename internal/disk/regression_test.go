@@ -48,43 +48,3 @@ func TestTrackBufferHitExpiresAfterIdleGap(t *testing.T) {
 		t.Fatalf("after 1s idle gap rotation = %v, want %v (stale track-buffer hit)", got, want)
 	}
 }
-
-// Regression: requests absorbed by tryMerge used to complete (their
-// Done callbacks fired with Started/Finished copied from the host) but
-// were never added to the Total/PerSPU Wait/Service samples or Requests
-// counts, so latency percentiles undercounted under merging.
-func TestMergeAbsorbedRequestStatsCounted(t *testing.T) {
-	eng, d := newTestDisk(NewPos())
-	d.Merge = true
-	d.Submit(req(spuA, 500000, 8, nil)) // occupy the disk
-	d.Submit(req(spuA, 1000, 8, nil))
-	d.Submit(req(spuA, 1008, 8, nil)) // absorbed into the previous one
-	if d.Total.Merges != 1 && d.QueueLen() != 1 {
-		t.Fatalf("merge did not happen (queue %d)", d.QueueLen())
-	}
-	eng.Run()
-
-	// 3 logical requests completed: all of them must appear in the
-	// request counts and latency samples, even though only 2 transfers
-	// were serviced.
-	if d.Total.Requests != 3 {
-		t.Fatalf("Total.Requests = %d, want 3 (absorbed request not counted)", d.Total.Requests)
-	}
-	if n := d.Total.Wait.N(); n != 3 {
-		t.Fatalf("Total.Wait has %d samples, want 3", n)
-	}
-	if n := d.Total.Service.N(); n != 3 {
-		t.Fatalf("Total.Service has %d samples, want 3", n)
-	}
-	s := d.PerSPU[spuA]
-	if s == nil || s.Requests != 3 {
-		t.Fatalf("PerSPU.Requests = %v, want 3", s)
-	}
-	if n := s.Wait.N(); n != 3 {
-		t.Fatalf("PerSPU.Wait has %d samples, want 3", n)
-	}
-	// Sectors are counted once, via the host's grown transfer.
-	if d.Total.Sectors != 8+16 {
-		t.Fatalf("Total.Sectors = %d, want 24", d.Total.Sectors)
-	}
-}

@@ -67,7 +67,7 @@ type Request struct {
 	// disk traffic, so KernelID cannot be a real thief).
 	StolenBy core.SPUID
 
-	cyl int // cylinder of Sector, set by Submit (and by a merge that prepends)
+	cyl int // cylinder of Sector, set by Submit
 }
 
 // Positioning returns the mechanical positioning latency (seek plus

@@ -186,9 +186,8 @@ func (l *lockstep) check(t *testing.T, step int) {
 	if !reflect.DeepEqual(g.usage, r.usage) {
 		t.Fatalf("step %d: usage meters diverged from the reference", step)
 	}
-	if g.Total.Merges != r.Total.Merges || g.Total.Requests != r.Total.Requests {
-		t.Fatalf("step %d: merges/requests %d/%d, reference %d/%d", step,
-			g.Total.Merges, g.Total.Requests, r.Total.Merges, r.Total.Requests)
+	if g.Total.Requests != r.Total.Requests {
+		t.Fatalf("step %d: requests %d, reference %d", step, g.Total.Requests, r.Total.Requests)
 	}
 	if err := g.Audit(); err != nil {
 		t.Fatalf("step %d: %v", step, err)
@@ -199,11 +198,10 @@ func (l *lockstep) check(t *testing.T, step int) {
 // engine and requires the same service order, queue and meter state
 // after every operation: submissions from three user SPUs and the
 // shared SPU (shared-only queues included), at random sectors, right
-// behind or ahead of a queued request (so merges extend and prepend,
-// across cylinder boundaries too), or near the head (so C-SCAN wraps),
-// and time advancing to the next
-// completion or beyond. The first byte picks the scheduler, merging
-// and the PIso threshold. The seed corpus runs with the normal tests;
+// behind or ahead of a queued request (across cylinder boundaries too),
+// or near the head (so C-SCAN wraps), and time advancing to the next
+// completion or beyond. The first byte picks the scheduler and the PIso
+// threshold. The seed corpus runs with the normal tests;
 // `go test -run '^$' -fuzz FuzzDiskPick ./internal/disk` explores
 // further.
 func FuzzDiskPick(f *testing.F) {
@@ -213,7 +211,7 @@ func FuzzDiskPick(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 2, 0, 0, 2, 3, 1, 0, 3, 4, 2, 1, 1, 7, 3, 0, 2, 9, 0, 2, 5, 1})
 	f.Add([]byte{14, 1, 1, 0, 1, 1, 2, 5, 0, 1, 3, 6, 2, 0, 0, 1, 3, 0, 0, 0, 1, 2, 1, 3})
 	f.Add([]byte("PIso must pick what the old scan picked, wrap after wrap, merge after merge"))
-	f.Add([]byte("7000001010009"))          // a prepend moves a queued request down a cylinder
+	f.Add([]byte("7000001010009"))
 	f.Add([]byte(")000X72000100070002000")) // PIso denies an SPU just above the mean
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -234,7 +232,6 @@ func FuzzDiskPick(f *testing.F) {
 		eng := sim.NewEngine()
 		l := &lockstep{eng: eng, got: New(eng, HP97560(), got, 0), ref: New(eng, HP97560(), ref, 0)}
 		for _, d := range []*Disk{l.got, l.ref} {
-			d.Merge = cfg&4 != 0
 			d.SetShare(core.FirstUserID+2, 2)
 		}
 		spus := []core.SPUID{core.SharedID, core.FirstUserID, core.FirstUserID + 1, core.FirstUserID + 2}
@@ -254,12 +251,12 @@ func FuzzDiskPick(f *testing.F) {
 				case mode == 1 && len(q) > 0: // right behind a queued request
 					r := q[rng.Intn(len(q))]
 					spu, kind, sector = r.SPU, r.Kind, r.Sector+int64(r.Count)
-				case mode == 2 && len(q) > 0: // right ahead of one: a merge prepends
+				case mode == 2 && len(q) > 0: // right ahead of one
 					r := q[rng.Intn(len(q))]
 					spu, kind, sector = r.SPU, r.Kind, r.Sector-int64(count)
 				case mode == 3: // near the head, either side
 					sector = int64(l.got.headCyl)*spc + int64(c-128)*64
-				case mode == 4: // a cylinder's first sector: a prepend moves the request a cylinder down
+				case mode == 4: // a cylinder's first sector
 					sector = int64(1+rng.Intn(p.Cylinders-1)) * spc
 				}
 				if sector < 0 || sector+int64(count) > total {

@@ -2,9 +2,9 @@ package experiment
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 
+	"perfiso/internal/artifact"
 	"perfiso/internal/core"
 	"perfiso/internal/kernel"
 	"perfiso/internal/profile"
@@ -136,27 +136,6 @@ func spuDisplay(names map[int]string, id core.SPUID) string {
 	return profile.SPUName(id)
 }
 
-// attributionHeader introduces one configuration's block in the
-// attribution.jsonl artifact. Fixed field order keeps the bytes
-// deterministic.
-type attributionHeader struct {
-	Type                   string `json:"type"`
-	Experiment             string `json:"experiment"`
-	Config                 string `json:"config"`
-	Tasks                  int    `json:"tasks"`
-	ConservationViolations int64  `json:"conservation_violations"`
-}
-
-type attributionProcLine struct {
-	Type string `json:"type"`
-	AttributionRow
-}
-
-type attributionTheftLine struct {
-	Type string `json:"type"`
-	TheftRow
-}
-
 // ProfileJSONL writes the per-experiment attribution artifact: for every
 // profiled configuration, one "experiment" header line, one "proc" line
 // per finished process, one "theft" line per interference-matrix cell,
@@ -164,31 +143,29 @@ type attributionTheftLine struct {
 // Results appear in registry order and every value is integer simulated
 // time, so the artifact is byte-identical at any -parallel level.
 func ProfileJSONL(results []Result, w io.Writer) error {
-	enc := json.NewEncoder(w)
+	e := artifact.NewEncoder(w)
 	for _, r := range results {
 		for _, as := range r.Output.Attribution {
-			if err := enc.Encode(attributionHeader{
-				Type: "experiment", Experiment: r.Spec.ID, Config: as.Config,
-				Tasks: as.Tasks, ConservationViolations: as.ConservationViolations,
-			}); err != nil {
-				return err
-			}
+			experimentLine(e, r, as.Config).Int("tasks", int64(as.Tasks)).
+				Int("conservation_violations", as.ConservationViolations).Line()
 			for _, p := range as.Procs {
-				if err := enc.Encode(attributionProcLine{Type: "proc", AttributionRow: p}); err != nil {
-					return err
-				}
+				e.Begin().Str("type", "proc").Str("proc", p.Proc).Int("spu", int64(p.SPU)).
+					Int("response_ns", p.Response).Int("run_ns", p.Run).Int("runnable_ns", p.Runnable).
+					Int("memwait_ns", p.MemWait).Int("diskwait_ns", p.DiskWait).
+					Int("diskqueue_ns", p.DiskQueue).Int("diskservice_ns", p.DiskService).
+					Int("backoff_ns", p.Backoff).Int("swap_ns", p.Swap).Int("sleep_ns", p.Sleep).
+					Int("sync_ns", p.Sync).Int("lockwait_ns", p.LockWait).Int("ready_ns", p.Ready).Line()
 			}
 			for _, t := range as.Theft {
-				if err := enc.Encode(attributionTheftLine{Type: "theft", TheftRow: t}); err != nil {
-					return err
-				}
+				e.Begin().Str("type", "theft").Str("victim", t.Victim).Str("culprit", t.Culprit).
+					Str("resource", t.Resource).Int("stolen_ns", t.Stolen).Line()
 			}
 			if as.spans != nil {
-				if _, err := io.WriteString(w, as.spans()); err != nil {
+				if err := writeBlock(e, w, as.spans()); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	return nil
+	return e.Flush()
 }

@@ -2,10 +2,10 @@ package experiment
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
+	"perfiso/internal/artifact"
 	"perfiso/internal/control"
 	"perfiso/internal/core"
 	"perfiso/internal/fault"
@@ -218,32 +218,20 @@ func summarizeController(k *kernel.Kernel, config string) (ControllerSummary, bo
 	return s, true
 }
 
-// controllerHeader introduces one configuration's block in the
-// controller.jsonl artifact.
-type controllerHeader struct {
-	Type       string `json:"type"`
-	Experiment string `json:"experiment"`
-	Config     string `json:"config"`
-}
-
 // ControllerJSONL writes the per-experiment controller artifact: for
 // every configuration that ran with the closed loop on, one
 // "experiment" header line followed by that run's full decision-log
 // export (the lines of pisosim's controller.jsonl). Deterministic at
 // any -parallel level.
 func ControllerJSONL(results []Result, w io.Writer) error {
-	enc := json.NewEncoder(w)
+	e := artifact.NewEncoder(w)
 	for _, r := range results {
 		for _, cs := range r.Output.Controller {
-			if err := enc.Encode(controllerHeader{
-				Type: "experiment", Experiment: r.Spec.ID, Config: cs.Config,
-			}); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, cs.jsonl); err != nil {
+			experimentLine(e, r, cs.Config).Line()
+			if err := writeBlock(e, w, cs.jsonl); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	return e.Flush()
 }

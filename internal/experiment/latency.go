@@ -2,9 +2,9 @@ package experiment
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 
+	"perfiso/internal/artifact"
 	"perfiso/internal/kernel"
 )
 
@@ -93,16 +93,6 @@ func summarizeLatency(k *kernel.Kernel, config string) (LatencySummary, bool) {
 	return s, true
 }
 
-// latencyHeader introduces one configuration's block in the
-// latency.jsonl artifact. Fixed field order keeps the bytes
-// deterministic.
-type latencyHeader struct {
-	Type       string `json:"type"`
-	Experiment string `json:"experiment"`
-	Config     string `json:"config"`
-	Tenants    int    `json:"tenants"`
-}
-
 // LatencyJSONL writes the per-experiment latency artifact: for every
 // configuration that ran with latency tracking on, one "experiment"
 // header line followed by that run's full latency export (the lines of
@@ -111,19 +101,14 @@ type latencyHeader struct {
 // byte-identical at any -parallel level and on either event-queue
 // implementation.
 func LatencyJSONL(results []Result, w io.Writer) error {
-	enc := json.NewEncoder(w)
+	e := artifact.NewEncoder(w)
 	for _, r := range results {
 		for _, ls := range r.Output.Latency {
-			if err := enc.Encode(latencyHeader{
-				Type: "experiment", Experiment: r.Spec.ID, Config: ls.Config,
-				Tenants: len(ls.Tenants),
-			}); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, ls.jsonl); err != nil {
+			experimentLine(e, r, ls.Config).Int("tenants", int64(len(ls.Tenants))).Line()
+			if err := writeBlock(e, w, ls.jsonl); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	return e.Flush()
 }

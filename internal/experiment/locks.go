@@ -64,8 +64,7 @@ func RunLockLeak() LockLeakResult {
 		r := scenario.Boot(eachOfEight(kernel.Options{
 			InodeMutex:        true,
 			InodeShards:       shards,
-			RunqLockHold:      2 * sim.Microsecond,
-			FrameLockHold:     2 * sim.Microsecond,
+			GateHold:          2 * sim.Microsecond,
 			CoarseKernelLocks: coarse,
 			Profiled:          true,
 		}, scenario.Job{Name: "md", Lookup: &lookups}))

@@ -2,10 +2,10 @@ package experiment
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"math"
 
+	"perfiso/internal/artifact"
 	"perfiso/internal/kernel"
 	"perfiso/internal/latency"
 	"perfiso/internal/metrics"
@@ -103,19 +103,6 @@ func summarizeMetrics(k *kernel.Kernel, config string) (MetricSummary, bool) {
 	return s, true
 }
 
-// metricsHeader introduces one configuration's block in the
-// metrics.jsonl artifact. Fixed field order keeps the bytes
-// deterministic.
-type metricsHeader struct {
-	Type            string             `json:"type"`
-	Experiment      string             `json:"experiment"`
-	Config          string             `json:"config"`
-	Loans           int64              `json:"loans"`
-	Revocations     int64              `json:"revocations"`
-	RevocationP99Ms float64            `json:"revocation_p99_ms"`
-	CPUShare        map[string]float64 `json:"cpu_share"`
-}
-
 // MetricsJSONL writes the per-experiment metrics artifact: for every
 // instrumented configuration, one "experiment" header line carrying the
 // summary, followed by that run's full registry export (the lines of
@@ -123,22 +110,17 @@ type metricsHeader struct {
 // wall-clock value is included, so the artifact is byte-identical at
 // any -parallel level.
 func MetricsJSONL(results []Result, w io.Writer) error {
-	enc := json.NewEncoder(w)
+	e := artifact.NewEncoder(w)
 	for _, r := range results {
 		for _, ms := range r.Output.Metrics {
-			if err := enc.Encode(metricsHeader{
-				Type: "experiment", Experiment: r.Spec.ID, Config: ms.Config,
-				Loans: ms.Loans, Revocations: ms.Revocations,
-				RevocationP99Ms: ms.RevocationP99Ms, CPUShare: ms.CPUShare,
-			}); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, ms.jsonl); err != nil {
+			experimentLine(e, r, ms.Config).Int("loans", ms.Loans).Int("revocations", ms.Revocations).
+				Float("revocation_p99_ms", ms.RevocationP99Ms).FloatMap("cpu_share", ms.CPUShare).Line()
+			if err := writeBlock(e, w, ms.jsonl); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	return e.Flush()
 }
 
 // observe folds a finished kernel's dispatch total into the meter and,

@@ -404,6 +404,22 @@ func Artifacts(results []Result, bench Bench) []artifact.File {
 	}
 }
 
+// experimentLine begins the "experiment" line that opens one
+// configuration's block in a JSONL artifact.
+func experimentLine(e *artifact.Encoder, r Result, config string) *artifact.Encoder {
+	return e.Begin().Str("type", "experiment").Str("experiment", r.Spec.ID).Str("config", config)
+}
+
+// writeBlock writes the lines e holds and then body, a run's own JSONL
+// export, as it is.
+func writeBlock(e *artifact.Encoder, w io.Writer, body string) error {
+	if err := e.Flush(); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, body)
+	return err
+}
+
 // writeJSON writes the report as indented JSON ending in a newline.
 func (b Bench) writeJSON(w io.Writer) error {
 	data, err := json.MarshalIndent(b, "", "  ")

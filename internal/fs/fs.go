@@ -10,7 +10,6 @@ import (
 	"perfiso/internal/lock"
 	"perfiso/internal/mem"
 	"perfiso/internal/metrics"
-	"perfiso/internal/profile"
 	"perfiso/internal/sim"
 )
 
@@ -68,8 +67,8 @@ type FileSystem struct {
 
 	// RootInode is the §3.4 inode-lock semaphore guarding pathname
 	// lookups; its mode (mutex vs readers-writer) is the abl-sem knob.
-	// With inode sharding (SetInodeShards) it is shard 0 — the shard
-	// every SPU maps to in the single-tree layout.
+	// With inode sharding it is shard 0 — the shard every SPU maps to in
+	// the single-tree layout.
 	RootInode *lock.Lock
 
 	// inodes holds the inode-lock shards; Lookup maps an SPU's
@@ -85,11 +84,6 @@ type FileSystem struct {
 	pageInsert     *lock.Sharded
 	PageInsertHold sim.Time
 
-	// lockProf, when non-nil, wires every fs lock (including ones made
-	// by later SetPageInsertStripes/SetInodeShards calls) into the
-	// interference matrix.
-	lockProf *profile.Profiler
-
 	ReadAheadPages    int64
 	FlushClusterPages int64
 	LookupHold        sim.Time
@@ -104,65 +98,38 @@ type FileSystem struct {
 	Metrics *metrics.Registry
 }
 
-// New creates a file system drawing cache frames from mm.
-func New(eng *sim.Engine, mm *mem.Manager, inodeMode SemMode) *FileSystem {
+// New creates a file system drawing cache frames from mm, with its
+// locks made by locks: the root inode in inodeMode, then inode shards
+// fs.inode.1 to fs.inode.n-1 for n inodeShards (one shared root inode
+// when n <= 1; at n at or above the SPU count every SPU's lookups run
+// under a private tree), then the page-insert stripes, pageInsertStripes
+// of them (DefaultPageInsertStripes when 0 or less; 1 is the original
+// coarse IRIX lock, §3.4).
+func New(eng *sim.Engine, mm *mem.Manager, locks *lock.Table, inodeMode SemMode, inodeShards, pageInsertStripes int) *FileSystem {
 	f := &FileSystem{
 		eng:               eng,
 		mm:                mm,
 		cache:             make(map[cacheKey]*CachePage),
-		RootInode:         lock.New(eng, "fs.inode", inodeMode),
+		RootInode:         locks.NewLock("fs.inode", inodeMode),
 		ReadAheadPages:    DefaultReadAheadPages,
 		FlushClusterPages: DefaultFlushClusterPages,
 		LookupHold:        DefaultLookupHold,
+		PageInsertHold:    DefaultPageInsertHold,
+		DirtyHighWater:    mm.TotalPages() / 4,
 	}
 	f.inodes = []*lock.Lock{f.RootInode}
-	f.DirtyHighWater = mm.TotalPages() / 4
-	f.PageInsertHold = DefaultPageInsertHold
-	f.SetPageInsertStripes(DefaultPageInsertStripes)
+	for i := 1; i < inodeShards; i++ {
+		f.inodes = append(f.inodes, locks.NewLock(fmt.Sprintf("fs.inode.%d", i), inodeMode))
+	}
+	if pageInsertStripes <= 0 {
+		pageInsertStripes = DefaultPageInsertStripes
+	}
+	f.pageInsert = locks.NewSharded("fs.pageinsert", lock.Mutex, pageInsertStripes)
 	return f
 }
 
-// SetPageInsertStripes reconfigures the page-insert-lock striping: 1 is
-// the original coarse IRIX lock, larger values are the reduced
-// granularity of the fixed kernel (§3.4). Call before submitting work.
-func (fs *FileSystem) SetPageInsertStripes(n int) {
-	fs.pageInsert = lock.NewSharded(fs.eng, "fs.pageinsert", lock.Mutex, n)
-	fs.pageInsert.SetProfile(fs.lockProf)
-}
-
-// SetInodeShards reconfigures the inode-lock layout (mode unchanged):
-// n <= 1 keeps the single shared root inode of §3.4; larger n maps
-// each SPU's pathname traffic to shard spu mod n, so at n at or above
-// the SPU count every SPU's lookups run under a private tree. Call
-// before submitting work.
-func (fs *FileSystem) SetInodeShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	mode := fs.RootInode.Mode()
-	fs.inodes = make([]*lock.Lock, n)
-	fs.inodes[0] = fs.RootInode
-	for i := 1; i < n; i++ {
-		fs.inodes[i] = lock.New(fs.eng, fmt.Sprintf("fs.inode.%d", i), mode)
-		fs.inodes[i].SetProfile(fs.lockProf)
-	}
-}
-
-// InodeLocks returns the live inode-lock shards (RootInode first).
+// InodeLocks returns the inode-lock shards (RootInode first).
 func (fs *FileSystem) InodeLocks() []*lock.Lock { return fs.inodes }
-
-// PageInsertLocks returns the page-insert stripe set.
-func (fs *FileSystem) PageInsertLocks() *lock.Sharded { return fs.pageInsert }
-
-// SetLockProfile wires every fs lock — present and future — into the
-// profiler's interference matrix as lock-resource theft.
-func (fs *FileSystem) SetLockProfile(p *profile.Profiler) {
-	fs.lockProf = p
-	for _, l := range fs.inodes {
-		l.SetProfile(p)
-	}
-	fs.pageInsert.SetProfile(p)
-}
 
 // PageInsertContention returns the total acquisitions and queueing time
 // across all page-insert-lock stripes.

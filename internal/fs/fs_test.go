@@ -6,6 +6,7 @@ import (
 
 	"perfiso/internal/core"
 	"perfiso/internal/disk"
+	"perfiso/internal/lock"
 	"perfiso/internal/mem"
 	"perfiso/internal/sim"
 )
@@ -24,7 +25,11 @@ type fsRig struct {
 	al   *Allocator
 }
 
-func newRig(pages int) *fsRig {
+func newRig(pages int) *fsRig { return newLockedRig(pages, 1, 0) }
+
+// newLockedRig is newRig with the given inode shards and page-insert
+// stripes (0: the default striping).
+func newLockedRig(pages, inodeShards, stripes int) *fsRig {
 	eng := sim.NewEngine()
 	spus := core.NewManager()
 	spus.NewSPU("a", 1, core.ShareIdle)
@@ -32,7 +37,7 @@ func newRig(pages int) *fsRig {
 	mm := mem.NewManager(eng, spus, pages, 0)
 	mm.DivideAmongSPUs()
 	d := disk.New(eng, disk.HP97560(), disk.NewPIso(0), 0)
-	f := New(eng, mm, SemRW)
+	f := New(eng, mm, lock.NewTable(eng, nil), SemRW, inodeShards, stripes)
 	// Wire dirty cache eviction back into the disk, as the kernel does.
 	mm.SetPageout(func(p *mem.Page, done func(ok bool)) {
 		if !f.WritebackEvicted(p, func() { done(true) }) {

@@ -8,16 +8,14 @@ import (
 
 func TestPageInsertDefaultsAndReconfigure(t *testing.T) {
 	r := newRig(1000)
-	if r.fs.PageInsertLocks().Len() != DefaultPageInsertStripes {
-		t.Fatalf("default stripes = %d", r.fs.PageInsertLocks().Len())
+	if r.fs.pageInsert.Len() != DefaultPageInsertStripes {
+		t.Fatalf("default stripes = %d", r.fs.pageInsert.Len())
 	}
-	r.fs.SetPageInsertStripes(1)
-	if r.fs.PageInsertLocks().Len() != 1 {
-		t.Fatal("reconfigure failed")
+	if n := newLockedRig(1000, 1, 1).fs.pageInsert.Len(); n != 1 {
+		t.Fatalf("one stripe asked, %d made", n)
 	}
-	r.fs.SetPageInsertStripes(0) // coerces to 1
-	if r.fs.PageInsertLocks().Len() != 1 {
-		t.Fatal("zero stripes should coerce to 1")
+	if n := newLockedRig(1000, 1, -1).fs.pageInsert.Len(); n != DefaultPageInsertStripes {
+		t.Fatalf("negative stripes made %d, want the default", n)
 	}
 }
 
@@ -43,8 +41,7 @@ func TestCoarsePageInsertLockContends(t *testing.T) {
 	// With one stripe and a long hold, concurrent insertions from two
 	// files queue on the lock; with many stripes they do not.
 	run := func(stripes int) sim.Time {
-		r := newRig(4000)
-		r.fs.SetPageInsertStripes(stripes)
+		r := newLockedRig(4000, 1, stripes)
 		r.fs.PageInsertHold = 500 * sim.Microsecond
 		r.fs.ReadAheadPages = 0
 		f1 := r.al.NewFile("f1", 256*1024, Contiguous, 0)

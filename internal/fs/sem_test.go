@@ -13,7 +13,7 @@ import (
 
 func TestSemaphoreUncontendedIsImmediate(t *testing.T) {
 	eng := sim.NewEngine()
-	s := lock.New(eng, "t", SemMutex)
+	s := lock.NewTable(eng, nil).NewLock("t", SemMutex)
 	var got bool
 	s.Acquire(spuA, false, sim.Millisecond, func() { got = true })
 	if !got {
@@ -26,7 +26,7 @@ func TestSemaphoreUncontendedIsImmediate(t *testing.T) {
 
 func TestMutexSerializesEverything(t *testing.T) {
 	eng := sim.NewEngine()
-	s := lock.New(eng, "t", SemMutex)
+	s := lock.NewTable(eng, nil).NewLock("t", SemMutex)
 	var grants []sim.Time
 	for i := 0; i < 3; i++ {
 		s.Acquire(spuA, true, 10*sim.Millisecond, func() { grants = append(grants, eng.Now()) })
@@ -45,7 +45,7 @@ func TestMutexSerializesEverything(t *testing.T) {
 
 func TestRWAllowsConcurrentReaders(t *testing.T) {
 	eng := sim.NewEngine()
-	s := lock.New(eng, "t", SemRW)
+	s := lock.NewTable(eng, nil).NewLock("t", SemRW)
 	var grants []sim.Time
 	for i := 0; i < 3; i++ {
 		s.Acquire(spuA, true, 10*sim.Millisecond, func() { grants = append(grants, eng.Now()) })
@@ -60,7 +60,7 @@ func TestRWAllowsConcurrentReaders(t *testing.T) {
 
 func TestRWWriterExcludesReaders(t *testing.T) {
 	eng := sim.NewEngine()
-	s := lock.New(eng, "t", SemRW)
+	s := lock.NewTable(eng, nil).NewLock("t", SemRW)
 	var order []string
 	s.Acquire(spuA, false, 10*sim.Millisecond, func() { order = append(order, "w") })
 	s.Acquire(spuA, true, sim.Millisecond, func() { order = append(order, "r1") })
@@ -77,7 +77,7 @@ func TestRWWriterExcludesReaders(t *testing.T) {
 
 func TestRWWriterNotStarvedByReaders(t *testing.T) {
 	eng := sim.NewEngine()
-	s := lock.New(eng, "t", SemRW)
+	s := lock.NewTable(eng, nil).NewLock("t", SemRW)
 	var writerAt sim.Time = -1
 	s.Acquire(spuA, true, 10*sim.Millisecond, func() {})
 	s.Acquire(spuA, false, sim.Millisecond, func() { writerAt = eng.Now() })
@@ -95,7 +95,7 @@ func TestRWWriterNotStarvedByReaders(t *testing.T) {
 
 func TestSemaphoreWaitStats(t *testing.T) {
 	eng := sim.NewEngine()
-	s := lock.New(eng, "t", SemMutex)
+	s := lock.NewTable(eng, nil).NewLock("t", SemMutex)
 	s.Acquire(spuA, false, 10*sim.Millisecond, func() {})
 	s.Acquire(spuA, false, 10*sim.Millisecond, func() {})
 	eng.Run()
@@ -132,8 +132,7 @@ func TestLookupGoesThroughRootInode(t *testing.T) {
 }
 
 func TestInodeShardsRouteLookupsPrivately(t *testing.T) {
-	r := newRig(100)
-	r.fs.SetInodeShards(2)
+	r := newLockedRig(100, 2, 0)
 	var done int
 	r.fs.Lookup(spuA, func() { done++ })
 	r.fs.Lookup(spuB, func() { done++ })
@@ -157,7 +156,7 @@ func TestMutexInodeSlowerThanRWUnderContention(t *testing.T) {
 	// sooner than the mutex version.
 	run := func(mode SemMode) sim.Time {
 		eng := sim.NewEngine()
-		s := lock.New(eng, "t", mode)
+		s := lock.NewTable(eng, nil).NewLock("t", mode)
 		var last sim.Time
 		for i := 0; i < 50; i++ {
 			s.Acquire(spuA, true, 100*sim.Microsecond, func() { last = eng.Now() })

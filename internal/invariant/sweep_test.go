@@ -2,6 +2,7 @@ package invariant_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -107,10 +108,10 @@ func verdict(vs []invariant.Violation) string {
 const spu = core.FirstUserID
 
 // sweepRig is a lock, a gate and a disk under a collecting auditor, the
-// lock table's sources returning the same slices at every sweep, as the
-// kernel's do.
+// lock and the gate made by the auditor's lock table.
 type sweepRig struct {
 	eng *sim.Engine
+	tab *lock.Table
 	l   *lock.Lock
 	g   *lock.Gate
 	d   *disk.Disk
@@ -119,16 +120,14 @@ type sweepRig struct {
 
 func newSweepRig() *sweepRig {
 	eng := sim.NewEngine()
+	tab := lock.NewTable(eng, nil)
 	r := &sweepRig{
 		eng: eng,
-		l:   lock.New(eng, "l", lock.Mutex),
-		g:   lock.NewGate(eng, "g", 10*sim.Microsecond),
+		tab: tab,
+		l:   tab.NewLock("l", lock.Mutex),
+		g:   tab.NewGateSet("g", 10*sim.Microsecond, true).Gates()[0],
 		d:   disk.New(eng, disk.HP97560(), disk.NewPIso(0), 0),
 	}
-	locks, gates := []*lock.Lock{r.l}, []*lock.Gate{r.g}
-	tab := lock.NewTable()
-	tab.AddLocks(func() []*lock.Lock { return locks })
-	tab.AddGates(func() []*lock.Gate { return gates })
 	r.a = invariant.New(invariant.Targets{Eng: eng, Disks: []*disk.Disk{r.d}, Locks: tab})
 	r.a.Collect = true
 	return r
@@ -233,7 +232,8 @@ func TestFinalSweepReportsCorruptedCleanLock(t *testing.T) {
 }
 
 // A tick sweep over a changed lock, gate and disk allocates nothing,
-// nor does changing them.
+// nor does changing them; nor does the sweep right after a per-SPU gate
+// is made, though making it does.
 func TestTickSweepAllocatesNothing(t *testing.T) {
 	r := newSweepRig()
 	req := read(1000, nil)
@@ -251,6 +251,17 @@ func TestTickSweepAllocatesNothing(t *testing.T) {
 		r.a.CheckAll("tick")
 	}); avg != 0 {
 		t.Fatalf("a tick sweep over changed objects allocates %v times", avg)
+	}
+	set := r.tab.NewGateSet("p", sim.Microsecond, false)
+	var before, after runtime.MemStats
+	for i := 0; i < 8; i++ {
+		set.Acquire(spu + core.SPUID(i)) // makes the SPU's gate
+		runtime.ReadMemStats(&before)
+		r.a.CheckAll("tick")
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Fatalf("the tick sweep after gate %d was made allocates %d times", i, n)
+		}
 	}
 	if vs := r.a.Violations(); len(vs) > 0 {
 		t.Fatalf("clean rig reported %v", vs[0])

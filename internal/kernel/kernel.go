@@ -40,10 +40,6 @@ type Options struct {
 	// BWThreshold is the PIso BW-difference threshold in sectors
 	// (disk.DefaultBWThreshold when zero).
 	BWThreshold float64
-	// DiskMerge enables adjacent-request coalescing in the disk driver
-	// (off by default: the paper's request counts assume the unmerged
-	// IRIX 5.3 driver).
-	DiskMerge bool
 	// Reserve is the memory Reserve Threshold fraction (8 % when zero,
 	// per §3.2).
 	Reserve float64
@@ -60,13 +56,12 @@ type Options struct {
 	// above the SPU count every SPU's pathname traffic runs under a
 	// private tree and inode-lock interference vanishes.
 	InodeShards int
-	// RunqLockHold and FrameLockHold give the accounting-only run-queue
-	// and frame-pool lock models (internal/lock.Gate) a per-critical-
-	// section cost, making their serialization measurable in the lock
-	// table and the interference matrix. Zero keeps pure acquisition
-	// counting. Gates never perturb event timing either way.
-	RunqLockHold  sim.Time
-	FrameLockHold sim.Time
+	// GateHold gives the accounting-only run-queue and frame-pool lock
+	// models (internal/lock.Gate) a per-critical-section cost, making
+	// their serialization measurable in the lock table and the
+	// interference matrix. Zero keeps pure acquisition counting. Gates
+	// never perturb event timing either way.
+	GateHold sim.Time
 	// CoarseKernelLocks forces the run-queue and frame-pool gates onto
 	// one shared lock each even under isolating schemes — the unfixed
 	// coarse kernel §3.4 warns about. By default the gates are shared
@@ -217,33 +212,26 @@ func New(cfg machine.Config, scheme core.Scheme, opts Options) *Kernel {
 		MinLoanInterval: opts.MinLoanInterval,
 	})
 	k.mm = mem.NewManager(eng, spus, cfg.Pages(), opts.Reserve)
+	if opts.Profiled {
+		k.profiler = profile.New(eng)
+	}
+	// The kernel lock table makes every modelled lock, so each is in one
+	// namespace for audits, snapshots, and the pisosim lock report, and
+	// profiled, from the start. Run-queue and frame-pool gates are
+	// shared (one coarse lock) exactly when the scheme hangs those
+	// structures under one lock: SMP, or forced by CoarseKernelLocks.
+	k.locks = lock.NewTable(eng, k.profiler)
 	inodeMode := fs.SemRW
 	if opts.InodeMutex {
 		inodeMode = fs.SemMutex
 	}
-	k.fsys = fs.New(eng, k.mm, inodeMode)
-	if opts.PageInsertStripes > 0 {
-		k.fsys.SetPageInsertStripes(opts.PageInsertStripes)
-	}
-	if opts.InodeShards > 1 {
-		k.fsys.SetInodeShards(opts.InodeShards)
-	}
-	// The kernel lock table: every modelled lock in one namespace for
-	// audits, snapshots, and the pisosim lock report. Run-queue and
-	// frame-pool gates are shared (one coarse lock) exactly when the
-	// scheme hangs those structures under one lock: SMP, or forced by
-	// CoarseKernelLocks.
+	k.fsys = fs.New(eng, k.mm, k.locks, inodeMode, opts.InodeShards, opts.PageInsertStripes)
 	coarse := scheme == core.SMP || opts.CoarseKernelLocks
-	k.sch.RunqLock = lock.NewGateSet(eng, "sched.runq", opts.RunqLockHold, coarse)
-	k.mm.FrameLock = lock.NewGateSet(eng, "mem.framepool", opts.FrameLockHold, coarse)
-	k.locks = lock.NewTable()
-	k.locks.AddLocks(k.fsys.InodeLocks)
-	k.locks.AddLocks(func() []*lock.Lock { return k.fsys.PageInsertLocks().Locks() })
-	k.locks.AddGates(k.sch.RunqLock.Gates)
-	k.locks.AddGates(k.mm.FrameLock.Gates)
+	k.sch.RunqLock = k.locks.NewGateSet("sched.runq", opts.GateHold, coarse)
+	k.mm.FrameLock = k.locks.NewGateSet("mem.framepool", opts.GateHold, coarse)
 	for _, dp := range cfg.Disks {
 		d := disk.New(eng, dp, k.diskScheduler(), 0) // 0: the §3.3 500 ms half-life
-		d.Merge = opts.DiskMerge
+		d.Profile = k.profiler
 		k.disks = append(k.disks, d)
 		k.allocs = append(k.allocs, fs.NewAllocator(d, k.rng.Fork()))
 	}
@@ -265,15 +253,6 @@ func New(cfg machine.Config, scheme core.Scheme, opts Options) *Kernel {
 		k.ctl = control.New(opts.Control, eng, spus, k.latreg, k.disks, k.applyShares)
 		k.ctl.Trace = k.tracer
 		k.ctl.Metrics = k.metrics
-	}
-	if opts.Profiled {
-		k.profiler = profile.New(eng)
-		for _, d := range k.disks {
-			d.Profile = k.profiler
-		}
-		k.fsys.SetLockProfile(k.profiler)
-		k.sch.RunqLock.SetProfile(k.profiler)
-		k.mm.FrameLock.SetProfile(k.profiler)
 	}
 	if !opts.AuditDisabled {
 		k.auditor = invariant.New(invariant.Targets{

@@ -97,8 +97,7 @@ func TestPrivateLocksZeroInterference(t *testing.T) {
 // through one registry, and its audit runs under the periodic invariant
 // auditor without tripping.
 func TestKernelLockTableCoverage(t *testing.T) {
-	k := lockScenario(Options{InodeMutex: true, RunqLockHold: 2 * sim.Microsecond,
-		FrameLockHold: 2 * sim.Microsecond})
+	k := lockScenario(Options{InodeMutex: true, GateHold: 2 * sim.Microsecond})
 	k.Run()
 	tab := k.Locks()
 	if err := tab.Audit(); err != nil {
@@ -116,12 +115,60 @@ func TestKernelLockTableCoverage(t *testing.T) {
 	}
 }
 
+// The lock table lists a kernel's members in the order it made them:
+// the root inode, its shards, the page-insert stripes, then the
+// run-queue gates and the frame-pool gates. The lock report and the
+// snapshot print them in that order.
+func TestKernelLockTableOrder(t *testing.T) {
+	k := lockScenario(Options{InodeMutex: true, InodeShards: 3, PageInsertStripes: 2})
+	k.Run()
+	tab := k.Locks()
+	var names []string
+	for _, l := range tab.Locks() {
+		names = append(names, l.Name())
+	}
+	if got := strings.Join(names, " "); got != "fs.inode fs.inode.1 fs.inode.2 fs.pageinsert.0 fs.pageinsert.1" {
+		t.Fatalf("locks %q", got)
+	}
+	gates := tab.Gates()
+	runq := 0
+	for runq < len(gates) && strings.HasPrefix(gates[runq].Name(), "sched.runq.") {
+		runq++
+	}
+	if runq == 0 || runq == len(gates) {
+		t.Fatalf("%d gates, %d of them sched.runq first", len(gates), runq)
+	}
+	for _, g := range gates[runq:] {
+		if !strings.HasPrefix(g.Name(), "mem.framepool.") {
+			t.Fatalf("gate %s after the run-queue gates", g.Name())
+		}
+	}
+	// Lookups by SPUs 2 and 3 land on shards 2 and 0; nothing inserts a
+	// page, so the report elides fs.inode.1 and the stripes.
+	inOrder(t, "report", tab.String(), "fs.inode ", "fs.inode.2", gates[0].Name(), gates[runq].Name())
+	inOrder(t, "snapshot", string(k.Snapshot()), "[lock:fs.inode]", "[lock:fs.inode.1]", "[lock:fs.inode.2]",
+		"[lock:fs.pageinsert.0]", "[lock:fs.pageinsert.1]", "[gate:"+gates[0].Name()+"]", "[gate:"+gates[runq].Name()+"]")
+}
+
+// inOrder fails unless each of subs occurs in text after the one
+// before it.
+func inOrder(t *testing.T, what, text string, subs ...string) {
+	t.Helper()
+	at := 0
+	for _, sub := range subs {
+		i := strings.Index(text[at:], sub)
+		if i < 0 {
+			t.Fatalf("%s: %q missing or out of order:\n%s", what, sub, text)
+		}
+		at += i + len(sub)
+	}
+}
+
 // The zero-alloc dispatch guarantee extends to the lock layer: a steady
 // state with nonzero gate holds (contended accounting paths) and the
 // periodic lock audits runs without allocating.
 func TestKernelDispatchZeroAllocWithGates(t *testing.T) {
-	k := New(machine.MemoryIsolation(), core.PIso, Options{
-		RunqLockHold: 2 * sim.Microsecond, FrameLockHold: 2 * sim.Microsecond})
+	k := New(machine.MemoryIsolation(), core.PIso, Options{GateHold: 2 * sim.Microsecond})
 	k.NewSPU("u1", 1)
 	k.NewSPU("u2", 1)
 	k.Boot()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"perfiso/internal/core"
-	"perfiso/internal/profile"
 	"perfiso/internal/sim"
 	"perfiso/internal/snap"
 )
@@ -22,6 +21,7 @@ import (
 //
 // With Hold zero the gate degenerates to pure acquisition counting.
 type Gate struct {
+	ledger
 	eng  *sim.Engine
 	name string
 
@@ -31,55 +31,32 @@ type Gate struct {
 	busyUntil sim.Time
 	holder    core.SPUID // SPU blamed for the current busy window
 
-	Acquisitions int64
-	Contended    int64
-	WaitTotal    sim.Time
-
-	acqBySPU  []int64
-	waitBySPU []sim.Time
-
 	// sweep and listed place the gate on its table's incremental-sweep
 	// list, as for Lock; Acquire, the only writer of audited state,
 	// lists it.
 	sweep  *sweepList
 	listed bool
-
-	prof *profile.Profiler
 }
-
-// NewGate creates a named gate with the given per-acquisition hold.
-func NewGate(eng *sim.Engine, name string, hold sim.Time) *Gate {
-	return &Gate{eng: eng, name: name, Hold: hold}
-}
-
-// SetProfile wires contended windows into the interference matrix.
-func (g *Gate) SetProfile(p *profile.Profiler) { g.prof = p }
 
 // Name returns the gate's name.
 func (g *Gate) Name() string { return g.name }
 
 // Acquire records one critical section entered by the SPU. Nil-safe:
-// an absent gate costs one branch.
+// an absent gate costs one branch. Contended counts acquisitions inside
+// another's busy window; WaitTotal sums the residual windows.
 func (g *Gate) Acquire(spu core.SPUID) {
 	if g == nil {
 		return
 	}
 	g.touched()
-	g.Acquisitions++
-	g.ensureSPU(spu)
-	g.acqBySPU[spu]++
+	g.acquired(spu)
 	if g.Hold == 0 {
 		return
 	}
 	now := g.eng.Now()
 	if g.busyUntil > now {
-		wait := g.busyUntil - now
 		g.Contended++
-		g.WaitTotal += wait
-		g.waitBySPU[spu] += wait
-		if g.prof != nil {
-			g.prof.AddTheft(spu, g.holder, profile.Lock, wait)
-		}
+		g.waited(spu, g.holder, g.busyUntil-now)
 		g.busyUntil += g.Hold
 	} else {
 		g.busyUntil = now + g.Hold
@@ -89,32 +66,10 @@ func (g *Gate) Acquire(spu core.SPUID) {
 
 // touched lists the gate for its table's next incremental sweep.
 func (g *Gate) touched() {
-	if g.sweep != nil && !g.listed {
+	if !g.listed {
 		g.listed = true
 		g.sweep.gates = append(g.sweep.gates, g)
 	}
-}
-
-func (g *Gate) ensureSPU(spu core.SPUID) {
-	for int(spu) >= len(g.acqBySPU) {
-		g.acqBySPU = append(g.acqBySPU, 0)
-		g.waitBySPU = append(g.waitBySPU, 0)
-	}
-}
-
-// AcquisitionsBySPU and WaitBySPU read the per-SPU ledgers.
-func (g *Gate) AcquisitionsBySPU(spu core.SPUID) int64 {
-	if int(spu) >= len(g.acqBySPU) {
-		return 0
-	}
-	return g.acqBySPU[spu]
-}
-
-func (g *Gate) WaitBySPU(spu core.SPUID) sim.Time {
-	if int(spu) >= len(g.waitBySPU) {
-		return 0
-	}
-	return g.waitBySPU[spu]
 }
 
 // MeanContendedWait is the residual busy window averaged over the
@@ -130,12 +85,7 @@ func (g *Gate) MeanContendedWait() sim.Time {
 // totals, contention never exceeds traffic, and a zero-hold gate never
 // accumulates a busy window.
 func (g *Gate) Audit() error {
-	var acq int64
-	var wait sim.Time
-	for i := range g.acqBySPU {
-		acq += g.acqBySPU[i]
-		wait += g.waitBySPU[i]
-	}
+	acq, wait, _ := g.sums()
 	if acq != g.Acquisitions || wait != g.WaitTotal {
 		return fmt.Errorf("gate %s: per-SPU ledgers (acq %d wait %s) != totals (acq %d wait %s)",
 			g.name, acq, wait, g.Acquisitions, g.WaitTotal)
@@ -158,10 +108,9 @@ func (g *Gate) Snapshot(enc *snap.Encoder) {
 	enc.Int("acquisitions", g.Acquisitions)
 	enc.Int("contended", g.Contended)
 	enc.Int("wait_total", int64(g.WaitTotal))
-	for i := range g.acqBySPU {
-		if g.acqBySPU[i] != 0 {
-			enc.Str(fmt.Sprintf("spu%d", i), fmt.Sprintf("acq=%d wait=%d",
-				g.acqBySPU[i], int64(g.waitBySPU[i])))
+	for i, c := range g.bySPU {
+		if c.acq != 0 {
+			enc.Str(fmt.Sprintf("spu%d", i), fmt.Sprintf("acq=%d wait=%d", c.acq, int64(c.wait)))
 		}
 	}
 }
@@ -173,37 +122,21 @@ func (g *Gate) Snapshot(enc *snap.Encoder) {
 // produce cross-SPU lock theft by construction — one SPU's traffic
 // never lands in another's busy window.
 type GateSet struct {
-	eng    *sim.Engine
+	tab    *Table
 	name   string
 	hold   sim.Time
 	shared *Gate
 	perSPU []*Gate
 	all    []*Gate // live gates in creation order, shared first
-	prof   *profile.Profiler
 }
 
-// NewGateSet creates the set; shared picks the coarse single-gate
-// layout, otherwise each SPU gets a private gate on first use.
-func NewGateSet(eng *sim.Engine, name string, hold sim.Time, shared bool) *GateSet {
-	s := &GateSet{eng: eng, name: name, hold: hold}
-	if shared {
-		s.shared = NewGate(eng, name, hold)
-		s.all = append(s.all, s.shared)
-	}
-	return s
-}
-
-// SetProfile wires every gate (present and future) into the matrix.
-func (s *GateSet) SetProfile(p *profile.Profiler) {
-	s.prof = p
-	if s.shared != nil {
-		s.shared.SetProfile(p)
-	}
-	for _, g := range s.perSPU {
-		if g != nil {
-			g.SetProfile(p)
-		}
-	}
+// newGate makes one of the set's gates and lists it on its table.
+func (s *GateSet) newGate(name string) *Gate {
+	t := s.tab
+	g := &Gate{ledger: ledger{prof: t.prof}, eng: t.eng, name: name, Hold: s.hold, sweep: &t.list}
+	g.touched()
+	s.all = append(s.all, g)
+	return g
 }
 
 // Shared reports whether the set is one coarse gate.
@@ -231,10 +164,8 @@ func (s *GateSet) gateFor(spu core.SPUID) *Gate {
 	}
 	g := s.perSPU[spu]
 	if g == nil {
-		g = NewGate(s.eng, fmt.Sprintf("%s.spu%d", s.name, spu), s.hold)
-		g.SetProfile(s.prof)
+		g = s.newGate(fmt.Sprintf("%s.spu%d", s.name, spu))
 		s.perSPU[spu] = g
-		s.all = append(s.all, g)
 	}
 	return g
 }

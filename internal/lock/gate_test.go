@@ -1,11 +1,17 @@
 package lock
 
 import (
+	"strings"
 	"testing"
 
 	"perfiso/internal/profile"
 	"perfiso/internal/sim"
 )
+
+// newGate makes a lone gate: the shared gate of a set of its own.
+func newGate(tab *Table, name string, hold sim.Time) *Gate {
+	return tab.NewGateSet(name, hold, true).shared
+}
 
 // A gate never schedules events: acquisitions inside another SPU's busy
 // window are recorded as contention and theft, but simulated time is
@@ -13,8 +19,7 @@ import (
 func TestGateBusyWindowAccounting(t *testing.T) {
 	eng := sim.NewEngine()
 	p := profile.New(eng)
-	g := NewGate(eng, "t", 10*sim.Microsecond)
-	g.SetProfile(p)
+	g := newGate(NewTable(eng, p), "t", 10*sim.Microsecond)
 	g.Acquire(spuA) // opens a window [0, 10us)
 	g.Acquire(spuB) // inside A's window: waits 10us, extends to 20us
 	g.Acquire(spuC) // inside B's extension: waits 20us
@@ -40,7 +45,7 @@ func TestGateBusyWindowAccounting(t *testing.T) {
 
 func TestGateWindowExpires(t *testing.T) {
 	eng := sim.NewEngine()
-	g := NewGate(eng, "t", 10*sim.Microsecond)
+	g := newGate(NewTable(eng, nil), "t", 10*sim.Microsecond)
 	g.Acquire(spuA)
 	eng.After(sim.Millisecond, "later", func() { g.Acquire(spuB) })
 	eng.Run()
@@ -52,7 +57,7 @@ func TestGateWindowExpires(t *testing.T) {
 // With Hold zero the gate is pure acquisition counting.
 func TestGateZeroHoldPureCounting(t *testing.T) {
 	eng := sim.NewEngine()
-	g := NewGate(eng, "t", 0)
+	g := newGate(NewTable(eng, nil), "t", 0)
 	for i := 0; i < 5; i++ {
 		g.Acquire(spuA)
 	}
@@ -80,9 +85,9 @@ func TestGateNilSafe(t *testing.T) {
 func TestGateSetSharedVsPrivate(t *testing.T) {
 	eng := sim.NewEngine()
 	p := profile.New(eng)
+	tab := NewTable(eng, p)
 
-	shared := NewGateSet(eng, "s", 10*sim.Microsecond, true)
-	shared.SetProfile(p)
+	shared := tab.NewGateSet("s", 10*sim.Microsecond, true)
 	shared.Acquire(spuA)
 	shared.Acquire(spuB)
 	if _, contended, _ := shared.Totals(); contended != 1 {
@@ -92,8 +97,7 @@ func TestGateSetSharedVsPrivate(t *testing.T) {
 		t.Fatalf("shared-set theft = %v", got)
 	}
 
-	private := NewGateSet(eng, "p", 10*sim.Microsecond, false)
-	private.SetProfile(p)
+	private := tab.NewGateSet("p", 10*sim.Microsecond, false)
 	private.Acquire(spuA)
 	private.Acquire(spuB)
 	private.Acquire(spuA) // back-to-back: self-contends on A's own gate
@@ -118,7 +122,7 @@ func TestGateSetSharedVsPrivate(t *testing.T) {
 
 func TestGateAuditDetectsCorruption(t *testing.T) {
 	eng := sim.NewEngine()
-	g := NewGate(eng, "t", 10*sim.Microsecond)
+	g := newGate(NewTable(eng, nil), "t", 10*sim.Microsecond)
 	g.Acquire(spuA)
 	if err := g.Audit(); err != nil {
 		t.Fatal(err)
@@ -136,15 +140,12 @@ func TestGateAuditDetectsCorruption(t *testing.T) {
 
 func TestShardedRoutingAndTotals(t *testing.T) {
 	eng := sim.NewEngine()
-	s := NewSharded(eng, "t", Mutex, 4)
+	s := NewTable(eng, nil).NewSharded("t", Mutex, 4)
 	if s.Len() != 4 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	if s.Shard(5) != s.Locks()[1] {
+	if s.Shard(5).Name() != "t.1" {
 		t.Fatal("key routing wrong")
-	}
-	if s.ForSPU(spuB) != s.Locks()[int(spuB)%4] {
-		t.Fatal("SPU routing wrong")
 	}
 	s.Shard(0).Acquire(spuA, false, sim.Millisecond, func() {})
 	s.Shard(1).Acquire(spuB, false, sim.Millisecond, func() {})
@@ -156,57 +157,72 @@ func TestShardedRoutingAndTotals(t *testing.T) {
 
 func TestShardedCoercesZeroShards(t *testing.T) {
 	eng := sim.NewEngine()
-	if NewSharded(eng, "t", Mutex, 0).Len() != 1 {
+	if NewTable(eng, nil).NewSharded("t", Mutex, 0).Len() != 1 {
 		t.Fatal("zero shards should coerce to 1")
 	}
 }
 
-// The table audits and reports every registered source, late-bound so
-// re-striped or lazily created locks are always covered.
-func TestTableLateBinding(t *testing.T) {
+// The table lists every lock and gate it makes: locks in creation
+// order, gates set by set, a per-SPU gate from the acquisition that
+// makes it. Its audit covers each of them.
+func TestTableListsWhatItMakes(t *testing.T) {
 	eng := sim.NewEngine()
-	var locks []*Lock
-	tab := NewTable()
-	tab.AddLocks(func() []*Lock { return locks })
-	set := NewGateSet(eng, "g", sim.Microsecond, false)
-	tab.AddGates(set.Gates)
-
-	if len(tab.Locks()) != 0 || len(tab.Gates()) != 0 {
-		t.Fatal("table not empty at start")
+	tab := NewTable(eng, nil)
+	runq := tab.NewGateSet("runq", sim.Microsecond, false)
+	root := tab.NewLock("inode", RW)
+	tab.NewSharded("insert", Mutex, 2)
+	frames := tab.NewGateSet("frames", sim.Microsecond, true)
+	if got := lockNames(tab.Locks()); got != "inode insert.0 insert.1" {
+		t.Fatalf("locks %q", got)
 	}
-	locks = append(locks, New(eng, "late", Mutex))
-	set.Acquire(spuA)
-	if len(tab.Locks()) != 1 || len(tab.Gates()) != 1 {
-		t.Fatal("table missed late-bound members")
+	if got := gateNames(tab.Gates()); got != "frames" {
+		t.Fatalf("gates before any acquisition %q", got)
+	}
+	runq.Acquire(spuB)
+	frames.Acquire(spuB)
+	runq.Acquire(spuA)
+	if got := gateNames(tab.Gates()); got != "runq.spu3 runq.spu2 frames" {
+		t.Fatalf("gates %q", got)
 	}
 	if err := tab.Audit(); err != nil {
 		t.Fatal(err)
 	}
-	locks[0].grants++ // corrupt
+	root.grants++ // corrupt
 	if err := tab.Audit(); err == nil {
 		t.Fatal("table audit missed a corrupted lock")
 	}
+	root.grants--
+	runq.Gates()[1].Acquisitions++
+	if err := tab.Audit(); err == nil {
+		t.Fatal("table audit missed a corrupted per-SPU gate")
+	}
+}
+
+func lockNames(ls []*Lock) string {
+	var names []string
+	for _, l := range ls {
+		names = append(names, l.Name())
+	}
+	return strings.Join(names, " ")
+}
+
+func gateNames(gs []*Gate) string {
+	var names []string
+	for _, g := range gs {
+		names = append(names, g.Name())
+	}
+	return strings.Join(names, " ")
 }
 
 func TestTableStringElidesIdleLocks(t *testing.T) {
 	eng := sim.NewEngine()
-	busy := New(eng, "busy", Mutex)
-	idle := New(eng, "idle", Mutex)
+	tab := NewTable(eng, nil)
+	busy := tab.NewLock("busy", Mutex)
+	tab.NewLock("idle", Mutex)
 	busy.Acquire(spuA, false, sim.Millisecond, func() {})
 	eng.Run()
-	tab := NewTable()
-	tab.AddLocks(func() []*Lock { return []*Lock{busy, idle} })
 	out := tab.String()
-	if !contains(out, "busy") || contains(out, "idle") {
+	if !strings.Contains(out, "busy") || strings.Contains(out, "idle") {
 		t.Fatalf("table report wrong:\n%s", out)
 	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

@@ -22,8 +22,10 @@
 //     the serialization a real kernel lock would impose without
 //     perturbing event timing, so enabling it never changes a table.
 //
-// Both variants audit the same conservation laws (see Audit) and
-// snapshot their full state for checkpoint/replay.
+// Both variants keep the same per-SPU ledger, audit the same
+// conservation laws (see Audit) and snapshot their full state for
+// checkpoint/replay. A Table (table.go) makes every lock and gate, so
+// each is audited, reported and profiled from the moment it exists.
 package lock
 
 import (
@@ -69,13 +71,84 @@ type waiter struct {
 	culprit core.SPUID
 }
 
+// ledger is the per-SPU accounting a Lock and a Gate share: totals, one
+// column per SPU indexed by SPUID, and the contended waits it reports
+// to the profiler, when there is one, as Lock-resource theft.
+type ledger struct {
+	// Acquisitions counts grants; Contended counts the acquisitions
+	// that waited; WaitTotal sums the time they waited.
+	Acquisitions int64
+	Contended    int64
+	WaitTotal    sim.Time
+
+	bySPU []column
+	prof  *profile.Profiler
+}
+
+// column is one SPU's share of a ledger's totals. Only a Lock books
+// hold time; a gate's hold is its fixed Hold.
+type column struct {
+	acq        int64
+	wait, hold sim.Time
+}
+
+// acquired books one acquisition by spu and returns its column.
+func (d *ledger) acquired(spu core.SPUID) *column {
+	for int(spu) >= len(d.bySPU) {
+		d.bySPU = append(d.bySPU, column{})
+	}
+	d.Acquisitions++
+	c := &d.bySPU[spu]
+	c.acq++
+	return c
+}
+
+// waited books wait spent by spu, an acquirer already booked, behind
+// culprit's hold; a same-SPU culprit is self-interference, which the
+// profiler drops.
+func (d *ledger) waited(spu, culprit core.SPUID, wait sim.Time) {
+	d.WaitTotal += wait
+	d.bySPU[spu].wait += wait
+	if d.prof != nil {
+		d.prof.AddTheft(spu, culprit, profile.Lock, wait)
+	}
+}
+
+// sums totals the per-SPU columns, for the audits.
+func (d *ledger) sums() (acq int64, wait, hold sim.Time) {
+	for _, c := range d.bySPU {
+		acq += c.acq
+		wait += c.wait
+		hold += c.hold
+	}
+	return
+}
+
+// AcquisitionsBySPU and WaitBySPU read the per-SPU columns; SPUs the
+// ledger never saw report zero.
+func (d *ledger) AcquisitionsBySPU(spu core.SPUID) int64 {
+	if int(spu) >= len(d.bySPU) {
+		return 0
+	}
+	return d.bySPU[spu].acq
+}
+
+func (d *ledger) WaitBySPU(spu core.SPUID) sim.Time {
+	if int(spu) >= len(d.bySPU) {
+		return 0
+	}
+	return d.bySPU[spu].wait
+}
+
 // Lock is a simulated kernel semaphore with FIFO queueing, per-SPU
 // wait/hold ledgers, and culprit-tagged interference accounting. The
-// zero value is not usable; call New.
+// zero value is not usable; a Table makes locks (Table.NewLock).
 //
 // The exported counters are cumulative over the run; all times are
-// simulated nanoseconds.
+// simulated nanoseconds. Contended counts acquisitions that queued;
+// WaitTotal sums queueing delay over every acquisition.
 type Lock struct {
+	ledger
 	eng  *sim.Engine
 	name string
 	mode Mode
@@ -101,14 +174,9 @@ type Lock struct {
 	draining bool
 	batch    []waiter // drain scratch, reused across releases
 
-	// Acquisitions counts grants; Contended counts acquisitions that
-	// queued. WaitTotal is queueing delay summed over every
-	// acquisition; ContendedWait only over the contended ones, which
-	// is the §3.4 "additional stall time" undiluted by uncontended
-	// traffic. HoldTotal sums granted hold times.
-	Acquisitions  int64
-	Contended     int64
-	WaitTotal     sim.Time
+	// ContendedWait is queueing delay summed over only the contended
+	// acquisitions, which is the §3.4 "additional stall time" undiluted
+	// by uncontended traffic. HoldTotal sums granted hold times.
 	ContendedWait sim.Time
 	HoldTotal     sim.Time
 
@@ -122,34 +190,16 @@ type Lock struct {
 
 	qlen stats.TimeWeighted // time-weighted queue length
 
-	// Dense per-SPU ledgers, indexed by SPUID.
-	waitBySPU []sim.Time
-	holdBySPU []sim.Time
-	acqBySPU  []int64
-
-	// sweep is the list of the Table whose incremental sweep audits
-	// this lock, set when that sweep first sees it. listed reports the
-	// lock is on the list; a lock off it is clean: it has not mutated
-	// since its laws last passed. Acquire and release, the only writers
-	// of audited state, list it (see Table.AuditChanged).
+	// sweep is the list of the Table that made this lock, which its
+	// incremental sweep audits. listed reports the lock is on the list;
+	// a lock off it is clean: it has not mutated since its laws last
+	// passed. Acquire and release, the only writers of audited state,
+	// list it (see Table.AuditChanged).
 	sweep  *sweepList
 	listed bool
 
-	prof  *profile.Profiler
 	relFn func(uint64) // pre-bound release callback (zero-alloc events)
 }
-
-// New creates a named lock on the engine. The name appears in audits,
-// snapshots, and lock tables.
-func New(eng *sim.Engine, name string, mode Mode) *Lock {
-	l := &Lock{eng: eng, name: name, mode: mode}
-	l.relFn = func(arg uint64) { l.release(core.SPUID(arg>>1), arg&1 == 1) }
-	return l
-}
-
-// SetProfile wires contended waits into the interference matrix as
-// Lock-resource theft, blamed on the holder at enqueue time.
-func (l *Lock) SetProfile(p *profile.Profiler) { l.prof = p }
 
 // Name returns the lock's name.
 func (l *Lock) Name() string { return l.name }
@@ -194,7 +244,7 @@ func (l *Lock) Acquire(spu core.SPUID, shared bool, hold sim.Time, fn func()) {
 
 // touched lists the lock for its table's next incremental sweep.
 func (l *Lock) touched() {
-	if l.sweep != nil && !l.listed {
+	if !l.listed {
 		l.listed = true
 		l.sweep.locks = append(l.sweep.locks, l)
 	}
@@ -235,17 +285,11 @@ func (l *Lock) culpritFor(spu core.SPUID) core.SPUID {
 // must enqueue before the release event to keep same-instant dispatch
 // order identical to the original semaphore.
 func (l *Lock) admit(w waiter, now sim.Time) {
-	wait := now - w.since
-	l.Acquisitions++
 	l.grants++
-	l.WaitTotal += wait
-	l.ensureSPU(w.spu)
-	l.acqBySPU[w.spu]++
-	l.waitBySPU[w.spu] += wait
-	l.holdBySPU[w.spu] += w.hold
+	l.acquired(w.spu).hold += w.hold
 	l.HoldTotal += w.hold
-	if wait > 0 && l.prof != nil {
-		l.prof.AddTheft(w.spu, w.culprit, profile.Lock, wait)
+	if wait := now - w.since; wait > 0 {
+		l.waited(w.spu, w.culprit, wait)
 	}
 	if w.shared {
 		l.readers++
@@ -351,14 +395,6 @@ func (l *Lock) dropReader(spu core.SPUID) {
 	panic(fmt.Sprintf("lock %s: release by spu%d which holds no read lock", l.name, spu))
 }
 
-func (l *Lock) ensureSPU(spu core.SPUID) {
-	for int(spu) >= len(l.acqBySPU) {
-		l.acqBySPU = append(l.acqBySPU, 0)
-		l.waitBySPU = append(l.waitBySPU, 0)
-		l.holdBySPU = append(l.holdBySPU, 0)
-	}
-}
-
 // MeanWait is queueing delay averaged over every acquisition — the
 // seed semaphore's statistic, kept for the §3.4 inode-lock ablation
 // table. It dilutes stalls with uncontended traffic; prefer
@@ -387,27 +423,13 @@ func (l *Lock) MeanQueueLen() float64 { return l.qlen.Average(l.eng.Now()) }
 // MaxQueueLen is the longest queue ever observed.
 func (l *Lock) MaxQueueLen() int { return int(l.qlen.Max()) }
 
-// AcquisitionsBySPU, WaitBySPU, and HoldBySPU read the per-SPU
-// ledgers; SPUs the lock never saw report zero.
-func (l *Lock) AcquisitionsBySPU(spu core.SPUID) int64 {
-	if int(spu) >= len(l.acqBySPU) {
-		return 0
-	}
-	return l.acqBySPU[spu]
-}
-
-func (l *Lock) WaitBySPU(spu core.SPUID) sim.Time {
-	if int(spu) >= len(l.waitBySPU) {
-		return 0
-	}
-	return l.waitBySPU[spu]
-}
-
+// HoldBySPU reads the per-SPU hold ledger; an SPU the lock never saw
+// reports zero.
 func (l *Lock) HoldBySPU(spu core.SPUID) sim.Time {
-	if int(spu) >= len(l.holdBySPU) {
+	if int(spu) >= len(l.bySPU) {
 		return 0
 	}
-	return l.holdBySPU[spu]
+	return l.bySPU[spu].hold
 }
 
 // Audit re-verifies the lock conservation laws:
@@ -458,13 +480,7 @@ func (l *Lock) Audit() error {
 		return fmt.Errorf("lock %s: %d holders but last release was due at %s (now %s)",
 			l.name, holders, l.releaseDue, now)
 	}
-	var wait, hold sim.Time
-	var acq int64
-	for i := range l.acqBySPU {
-		acq += l.acqBySPU[i]
-		wait += l.waitBySPU[i]
-		hold += l.holdBySPU[i]
-	}
+	acq, wait, hold := l.sums()
 	if acq != l.Acquisitions || wait != l.WaitTotal || hold != l.HoldTotal {
 		return fmt.Errorf("lock %s: per-SPU ledgers (acq %d wait %s hold %s) != totals (acq %d wait %s hold %s)",
 			l.name, acq, wait, hold, l.Acquisitions, l.WaitTotal, l.HoldTotal)
@@ -502,10 +518,10 @@ func (l *Lock) Snapshot(enc *snap.Encoder) {
 	enc.Int("contended_wait", int64(l.ContendedWait))
 	enc.Int("hold_total", int64(l.HoldTotal))
 	enc.Int("release_due", int64(l.releaseDue))
-	for i := range l.acqBySPU {
-		if l.acqBySPU[i] != 0 {
+	for i, c := range l.bySPU {
+		if c.acq != 0 {
 			enc.Str(fmt.Sprintf("spu%d", i), fmt.Sprintf("acq=%d wait=%d hold=%d",
-				l.acqBySPU[i], int64(l.waitBySPU[i]), int64(l.holdBySPU[i])))
+				c.acq, int64(c.wait), int64(c.hold)))
 		}
 	}
 }

@@ -14,6 +14,11 @@ const (
 	spuC = core.FirstUserID + 2
 )
 
+// newLock makes a lock on a table of its own, with no profiler.
+func newLock(eng *sim.Engine, name string, mode Mode) *Lock {
+	return NewTable(eng, nil).NewLock(name, mode)
+}
+
 // The original fs.Semaphore ran grant callbacks inside its release
 // drain loop, so a callback that re-acquired the lock could be granted
 // immediately — nesting one grant callback inside another and mutating
@@ -23,7 +28,7 @@ const (
 // admissible lock at the drain instant.
 func TestGrantCallbacksNeverNest(t *testing.T) {
 	eng := sim.NewEngine()
-	l := New(eng, "t", RW)
+	l := newLock(eng, "t", RW)
 	depth, maxDepth := 0, 0
 	enter := func() {
 		depth++
@@ -62,7 +67,7 @@ func TestGrantCallbacksNeverNest(t *testing.T) {
 // the backing array and, once warm, stops allocating entirely.
 func TestSustainedContentionBoundedQueueMemory(t *testing.T) {
 	eng := sim.NewEngine()
-	l := New(eng, "t", Mutex)
+	l := newLock(eng, "t", Mutex)
 	const hold = sim.Millisecond
 	// An arrival process matched to the service rate keeps the queue at
 	// a steady ~64 waiters for 10k operations.
@@ -88,7 +93,7 @@ func TestSustainedContentionBoundedQueueMemory(t *testing.T) {
 
 func TestDrainAllocFreeOnceWarm(t *testing.T) {
 	eng := sim.NewEngine()
-	l := New(eng, "t", Mutex)
+	l := newLock(eng, "t", Mutex)
 	fn := func() {}
 	// Warm the queue, batch scratch, per-SPU ledgers, and event pool.
 	for i := 0; i < 64; i++ {
@@ -110,7 +115,7 @@ func TestDrainAllocFreeOnceWarm(t *testing.T) {
 // §3.4 "additional stall time" undiluted.
 func TestMeanContendedWaitUndiluted(t *testing.T) {
 	eng := sim.NewEngine()
-	l := New(eng, "t", Mutex)
+	l := newLock(eng, "t", Mutex)
 	l.Acquire(spuA, false, 100*sim.Millisecond, func() {})
 	l.Acquire(spuB, false, sim.Millisecond, func() {}) // stalls 100 ms
 	eng.Run()
@@ -131,7 +136,7 @@ func TestMeanContendedWaitUndiluted(t *testing.T) {
 // writer's release instant.
 func TestReaderBatchBehindWriter(t *testing.T) {
 	eng := sim.NewEngine()
-	l := New(eng, "t", RW)
+	l := newLock(eng, "t", RW)
 	l.Acquire(spuA, false, 10*sim.Millisecond, func() {})
 	var grants []sim.Time
 	for i := 0; i < 5; i++ {
@@ -153,7 +158,7 @@ func TestReaderBatchBehindWriter(t *testing.T) {
 // the pre-existing readers release.
 func TestWriterNotStarvedByReaderStream(t *testing.T) {
 	eng := sim.NewEngine()
-	l := New(eng, "t", RW)
+	l := newLock(eng, "t", RW)
 	l.Acquire(spuA, true, 10*sim.Millisecond, func() {})
 	var writerAt sim.Time = -1
 	l.Acquire(spuB, false, sim.Millisecond, func() { writerAt = eng.Now() })
@@ -173,7 +178,7 @@ func TestWriterNotStarvedByReaderStream(t *testing.T) {
 // path and through the queue.
 func TestZeroHoldAcquisitions(t *testing.T) {
 	eng := sim.NewEngine()
-	l := New(eng, "t", Mutex)
+	l := newLock(eng, "t", Mutex)
 	l.Acquire(spuA, false, 0, func() {})
 	l.Acquire(spuB, false, 10*sim.Millisecond, func() {})
 	l.Acquire(spuA, false, 0, func() {})
@@ -195,8 +200,7 @@ func TestZeroHoldAcquisitions(t *testing.T) {
 func TestContendedWaitFeedsInterferenceMatrix(t *testing.T) {
 	eng := sim.NewEngine()
 	p := profile.New(eng)
-	l := New(eng, "t", Mutex)
-	l.SetProfile(p)
+	l := NewTable(eng, p).NewLock("t", Mutex)
 	l.Acquire(spuA, false, 10*sim.Millisecond, func() {})
 	l.Acquire(spuB, false, sim.Millisecond, func() {}) // victim of A
 	l.Acquire(spuA, false, sim.Millisecond, func() {}) // self-wait, dropped
@@ -211,7 +215,7 @@ func TestContendedWaitFeedsInterferenceMatrix(t *testing.T) {
 
 func TestPerSPULedgersAndAudit(t *testing.T) {
 	eng := sim.NewEngine()
-	l := New(eng, "t", RW)
+	l := newLock(eng, "t", RW)
 	l.Acquire(spuA, true, 5*sim.Millisecond, func() {})
 	l.Acquire(spuB, true, 5*sim.Millisecond, func() {})
 	l.Acquire(spuC, false, sim.Millisecond, func() {})
@@ -235,7 +239,7 @@ func TestPerSPULedgersAndAudit(t *testing.T) {
 func TestAuditDetectsCorruption(t *testing.T) {
 	mk := func() *Lock {
 		eng := sim.NewEngine()
-		l := New(eng, "t", RW)
+		l := newLock(eng, "t", RW)
 		l.Acquire(spuA, true, sim.Millisecond, func() {})
 		eng.Run()
 		return l
@@ -275,7 +279,7 @@ func TestAuditDetectsCorruption(t *testing.T) {
 
 func TestMutexModeIgnoresShared(t *testing.T) {
 	eng := sim.NewEngine()
-	l := New(eng, "t", Mutex)
+	l := newLock(eng, "t", Mutex)
 	var grants []sim.Time
 	for i := 0; i < 2; i++ {
 		l.Acquire(spuA, true, 10*sim.Millisecond, func() { grants = append(grants, eng.Now()) })
@@ -288,7 +292,7 @@ func TestMutexModeIgnoresShared(t *testing.T) {
 
 func TestQueueStats(t *testing.T) {
 	eng := sim.NewEngine()
-	l := New(eng, "t", Mutex)
+	l := newLock(eng, "t", Mutex)
 	for i := 0; i < 4; i++ {
 		l.Acquire(spuA, false, 10*sim.Millisecond, func() {})
 	}

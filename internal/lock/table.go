@@ -17,41 +17,13 @@ import (
 // so at n at or above the SPU count every SPU owns a private shard and
 // cross-SPU lock interference vanishes by construction.
 type Sharded struct {
-	name   string
 	shards []*Lock
-}
-
-// NewSharded creates n shards of the named lock (n minimum 1).
-func NewSharded(eng *sim.Engine, name string, mode Mode, n int) *Sharded {
-	if n < 1 {
-		n = 1
-	}
-	s := &Sharded{name: name}
-	for i := 0; i < n; i++ {
-		s.shards = append(s.shards, New(eng, fmt.Sprintf("%s.%d", name, i), mode))
-	}
-	return s
-}
-
-// SetProfile wires every shard into the interference matrix.
-func (s *Sharded) SetProfile(p *profile.Profiler) {
-	for _, l := range s.shards {
-		l.SetProfile(p)
-	}
 }
 
 // Shard returns the shard for a hashed key.
 func (s *Sharded) Shard(key uint64) *Lock {
 	return s.shards[key%uint64(len(s.shards))]
 }
-
-// ForSPU returns the shard an SPU's traffic maps to.
-func (s *Sharded) ForSPU(spu core.SPUID) *Lock {
-	return s.shards[int(spu)%len(s.shards)]
-}
-
-// Locks returns the shards in order.
-func (s *Sharded) Locks() []*Lock { return s.shards }
 
 // Len returns the shard count.
 func (s *Sharded) Len() int { return len(s.shards) }
@@ -65,76 +37,90 @@ func (s *Sharded) Totals() (acquisitions int64, wait sim.Time) {
 	return
 }
 
-// Table is the kernel's registry of every modelled lock — event-based
-// locks and accounting gates — so audits, snapshots, and CLI reports
-// see one namespace. Sources are late-bound functions because lock
-// populations move after construction: experiments re-stripe the
-// page-insert lock, and per-SPU gates appear on first use.
+// Table is the kernel's lock table. It makes every modelled lock —
+// event-based locks, their shards, and gate sets with their gates — so
+// audits, snapshots, and CLI reports see one namespace, and each lock
+// and gate is on the table's incremental-sweep list and wired to its
+// profiler from the moment it exists.
 type Table struct {
-	locks []func() []*Lock
-	gates []func() []*Gate
+	eng  *sim.Engine
+	prof *profile.Profiler
 
-	// The incremental sweep's state (AuditChanged): the slice each
-	// source returned when the sweep last attached its members, and the
-	// sweep's list.
-	seenLocks [][]*Lock
-	seenGates [][]*Gate
-	list      sweepList
+	locks []*Lock    // in creation order
+	sets  []*GateSet // in creation order
+	list  sweepList  // what the next incremental sweep audits
 }
 
-// sweepList is what a table's next incremental sweep audits: each
-// attached lock or gate that mutated since it last passed, and each
-// lock that was held when it last passed.
+// sweepList is what a table's next incremental sweep audits: each lock
+// or gate made or mutated since it last passed, and each lock that was
+// held when it last passed.
 type sweepList struct {
 	locks []*Lock
 	gates []*Gate
 }
 
-// NewTable creates an empty table.
-func NewTable() *Table { return &Table{} }
-
-// AddLocks registers a late-bound source of event-based locks. A source
-// whose population changes returns a new slice or a longer one; it never
-// overwrites the elements of a slice it returned, because the
-// incremental sweep re-reads a source only when its slice changes.
-func (t *Table) AddLocks(src func() []*Lock) { t.locks = append(t.locks, src) }
-
-// AddGates registers a late-bound source of gates, under the same rule
-// as AddLocks.
-func (t *Table) AddGates(src func() []*Gate) { t.gates = append(t.gates, src) }
-
-// Locks returns the live event-based locks, in registration order.
-func (t *Table) Locks() []*Lock {
-	var out []*Lock
-	for _, src := range t.locks {
-		out = append(out, src()...)
-	}
-	return out
+// NewTable creates an empty table whose locks run on eng and report
+// contended waits to prof as lock theft; prof is nil when profiling is
+// off.
+func NewTable(eng *sim.Engine, prof *profile.Profiler) *Table {
+	return &Table{eng: eng, prof: prof}
 }
 
-// Gates returns the live gates, in registration order.
+// NewLock makes a named lock. The name appears in audits, snapshots,
+// and the lock report.
+func (t *Table) NewLock(name string, mode Mode) *Lock {
+	l := &Lock{ledger: ledger{prof: t.prof}, eng: t.eng, name: name, mode: mode, sweep: &t.list}
+	l.relFn = func(arg uint64) { l.release(core.SPUID(arg>>1), arg&1 == 1) }
+	l.touched()
+	t.locks = append(t.locks, l)
+	return l
+}
+
+// NewSharded makes n shards of the named lock (n minimum 1), named
+// name.0 to name.n-1.
+func (t *Table) NewSharded(name string, mode Mode, n int) *Sharded {
+	s := &Sharded{shards: make([]*Lock, max(n, 1))}
+	for i := range s.shards {
+		s.shards[i] = t.NewLock(fmt.Sprintf("%s.%d", name, i), mode)
+	}
+	return s
+}
+
+// NewGateSet makes a gate set whose gates hold for hold per
+// acquisition; shared picks the coarse single-gate layout, otherwise
+// each SPU gets a private gate, named name.spuN, on first use.
+func (t *Table) NewGateSet(name string, hold sim.Time, shared bool) *GateSet {
+	s := &GateSet{tab: t, name: name, hold: hold}
+	if shared {
+		s.shared = s.newGate(name)
+	}
+	t.sets = append(t.sets, s)
+	return s
+}
+
+// Locks returns the event-based locks in creation order. Callers must
+// not mutate the slice.
+func (t *Table) Locks() []*Lock { return t.locks }
+
+// Gates returns the gates set by set, in the order the sets were made.
 func (t *Table) Gates() []*Gate {
 	var out []*Gate
-	for _, src := range t.gates {
-		out = append(out, src()...)
+	for _, s := range t.sets {
+		out = append(out, s.all...)
 	}
 	return out
 }
 
-// Audit runs every registered lock's and gate's conservation laws,
-// returning the first failure. It iterates sources in place — the
-// periodic invariant audit runs inside the zero-alloc dispatch window,
-// so this path must not build combined slices.
+// Audit runs every lock's and gate's conservation laws, returning the
+// first failure.
 func (t *Table) Audit() error {
-	for _, src := range t.locks {
-		for _, l := range src() {
-			if err := l.Audit(); err != nil {
-				return err
-			}
+	for _, l := range t.locks {
+		if err := l.Audit(); err != nil {
+			return err
 		}
 	}
-	for _, src := range t.gates {
-		for _, g := range src() {
+	for _, s := range t.sets {
+		for _, g := range s.all {
 			if err := g.Audit(); err != nil {
 				return err
 			}
@@ -144,20 +130,14 @@ func (t *Table) Audit() error {
 }
 
 // AuditChanged is the periodic sweep's form of Audit. It runs the laws
-// of every lock and gate that mutated since they last passed here, and
-// of every held lock, whose release can fall overdue with no mutation.
-// A lock or gate that passes leaves the list until its next mutation
-// (a held lock stays on it); one that fails stays on it, so the next
-// sweep reports it again, as Audit would. The first sweep, and the
-// first after the sources' populations change, audits every lock and
-// gate. Leaving an unchanged object out is sound only because this
-// package alone writes the state its laws read (see the invariant
-// package). A lock or gate is swept by at most one table. Apart from
-// attaching a changed population, it allocates nothing.
+// of every lock and gate made or mutated since they last passed here,
+// and of every held lock, whose release can fall overdue with no
+// mutation. A lock or gate that passes leaves the list until its next
+// mutation (a held lock stays on it); one that fails stays on it, so
+// the next sweep reports it again, as Audit would. Leaving an unchanged
+// object out is sound only because this package alone writes the state
+// its laws read (see the invariant package). It allocates nothing.
 func (t *Table) AuditChanged() error {
-	if !t.sameLocks() || !t.sameGates() {
-		t.attach()
-	}
 	locks := t.list.locks
 	n := 0
 	for i, l := range locks {
@@ -186,74 +166,7 @@ func (t *Table) AuditChanged() error {
 	return nil
 }
 
-// sameLocks reports whether every lock source returns the slice it
-// returned when the sweep last attached its locks. It reads no lock.
-func (t *Table) sameLocks() bool {
-	if len(t.seenLocks) != len(t.locks) {
-		return false
-	}
-	for i, src := range t.locks {
-		if !sameSlice(src(), t.seenLocks[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameGates is sameLocks for the gate sources.
-func (t *Table) sameGates() bool {
-	if len(t.seenGates) != len(t.gates) {
-		return false
-	}
-	for i, src := range t.gates {
-		if !sameSlice(src(), t.seenGates[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameSlice reports whether a and b are the same slice: one backing
-// array and one length. The table keeps the slices it compares against,
-// so their arrays cannot be reused for a new population.
-func sameSlice[T any](a, b []T) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// attach re-reads the sources: it detaches the locks and gates it last
-// attached, then attaches and lists every current one.
-func (t *Table) attach() {
-	for _, ls := range t.seenLocks {
-		for _, l := range ls {
-			l.sweep, l.listed = nil, false
-		}
-	}
-	for _, gs := range t.seenGates {
-		for _, g := range gs {
-			g.sweep, g.listed = nil, false
-		}
-	}
-	t.list.locks, t.list.gates = t.list.locks[:0], t.list.gates[:0]
-	t.seenLocks, t.seenGates = t.seenLocks[:0], t.seenGates[:0]
-	for _, src := range t.locks {
-		ls := src()
-		t.seenLocks = append(t.seenLocks, ls)
-		for _, l := range ls {
-			l.sweep = &t.list
-			l.touched()
-		}
-	}
-	for _, src := range t.gates {
-		gs := src()
-		t.seenGates = append(t.seenGates, gs)
-		for _, g := range gs {
-			g.sweep = &t.list
-			g.touched()
-		}
-	}
-}
-
-// Snapshot encodes every lock and gate, in registration order.
+// Snapshot encodes every lock and gate, in the order of Locks and Gates.
 func (t *Table) Snapshot(enc *snap.Encoder) {
 	for _, l := range t.Locks() {
 		l.Snapshot(enc)

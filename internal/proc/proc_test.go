@@ -7,6 +7,7 @@ import (
 	"perfiso/internal/core"
 	"perfiso/internal/disk"
 	"perfiso/internal/fs"
+	"perfiso/internal/lock"
 	"perfiso/internal/mem"
 	"perfiso/internal/profile"
 	"perfiso/internal/sched"
@@ -60,7 +61,7 @@ func newEnv(nSPU int, policy core.Policy, cpus, pages int) (*testEnv, []*core.SP
 	sch.AssignHomes()
 	mm := mem.NewManager(eng, spus, pages, 0)
 	mm.DivideAmongSPUs()
-	filesys := fs.New(eng, mm, fs.SemRW)
+	filesys := fs.New(eng, mm, lock.NewTable(eng, nil), fs.SemRW, 1, 0)
 	d := disk.New(eng, disk.HP97560(), disk.NewPIso(0), 0)
 	env := &testEnv{eng: eng, spus: spus, sch: sch, mm: mm, filesys: filesys, d: d,
 		al: fs.NewAllocator(d, sim.NewRNG(7))}
